@@ -592,16 +592,6 @@ def form_eval(field: FqField, coeffs, a: int, b: int) -> int:
     return acc
 
 
-def form_derivative_x(field: FqField, coeffs):
-    d = form_degree(coeffs)
-    return tuple(field.smul(i + 1, coeffs[i + 1]) for i in range(d))
-
-
-def form_derivative_y(field: FqField, coeffs):
-    d = form_degree(coeffs)
-    return tuple(field.smul(d - i, coeffs[i]) for i in range(d))
-
-
 def form_dehomogenize(field: FqField, coeffs) -> tuple[FqPoly, int]:
     """(polynomial in t = X/Y, multiplicity of the root at infinity)."""
     poly = FqPoly(field, coeffs)

@@ -25,12 +25,9 @@ from .finitefield import (
     FqField,
     FqPoly,
     fiber_form,
-    form_derivative_x,
-    form_derivative_y,
+    form_from_poly,
     form_is_squarefree,
     form_is_zero,
-    form_mul,
-    form_sub,
     fq_factor,
     iterate_forms,
 )
@@ -112,19 +109,23 @@ def closed_points_of_form(field: FqField, coeffs) -> list:
 
 
 def critical_divisor(rmap: ReducedMap):
-    """Wronskian form F_X G_Y - F_Y G_X of the reduced coprime pair.
+    """Ramification form of the reduced coprime pair [f : g].
 
-    Formal degree 2*deg-2; identically zero exactly when the reduced map
-    is inseparable; a nonzero constant for degree 1 (no critical points).
+    The derivative numerator f'g - fg' of the dehomogenized pair, read as
+    a form of formal degree 2*deg-2, so that the multiplicity of infinity
+    makes up the Riemann-Hurwitz total.  It vanishes identically exactly
+    when the reduced map is inseparable, and is a nonzero constant for
+    degree 1 (no critical points).  By Euler's identity the Wronskian
+    F_X G_Y - F_Y G_X equals deg times this form, so the Wronskian agrees
+    with it up to a unit when p does not divide the degree and collapses
+    when it does.
     """
     if rmap.reduced_degree < 1:
         raise InputError("reduced map is constant; critical divisor undefined")
     field = rmap.field
-    fx = form_derivative_x(field, rmap.F1)
-    fy = form_derivative_y(field, rmap.F1)
-    gx = form_derivative_x(field, rmap.G1)
-    gy = form_derivative_y(field, rmap.G1)
-    return form_sub(field, form_mul(field, fx, gy), form_mul(field, fy, gx))
+    f, g = FqPoly(field, rmap.F1), FqPoly(field, rmap.G1)
+    w = f.derivative() * g - f * g.derivative()
+    return form_from_poly(field, w, 2 * rmap.reduced_degree - 2)
 
 
 def pushforward(point: ClosedPoint, rmap: ReducedMap) -> frozenset:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from padicdyn.errors import InputError, ResourceLimitError
 from padicdyn.finitefield import FqField, form_degree, form_eval, form_is_zero
@@ -77,10 +78,10 @@ def test_closed_points_of_form_matches_brute_evaluation():
 
 
 def test_critical_divisor_examples():
-    # z^2: branch points 0 and infinity, Wronskian 4XY
-    assert critical_divisor(_rmap("z^2", 5)) == (0, 4, 0)
-    assert critical_divisor(_rmap("z^2 - 1", 5)) == (0, 4, 0)
-    # inseparable reduction: the Wronskian collapses
+    # z^2: branch points 0 and infinity, derivative numerator 2XY
+    assert critical_divisor(_rmap("z^2", 5)) == (0, 2, 0)
+    assert critical_divisor(_rmap("z^2 - 1", 5)) == (0, 2, 0)
+    # inseparable reduction: the derivative numerator collapses
     assert form_is_zero(critical_divisor(_rmap("z^3", 3)))
     # degree 1 maps have no critical points, the form is a unit constant
     r1 = _rmap("z + 1", 5)
@@ -88,6 +89,45 @@ def test_critical_divisor_examples():
     assert not form_is_zero(critical_divisor(r1))
     with pytest.raises(InputError):
         critical_divisor(_rmap("p^2*z^2", 5))  # constant reduction
+
+
+def _etale_residues_by_sympy(text, p, levels):
+    """Residues c of F_p over which the level-n fibers of a polynomial map
+    are squarefree of full degree for every n in levels, by sympy over GF(p).
+
+    The fiber over infinity of a polynomial map of degree >= 2 is the
+    point at infinity with full multiplicity, so it never qualifies.
+    """
+    z = sympy.symbols("z")
+    f = sympy.Poly(sympy.sympify(text.replace("^", "**")), z, modulus=p)
+    out = set()
+    for c in range(p):
+        ok = True
+        it = f
+        for n in range(1, max(levels) + 1):
+            if n > 1:
+                it = it.compose(f)
+            if n in levels:
+                h = it - c
+                ok = ok and h.degree() == f.degree() ** n and h.gcd(h.diff(z)).degree() == 0
+        if ok:
+            out.add(c)
+    return out
+
+
+@pytest.mark.parametrize("text,p", [("z^3+z", 3), ("z^2+z+1", 2)])
+def test_separable_reduction_when_p_divides_the_degree(text, p):
+    # f' = 1 in both cases: separable, with the only critical point at
+    # infinity, even though the Wronskian F_X G_Y - F_Y G_X vanishes
+    rep = analyze_map(parse_map(text, p), p)
+    assert not rep.sgr.inseparable_reduction
+    assert not rep.pc.everything
+    assert rep.pc.points == frozenset({ClosedPoint.infinity(p)})
+    brute = _etale_residues_by_sympy(text, p, (1, 2))
+    assert set(rep.locus) == brute == set(range(p))
+    assert rep.condition2.holds
+    assert rep.condition2.witnesses == rep.locus
+    assert rep.condition2.violations == ()
 
 
 def test_pushforward_examples():
