@@ -1,0 +1,101 @@
+"""Frozen command-line corpus: exact stdout, stderr and exit code.
+
+Every entry of CORPUS is one ``padicdyn.cli.main`` invocation, and
+``cli_corpus.json`` holds the bytes it printed and the code it returned.
+A change to any of them is a change to the program's output and has to
+be made on purpose: rewrite the stored file with
+
+    PYTHONPATH=src python tests/test_cli_corpus.py --regenerate
+
+and review its diff.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import padicdyn.cli as cli
+
+STORE = Path(__file__).with_name("cli_corpus.json")
+
+CORPUS = [
+    # analyze: good, degenerate, constant, inseparable and degree-one maps
+    ["analyze", "z^2+p", "-p", "5"],
+    ["analyze", "z^2+p", "-p", "5", "--format", "json"],
+    ["analyze", "z^2-1", "-p", "7", "--format", "json"],
+    ["analyze", "p*z^2+z", "-p", "5"],
+    ["analyze", "p^2*z^2", "-p", "5", "--format", "json"],
+    ["analyze", "z^3", "-p", "3", "--format", "json"],
+    ["analyze", "(z^2+1)/(z-1)", "-p", "5", "--format", "json"],
+    ["analyze", "z/(z^2+1)", "-p", "7"],
+    ["analyze", "z+1", "-p", "5", "--format", "json"],
+    ["analyze", "z^2+1", "-p", "13", "--format", "json"],
+    # p divides the degree: separable reductions
+    ["analyze", "z^3+z", "-p", "3"],
+    ["analyze", "z^3+z", "-p", "3", "--format", "json"],
+    ["analyze", "z^2+z+1", "-p", "2", "--format", "json"],
+    ["tower", "z^2+z+1", "-p", "2", "-x", "0", "-n", "2"],
+    ["tower", "z^3+z", "-p", "3", "-x", "1", "-n", "2", "--format", "json"],
+    ["orbit", "z^2+z+1", "-p", "2", "-x", "1", "-N", "3", "-n", "1", "--format", "json"],
+    # tower: integral, non-integral, postcritical and infinite basepoints
+    ["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "3"],
+    ["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "3", "--format", "json"],
+    ["tower", "z^2+p", "-p", "5", "-x", "1/5", "-n", "1", "--format", "json"],
+    ["tower", "z^2+p", "-p", "5", "-x", "5", "-n", "2", "--format", "json"],
+    ["tower", "z^2-1", "-p", "7", "-x", "inf", "-n", "2", "--format", "json"],
+    ["tower", "z^3+z+1", "-p", "7", "-x", "2", "-n", "2"],
+    ["tower", "p*z^2+z", "-p", "5", "-x", "1", "-n", "2", "--format", "json"],
+    ["tower", "z^2+1", "-p", "3", "-x", "0", "-n", "3", "--cap-field", "10", "--format", "json"],
+    # orbit: cycles, towers along the orbit, infinity, no towers
+    ["orbit", "z^2-1", "-p", "5", "-x", "2", "-N", "4", "-n", "2", "--format", "json"],
+    ["orbit", "z^2-1", "-p", "5", "-x", "0", "-N", "4", "-n", "2"],
+    ["orbit", "z^2+p", "-p", "5", "-x", "1", "-N", "2", "-n", "2", "--format", "json"],
+    ["orbit", "1/z", "-p", "5", "-x", "0", "-N", "2", "-n", "2", "--format", "json"],
+    ["orbit", "z^2", "-p", "5", "-x", "3", "-N", "3", "-n", "0"],
+    # moduli
+    ["moduli", "p*z^2+z", "-p", "5"],
+    ["moduli", "p^2*z^2", "-p", "3", "--format", "json"],
+    ["moduli", "z^2+p", "-p", "7", "--format", "json"],
+    # examples
+    ["examples", "-p", "3"],
+    ["examples", "-p", "5", "--format", "json"],
+    # exit code 2: invalid input
+    ["analyze", "z^2", "-p", "6"],
+    ["analyze", "2z", "-p", "5"],
+    ["analyze", "(z^2+1)/(z^2+1)", "-p", "5", "--format", "json"],
+    ["tower", "z^2", "-p", "5", "-x", "nonsense", "-n", "1"],
+    ["examples", "-p", "2", "--format", "json"],
+    # exit code 3: resource caps
+    ["orbit", "z^2", "-p", "5", "-x", "2", "-N", "30", "--cap-height", "16"],
+    ["tower", "z^2+1", "-p", "3", "-x", "0", "-n", "9", "--cap-degree", "64", "--format", "json"],
+]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _stored():
+    return json.loads(STORE.read_text())
+
+
+def test_stored_corpus_lists_the_same_invocations():
+    assert [entry["argv"] for entry in _stored()] == CORPUS
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)), ids=lambda i: f"{i:02d}-{CORPUS[i][0]}")
+def test_cli_output_is_frozen(index):
+    assert run(CORPUS[index]) == _stored()[index]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit(__doc__)
+    STORE.write_text(json.dumps([run(argv) for argv in CORPUS], indent=1) + "\n")
