@@ -4,8 +4,10 @@ The library decides strict good reduction by resultant valuations on
 primitive integral models, computes postcritical sets of reduced maps
 over F_p, certifies unramifiedness of preimage towers through unit
 fiber discriminants, and reports Frobenius action on reduced preimage
-trees along forward orbits.  All arithmetic is exact: Fractions over Q,
-digit-encoded F_{p^m} elements over residue fields.
+trees along forward orbits.  Analyses of one map at one prime share a
+``MapAtPrime`` session, which derives each of these objects once.  All
+arithmetic is exact: Fractions over Q, digit-encoded F_{p^m} elements
+over residue fields.
 """
 
 from .errors import InputError, PadicDynError, ResourceLimitError
@@ -26,6 +28,7 @@ from .orbits import forward_orbit, moduli_search, orbital_report
 from .padics import INFINITY, is_prime, vp
 from .reduction import (
     ClosedPoint,
+    MapAtPrime,
     analyze_map,
     condition2_check,
     critical_divisor,
@@ -51,6 +54,7 @@ __all__ = [
     "ClosedPoint",
     "InputError",
     "IntegralModel",
+    "MapAtPrime",
     "Mobius",
     "PadicDynError",
     "ProjPointQ",

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand is a thin shell over the library: it parses the map,
-runs one analysis, and prints either a text summary or JSON.  JSON is
-deterministic (sorted keys, fixed indentation, seeded randomness) so
-runs with the same arguments are byte-identical.  Integers that can
+opens one MapAtPrime session for it, runs one analysis on that session,
+and prints either a text summary or JSON.  JSON is deterministic (sorted
+keys, fixed indentation, canonically ordered factorizations) so runs
+with the same arguments are byte-identical.  Integers that can
 exceed native JSON precision (resultants, discriminants, determinants)
 are emitted as strings, rationals as "num/den", and infinite valuations
 as "inf".
@@ -22,24 +23,11 @@ from fractions import Fraction
 from .errors import InputError, PadicDynError, ResourceLimitError
 from .finitefield import FIELD_SIZE_CAP
 from .golden import battery_passed, run_battery
-from .maps import (
-    DEGREE_CAP,
-    HEIGHT_CAP_BITS,
-    ProjPointQ,
-    normalize_integral,
-    parse_map,
-    reduce_map,
-)
+from .maps import DEGREE_CAP, HEIGHT_CAP_BITS, ProjPointQ, parse_map
 from .orbits import forward_orbit, moduli_search, orbital_report
 from .padics import INFINITY
-from .reduction import ClosedPoint, analyze_map, degree_one_check, postcritical_set
-from .towers import (
-    M_CAP,
-    fiber_polynomial,
-    fiber_report,
-    frobenius_cycle_type,
-    preimage_tree,
-)
+from .reduction import ClosedPoint, MapAtPrime, analyze_map, degree_one_check
+from .towers import fiber_report, frobenius_cycle_type, preimage_tree
 
 __all__ = ["main"]
 
@@ -121,7 +109,8 @@ def _fiber_json(rep) -> dict:
 
 def _cmd_analyze(args) -> tuple[dict, str, int]:
     model = parse_map(args.map, args.prime)
-    rep = analyze_map(model, args.prime)
+    mp = MapAtPrime(model, args.prime)
+    rep = analyze_map(mp)
     sgr = rep.sgr
     payload = {
         "map": model.map_str(),
@@ -146,7 +135,7 @@ def _cmd_analyze(args) -> tuple[dict, str, int]:
         },
     }
     if model.d == 1:
-        d1 = degree_one_check(model, args.prime)
+        d1 = degree_one_check(mp)
         payload["sgr"]["det"] = _big(d1.det)
         payload["sgr"]["det_valuation"] = d1.det_valuation
 
@@ -191,18 +180,14 @@ def _tree_json(tree) -> dict:
 
 def _cmd_tower(args) -> tuple[dict, str, int]:
     model = parse_map(args.map, args.prime)
+    mp = MapAtPrime(model, args.prime, cap_degree=args.cap_degree)
     x = ProjPointQ.from_value(args.x)
     xbar = x.reduce(args.prime)
     levels = []
     for n in range(1, args.n + 1):
-        rep = fiber_report(
-            fiber_polynomial(model, n, x, args.prime, cap_degree=args.cap_degree)
-        )
-        entry = _fiber_json(rep)
+        entry = _fiber_json(fiber_report(mp, n, x))
         try:
-            entry["cycle_type"] = list(
-                frobenius_cycle_type(model, n, xbar, args.prime, cap_degree=args.cap_degree)
-            )
+            entry["cycle_type"] = list(frobenius_cycle_type(mp, n, xbar))
         except InputError:
             entry["cycle_type"] = None
         levels.append(entry)
@@ -210,25 +195,14 @@ def _cmd_tower(args) -> tuple[dict, str, int]:
     warnings = []
     if not x.is_integral(args.prime):
         warnings.append("basepoint is not integral; its reduction is inf")
-    rmap = reduce_map(normalize_integral(model, args.prime))
-    if rmap.reduced_degree >= 1:
-        pc = postcritical_set(rmap)
-        if pc.contains_residue(xbar):
-            warnings.append(
-                "basepoint reduces into the postcritical set; no certificate is expected"
-            )
+    if mp.pc is not None and mp.pc.contains_residue(xbar):
+        warnings.append(
+            "basepoint reduces into the postcritical set; no certificate is expected"
+        )
     tree_payload = None
     tree_note = None
     try:
-        tree = preimage_tree(
-            model,
-            args.n,
-            xbar,
-            args.prime,
-            cap_field=args.cap_field,
-            cap_degree=args.cap_degree,
-            seed=args.seed,
-        )
+        tree = preimage_tree(mp, args.n, xbar, cap_field=args.cap_field)
     except (InputError, ResourceLimitError) as exc:
         tree_note = str(exc)
     else:
@@ -283,23 +257,14 @@ def _cmd_tower(args) -> tuple[dict, str, int]:
 
 def _cmd_orbit(args) -> tuple[dict, str, int]:
     model = parse_map(args.map, args.prime)
+    mp = MapAtPrime(model, args.prime, cap_degree=args.cap_degree)
     x = ProjPointQ.from_value(args.x)
     if args.n >= 1:
-        rep = orbital_report(
-            model,
-            x,
-            args.N,
-            args.n,
-            args.prime,
-            cap_degree=args.cap_degree,
-            cap_height_bits=args.cap_height,
-        )
+        rep = orbital_report(mp, x, args.N, args.n, cap_height_bits=args.cap_height)
         profile = rep.profile
     else:
         rep = None
-        profile = forward_orbit(
-            model, x, args.N, args.prime, cap_height_bits=args.cap_height
-        )
+        profile = forward_orbit(mp, x, args.N, cap_height_bits=args.cap_height)
 
     orbit_payload = {
         "points": [str(pt) for pt in profile.points],
@@ -406,7 +371,6 @@ def _add_common(sub, *, needs_map=True):
         sub.add_argument("map", help="rational map in z, e.g. 'z^2+p' (p is the prime)")
     sub.add_argument("-p", "--prime", type=int, required=True, help="prime of the base field Q_p")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--seed", type=int, default=0, help="seed for factorization randomness")
     sub.add_argument("--cap-degree", type=int, default=DEGREE_CAP, help="max polynomial degree")
     sub.add_argument("--cap-field", type=int, default=FIELD_SIZE_CAP, help="max residue field size p^m")
     sub.add_argument("--cap-height", type=int, default=HEIGHT_CAP_BITS, help="max orbit coordinate size in bits")

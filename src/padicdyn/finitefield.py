@@ -379,13 +379,10 @@ class FqPoly:
                 return False
         return True
 
-    def factor(self, seed: int = 0) -> list[tuple["FqPoly", int]]:
-        return fq_factor(self, seed=seed)
-
     def roots(self) -> list[tuple[int, int]]:
         """Roots in the coefficient field as (element, multiplicity), sorted."""
         out = []
-        for fac, mult in self.factor():
+        for fac, mult in fq_factor(self):
             if fac.degree == 1:
                 out.append((self.field.neg(fac[0]), mult))
         return sorted(out)
@@ -527,10 +524,6 @@ def form_scale(field: FqField, coeffs, c: int):
     return tuple(field.mul(c, x) for x in coeffs)
 
 
-def form_add(field: FqField, A, B):
-    return tuple(field.add(x, y) for x, y in zip(A, B))
-
-
 def form_sub(field: FqField, A, B):
     return tuple(field.sub(x, y) for x, y in zip(A, B))
 
@@ -543,17 +536,6 @@ def form_mul(field: FqField, A, B):
                 if y:
                     out[i + j] = field.add(out[i + j], field.mul(x, y))
     return tuple(out)
-
-
-def form_pow(field: FqField, A, e: int):
-    out = (1,)
-    base = A
-    while e:
-        if e & 1:
-            out = form_mul(field, out, base)
-        base = form_mul(field, base, base)
-        e >>= 1
-    return out
 
 
 def form_compose_pair(field: FqField, coeffs, pair):
@@ -651,48 +633,3 @@ def iterate_forms(field: FqField, F, G, n: int):
             form_compose_pair(field, G, (Fn, Gn)),
         )
     return Fn, Gn
-
-
-def form_resultant(field: FqField, F, G) -> int:
-    """Determinant of the formal-degree Sylvester matrix over the field."""
-    d = form_degree(F)
-    if form_degree(G) != d:
-        raise InputError("forms must share a formal degree")
-    size = 2 * d
-    rows = []
-    fd = list(reversed(F))
-    gd = list(reversed(G))
-    for i in range(d):
-        row = [0] * size
-        for j, c in enumerate(fd):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(d):
-        row = [0] * size
-        for j, c in enumerate(gd):
-            row[i + j] = c
-        rows.append(row)
-    det = field.of_int(1)
-    for k in range(size):
-        pivot_row = None
-        for i in range(k, size):
-            if rows[i][k] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            det = field.neg(det)
-        pivot = rows[k][k]
-        det = field.mul(det, pivot)
-        inv = field.inv(pivot)
-        for i in range(k + 1, size):
-            factor = rows[i][k]
-            if factor:
-                scale = field.mul(factor, inv)
-                rows[i] = [
-                    field.sub(rows[i][j], field.mul(scale, rows[k][j]))
-                    for j in range(size)
-                ]
-    return det

@@ -181,7 +181,7 @@ class Mobius:
 
 
 def _qform_mul(A, B):
-    out = [Fraction(0)] * (len(A) + len(B) - 1)
+    out = [0] * (len(A) + len(B) - 1)
     for i, x in enumerate(A):
         if x:
             for j, y in enumerate(B):
@@ -193,12 +193,12 @@ def _qform_mul(A, B):
 def _qform_compose_pair(coeffs, pair):
     A, B = pair
     d = len(coeffs) - 1
-    pa, pb = [(Fraction(1),)], [(Fraction(1),)]
+    pa, pb = [(1,)], [(1,)]
     for _ in range(d):
         pa.append(_qform_mul(pa[-1], A))
         pb.append(_qform_mul(pb[-1], B))
     e = len(A) - 1
-    out = [Fraction(0)] * (d * e + 1)
+    out = [0] * (d * e + 1)
     for i, c in enumerate(coeffs):
         if c:
             term = _qform_mul(pa[i], pb[d - i])
@@ -538,40 +538,37 @@ def p_primitive_pair(F_coeffs, G_coeffs, p: int):
     return tuple(out[:k]), tuple(out[k:])
 
 
-def normalize_integral(model, p: int, G_coeffs=None) -> IntegralModel:
-    """The p-primitive integer model of a map (idempotent).
+def normalize_integral(model: RationalMapModel, p: int) -> IntegralModel:
+    """The p-primitive integer model of a map; p is trusted to be prime."""
+    F, G = p_primitive_pair(model.F, model.G, p)
+    return IntegralModel(d=model.d, F=F, G=G, p=p)
 
-    Accepts either a RationalMapModel or a raw (F_coeffs, G_coeffs) pair
-    via the two-argument form normalize_integral((F, G), p).
+
+def compose_map(outer: RationalMapModel, inner: RationalMapModel) -> RationalMapModel:
+    """The canonical model of outer o inner.
+
+    Canonical models are unique up to sign and content, so composing
+    canonical models step by step gives the same model as composing the
+    raw forms and canonicalizing once.
     """
-    require_prime(p)
-    if isinstance(model, RationalMapModel):
-        F, G = model.F, model.G
-    else:
-        F, G = model
-    if len(F) != len(G) or len(F) < 2:
-        raise InputError("coefficient lists must share a formal degree >= 1")
-    Fp_, Gp_ = p_primitive_pair(F, G, p)
-    return IntegralModel(d=len(F) - 1, F=Fp_, G=Gp_, p=p)
+    pair = (inner.F, inner.G)
+    return RationalMapModel(
+        _qform_compose_pair(outer.F, pair), _qform_compose_pair(outer.G, pair)
+    )
 
 
 def iterate_map(model: RationalMapModel, n: int, *, cap_degree: int = DEGREE_CAP):
-    """The canonical integer model of phi^n (joint content removed)."""
+    """The canonical integer model of phi^n, built as phi o phi^(n-1)."""
     if n < 1:
         raise InputError("iteration count must be >= 1")
     if model.d**n > cap_degree:
         raise ResourceLimitError(
             f"iterate degree {model.d}^{n} exceeds cap {cap_degree}"
         )
-    F1 = tuple(Fraction(c) for c in model.F)
-    G1 = tuple(Fraction(c) for c in model.G)
-    Fn, Gn = F1, G1
+    out = model
     for _ in range(n - 1):
-        Fn, Gn = (
-            _qform_compose_pair(F1, (Fn, Gn)),
-            _qform_compose_pair(G1, (Fn, Gn)),
-        )
-    return RationalMapModel(Fn, Gn)
+        out = compose_map(model, out)
+    return out
 
 
 def conjugate_map(model: RationalMapModel, M: Mobius) -> RationalMapModel:
@@ -620,15 +617,6 @@ class ReducedMap:
     G1: tuple
     reduced_degree: int
 
-    def eval(self, point: int | None) -> int | None:
-        """Apply the reduced map to a point of P^1 over any extension field.
-
-        Points are encoded as field elements (affine) or None (infinity);
-        the coefficient encodings of F1, G1 embed into every extension of
-        F_p unchanged.
-        """
-        return eval_reduced(self.field, self.F1, self.G1, point)
-
     @property
     def is_degenerate(self) -> bool:
         return self.reduced_degree < self.d
@@ -655,6 +643,12 @@ class ReducedMap:
 
 
 def eval_reduced(field: FqField, F1, G1, point: int | None) -> int | None:
+    """Apply [F1 : G1] to a point of P^1 over any extension field.
+
+    Points are encoded as field elements (affine) or None (infinity); the
+    coefficient encodings of F1, G1 embed into every extension of F_p
+    unchanged.
+    """
     from .finitefield import form_eval
 
     if point is None:

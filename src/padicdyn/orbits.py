@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .errors import InputError, ResourceLimitError
 from .maps import (
-    DEGREE_CAP,
     HEIGHT_CAP_BITS,
     Mobius,
     ProjPointQ,
@@ -29,17 +28,10 @@ from .maps import (
     conjugate_map,
     eval_map,
     normalize_integral,
-    reduce_map,
 )
 from .padics import require_prime, vp
-from .reduction import postcritical_set, strict_good_reduction
-from .towers import (
-    FiberReport,
-    fiber_polynomial,
-    fiber_report,
-    frobenius_cycle_type,
-    shift_divisibility_check,
-)
+from .reduction import MapAtPrime
+from .towers import fiber_report, frobenius_cycle_type, shift_divisibility_check
 
 
 @dataclass(frozen=True)
@@ -60,14 +52,19 @@ class OrbitProfile:
 
 
 def forward_orbit(
-    model: RationalMapModel,
+    phi: RationalMapModel | MapAtPrime,
     x: ProjPointQ,
     N: int,
-    p: int | None = None,
     *,
     cap_height_bits: int = HEIGHT_CAP_BITS,
 ) -> OrbitProfile:
-    """Exact orbit x_0..x_N; the first revisited point fixes (preperiod, period)."""
+    """Exact orbit x_0..x_N; the first revisited point fixes (preperiod, period).
+
+    Given a MapAtPrime session, the residue columns are filled in at its
+    prime; given a bare model, they stay None.
+    """
+    mp = phi if isinstance(phi, MapAtPrime) else None
+    model = phi.model if mp else phi
     if N < 1:
         raise InputError("orbit length must be >= 1")
     points = [x]
@@ -86,17 +83,15 @@ def forward_orbit(
                 period = j - seen[nxt]
             else:
                 seen[nxt] = j
-    reductions = integral_flags = in_pc_flags = None
-    if p is not None:
-        require_prime(p)
+    p = reductions = integral_flags = in_pc_flags = None
+    if mp:
+        p = mp.p
         reductions = tuple(pt.reduce(p) for pt in points)
         integral_flags = tuple(pt.is_integral(p) for pt in points)
-        rmap = reduce_map(normalize_integral(model, p))
-        if rmap.reduced_degree < 1:
+        if mp.pc is None:
             in_pc_flags = tuple(None for _ in points)
         else:
-            pc = postcritical_set(rmap)
-            in_pc_flags = tuple(pc.contains_residue(r) for r in reductions)
+            in_pc_flags = tuple(mp.pc.contains_residue(r) for r in reductions)
     return OrbitProfile(
         points=tuple(points),
         preperiod=preperiod,
@@ -136,13 +131,11 @@ class OrbitalReport:
 
 
 def orbital_report(
-    model: RationalMapModel,
+    mp: MapAtPrime,
     x: ProjPointQ,
     N: int,
     n_max: int,
-    p: int,
     *,
-    cap_degree: int = DEGREE_CAP,
     cap_height_bits: int = HEIGHT_CAP_BITS,
 ) -> OrbitalReport:
     """Tower data for every basepoint along the orbit of x.
@@ -153,21 +146,16 @@ def orbital_report(
     """
     if n_max < 1:
         raise InputError("tower depth must be >= 1")
-    profile = forward_orbit(model, x, N, p=p, cap_height_bits=cap_height_bits)
+    profile = forward_orbit(mp, x, N, cap_height_bits=cap_height_bits)
     basepoints = []
     all_ok = True
     for j, pt in enumerate(profile.points):
         reports = []
         cycles = []
         for n in range(1, n_max + 1):
-            rep = fiber_report(fiber_polynomial(model, n, pt, p, cap_degree=cap_degree))
-            reports.append(rep)
+            reports.append(fiber_report(mp, n, pt))
             try:
-                cycles.append(
-                    frobenius_cycle_type(
-                        model, n, profile.reductions[j], p, cap_degree=cap_degree
-                    )
-                )
+                cycles.append(frobenius_cycle_type(mp, n, profile.reductions[j]))
             except InputError:
                 cycles.append(None)
         basepoints.append(
@@ -190,7 +178,7 @@ def orbital_report(
                 shifts.append(ShiftCheck(j, n, None, "basepoint at infinity"))
                 continue
             try:
-                ok = shift_divisibility_check(model, n, xj, cap_degree=cap_degree)
+                ok = shift_divisibility_check(mp, n, xj)
             except InputError as exc:
                 shifts.append(ShiftCheck(j, n, None, str(exc)))
             else:
@@ -266,7 +254,7 @@ def moduli_search(
         initial = vp(p, normalize_integral(model, p).resultant())
     achieved = best_val == 0
     if achieved:
-        check = strict_good_reduction(best_model, p)
+        check = MapAtPrime(best_model, p).sgr
         assert check.is_strict_good_reduction, "zero witness failed re-verification"
     return ModuliReport(
         p=p,

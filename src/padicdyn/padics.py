@@ -57,19 +57,13 @@ def _int_valuation(p: int, n: int) -> int:
 
 
 def vp(p: int, a) -> int | float:
-    """p-adic valuation of the rational ``a``; ``INFINITY`` for a = 0."""
-    require_prime(p)
+    """p-adic valuation of the rational ``a``; ``INFINITY`` for a = 0.
+
+    p is trusted to be prime: it is proved prime once, where it enters
+    (``require_prime``), not on every valuation.
+    """
     a = Fraction(a)
     if a == 0:
         return INFINITY
     return _int_valuation(p, a.numerator) - _int_valuation(p, a.denominator)
 
-
-def min_valuation(p: int, coeffs) -> int | float:
-    """Minimum of vp over a coefficient list (INFINITY when all are zero)."""
-    best = INFINITY
-    for c in coeffs:
-        v = vp(p, c)
-        if v < best:
-            best = v
-    return best

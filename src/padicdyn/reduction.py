@@ -1,11 +1,22 @@
 """Reduction-type analysis of a rational map at a prime.
 
-Decides strict good reduction (unit resultant of the p-primitive model,
-equivalently full reduced degree), computes the critical divisor of the
-reduced map, accumulates the postcritical set as closed points of P^1
-over F_p, lists the residual good locus, and checks the fiber criterion
-point by point with an internal alarm that cross-checks it against the
-resultant criterion.
+Everything here is about one object, the reduced map of phi at p, and a
+``MapAtPrime`` session holds it for one (map, p) pair.  The session
+proves p prime once and derives each artifact on first use and only
+once: the p-primitive integral model, the reduced map, the strict good
+reduction report, the critical divisor and the postcritical set, the
+iterates over Q and over F_p (extended one composition at a time), the
+fiber forms keyed by (n, x), and the factorizations over finite fields
+keyed by their monic coefficients.  The analysis functions take a
+session, so the reduction, the PC set and the towers of one query share
+all of it; the memo lives on the session and is dropped with it.
+
+On top of the session this module decides strict good reduction (unit
+resultant of the p-primitive model, equivalently full reduced degree),
+accumulates the postcritical set as closed points of P^1 over F_p,
+lists the residual good locus, and checks the fiber criterion point by
+point with an internal alarm that cross-checks it against the resultant
+criterion.
 
 Closed points are Galois orbits over the algebraic closure: a monic
 irreducible polynomial over F_p, or the point at infinity.  Forward
@@ -19,12 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError, ResourceLimitError
 from .finitefield import (
     FqField,
     FqPoly,
     fiber_form,
+    form_compose_pair,
     form_from_poly,
     form_is_squarefree,
     form_is_zero,
@@ -32,16 +45,118 @@ from .finitefield import (
     iterate_forms,
 )
 from .maps import (
+    DEGREE_CAP,
+    IntegralModel,
+    ProjPointQ,
     RationalMapModel,
     ReducedMap,
+    compose_map,
     eval_reduced,
     normalize_integral,
     reduce_map,
 )
-from .padics import vp
+from .padics import require_prime, vp
 from .qpolys import poly_str
 
 PC_CAP = 100_000
+
+
+class MapAtPrime:
+    """One rational map at one prime, with everything derived from it once.
+
+    Properties are computed on first access and kept; iterates grow one
+    composition at a time; fiber forms and factorizations are kept by
+    key.  cap_degree bounds the degree d^n of every iterate asked for.
+    """
+
+    def __init__(self, model: RationalMapModel, p: int, *, cap_degree: int = DEGREE_CAP):
+        require_prime(p)
+        self.model = model
+        self.p = p
+        self.cap_degree = cap_degree
+        self._iterates = [model]
+        self._fiber_forms = {}
+        self._reduced_fibers = {}
+        self._factors = {}
+
+    @property
+    def d(self) -> int:
+        return self.model.d
+
+    @cached_property
+    def integral(self) -> IntegralModel:
+        return normalize_integral(self.model, self.p)
+
+    @cached_property
+    def rmap(self) -> ReducedMap:
+        return reduce_map(self.integral)
+
+    @cached_property
+    def sgr(self) -> SGRReport:
+        return strict_good_reduction(self)
+
+    @cached_property
+    def critical(self) -> tuple:
+        """The critical divisor form of the reduced map (nonconstant reduction)."""
+        return critical_divisor(self.rmap)
+
+    @cached_property
+    def pc(self) -> PostcriticalSet | None:
+        """The postcritical set, or None when the reduction is constant."""
+        if self.rmap.reduced_degree < 1:
+            return None
+        return postcritical_set(self)
+
+    def iterate(self, n: int) -> RationalMapModel:
+        """The canonical integer model of phi^n, extended as phi o phi^(n-1)."""
+        if self.d**n > self.cap_degree:
+            raise ResourceLimitError(
+                f"iterate degree {self.d}^{n} exceeds cap {self.cap_degree}"
+            )
+        while len(self._iterates) < n:
+            self._iterates.append(compose_map(self.model, self._iterates[-1]))
+        return self._iterates[n - 1]
+
+    @cached_property
+    def _reduced_iterates(self) -> list:
+        return [(self.rmap.F1, self.rmap.G1)]
+
+    def reduced_iterate(self, n: int) -> tuple:
+        """Forms (F_n, G_n) over F_p of the n-th iterate of the reduced map."""
+        field, F1, G1 = self.rmap.field, self.rmap.F1, self.rmap.G1
+        its = self._reduced_iterates
+        while len(its) < n:
+            pair = its[-1]
+            its.append((form_compose_pair(field, F1, pair), form_compose_pair(field, G1, pair)))
+        return its[n - 1]
+
+    def fiber_form(self, n: int, x: ProjPointQ) -> tuple:
+        """Integer form b*P_n - a*Q_n of the canonical phi^n over x = [a : b]."""
+        key = (n, x)
+        if key not in self._fiber_forms:
+            it = self.iterate(n)
+            raw = tuple(x.b * f - x.a * g for f, g in zip(it.F, it.G))
+            if all(c == 0 for c in raw):
+                raise InputError("fiber form vanishes identically; the map is degenerate")
+            self._fiber_forms[key] = raw
+        return self._fiber_forms[key]
+
+    def reduced_fiber(self, n: int, xbar: int | None) -> tuple:
+        """Form over F_p cutting out the fiber of the reduced phi^n over xbar."""
+        key = (n, None if xbar is None else xbar % self.p)
+        if key not in self._reduced_fibers:
+            a, b = (1, 0) if key[1] is None else (key[1], 1)
+            Fn, Gn = self.reduced_iterate(n)
+            self._reduced_fibers[key] = fiber_form(self.rmap.field, Fn, Gn, a, b)
+        return self._reduced_fibers[key]
+
+    def factor(self, poly: FqPoly) -> tuple:
+        """fq_factor of poly, run once per field and monic coefficient tuple."""
+        monic = poly.monic()
+        key = (monic.field, monic.coeffs)
+        if key not in self._factors:
+            self._factors[key] = tuple(fq_factor(monic))
+        return self._factors[key]
 
 
 @dataclass(frozen=True)
@@ -135,12 +250,11 @@ def pushforward(point: ClosedPoint, rmap: ReducedMap) -> frozenset:
     closed point (returned as a one-element set for union-accumulation).
     """
     p = rmap.p
-    if point.is_infinity:
-        return frozenset({ClosedPoint.of_residue(p, rmap.eval(None))})
     k = point.degree
     if k == 1:
-        c = (-point.poly[0]) % p
-        return frozenset({ClosedPoint.of_residue(p, rmap.eval(c))})
+        c = None if point.is_infinity else (-point.poly[0]) % p
+        image = eval_reduced(rmap.field, rmap.F1, rmap.G1, c)
+        return frozenset({ClosedPoint.of_residue(p, image)})
     ext = FqField(p, k, point.poly)
     alpha = p  # encoding of the residue class of t, a root of point.poly
     beta = eval_reduced(ext, rmap.F1, rmap.G1, alpha)
@@ -178,15 +292,15 @@ class PostcriticalSet:
         return sorted(self.points, key=lambda q: q.sort_key())
 
 
-def postcritical_set(rmap: ReducedMap, *, cap: int = PC_CAP) -> PostcriticalSet:
+def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
     """Union of forward images of the critical divisor until stabilization.
 
     Critical points themselves belong to the set only when some forward
     image hits them.  Pushforward never increases the degree of the field
     of definition, so only finitely many closed points can ever appear.
     """
-    wron = critical_divisor(rmap)
-    if form_is_zero(wron):
+    rmap, crit = mp.rmap, mp.critical
+    if form_is_zero(crit):
         return PostcriticalSet(
             p=rmap.p,
             points=frozenset(),
@@ -194,7 +308,7 @@ def postcritical_set(rmap: ReducedMap, *, cap: int = PC_CAP) -> PostcriticalSet:
             stable_depth=0,
             crit=frozenset(),
         )
-    critpts = frozenset(pt for pt, _ in closed_points_of_form(rmap.field, wron))
+    critpts = frozenset(pt for pt, _ in closed_points_of_form(rmap.field, crit))
     pc: set = set()
     frontier = critpts
     depth = 0
@@ -240,27 +354,24 @@ class SGRReport:
     inseparable_reduction: bool
 
 
-def strict_good_reduction(model: RationalMapModel, p: int) -> SGRReport:
+def strict_good_reduction(mp: MapAtPrime) -> SGRReport:
     """Decide strict good reduction by the resultant of the p-primitive model.
 
     The p-primitive model is unique up to a p-unit scalar, and scaling the
     pair by lambda multiplies the resultant by lambda^(2d), so the
     valuation computed here is an invariant of the map.
     """
-    prim = normalize_integral(model, p)
-    rmap = reduce_map(prim)
-    res = prim.resultant()
+    p, rmap = mp.p, mp.rmap
+    res = mp.integral.resultant()
     val = vp(p, res)
     sgr = val == 0
-    assert sgr == (rmap.reduced_degree == model.d), (
+    assert sgr == (rmap.reduced_degree == mp.d), (
         "resultant valuation and reduced degree disagree"
     )
-    insep = False
-    if rmap.reduced_degree >= 1:
-        insep = form_is_zero(critical_divisor(rmap))
+    insep = rmap.reduced_degree >= 1 and form_is_zero(mp.critical)
     return SGRReport(
         p=p,
-        d=model.d,
+        d=mp.d,
         resultant=res,
         res_valuation=val,
         reduced_degree=rmap.reduced_degree,
@@ -291,12 +402,9 @@ class Condition2Report:
     pc: PostcriticalSet | None
 
 
-def condition2_check(model: RationalMapModel, p: int) -> Condition2Report:
-    sgr = strict_good_reduction(model, p)
-    prim = normalize_integral(model, p)
-    rmap = reduce_map(prim)
-    d = model.d
-    full = rmap.reduced_degree == d
+def condition2_check(mp: MapAtPrime) -> Condition2Report:
+    sgr, rmap = mp.sgr, mp.rmap
+    full = rmap.reduced_degree == mp.d
 
     if rmap.reduced_degree < 1:
         report = Condition2Report(
@@ -309,10 +417,10 @@ def condition2_check(model: RationalMapModel, p: int) -> Condition2Report:
             sgr=sgr,
             pc=None,
         )
-        _consistency_alarm(report, model, p)
+        _consistency_alarm(report, mp)
         return report
 
-    pc = postcritical_set(rmap)
+    pc = mp.pc
     locus = good_locus(rmap, pc)
     separable = not pc.everything
     field = rmap.field
@@ -332,16 +440,16 @@ def condition2_check(model: RationalMapModel, p: int) -> Condition2Report:
         sgr=sgr,
         pc=pc,
     )
-    _consistency_alarm(report, model, p)
+    _consistency_alarm(report, mp)
     return report
 
 
-def _consistency_alarm(report: Condition2Report, model, p) -> None:
+def _consistency_alarm(report: Condition2Report, mp: MapAtPrime) -> None:
     expected = report.sgr.is_strict_good_reduction and report.separable
     if report.holds != expected:
         raise RuntimeError(
             "internal consistency alarm: the fiber criterion and the "
-            f"resultant criterion disagree for {model.map_str()} at p={p}"
+            f"resultant criterion disagree for {mp.model.map_str()} at p={mp.p}"
         )
 
 
@@ -374,16 +482,16 @@ class Degree1Report:
     note: str
 
 
-def degree_one_check(model: RationalMapModel, p: int) -> Degree1Report:
+def degree_one_check(mp: MapAtPrime) -> Degree1Report:
     """Good reduction for a Mobius map: unit determinant of the primitive model."""
-    if model.d != 1:
-        raise InputError(f"degree_one_check needs a degree-1 map, got degree {model.d}")
-    prim = normalize_integral(model, p)
+    if mp.d != 1:
+        raise InputError(f"degree_one_check needs a degree-1 map, got degree {mp.d}")
+    prim = mp.integral
     # F = a X + b Y, G = c X + e Y stored ascending: F = (b, a), G = (e, c)
     det = Fraction(prim.F[1] * prim.G[0] - prim.F[0] * prim.G[1])
-    val = vp(p, det)
+    val = vp(mp.p, det)
     return Degree1Report(
-        p=p,
+        p=mp.p,
         det=det,
         det_valuation=val,
         is_strict_good_reduction=val == 0,
@@ -403,16 +511,14 @@ class AnalyzeReport:
     condition2: Condition2Report
 
 
-def analyze_map(model: RationalMapModel, p: int) -> AnalyzeReport:
+def analyze_map(mp: MapAtPrime) -> AnalyzeReport:
     """One-stop reduction analysis backing the command-line front end."""
-    c2 = condition2_check(model, p)
-    prim = normalize_integral(model, p)
-    rmap = reduce_map(prim)
+    c2 = condition2_check(mp)
     return AnalyzeReport(
-        model=model,
-        p=p,
+        model=mp.model,
+        p=mp.p,
         sgr=c2.sgr,
-        rmap=rmap,
+        rmap=mp.rmap,
         pc=c2.pc,
         locus=c2.locus,
         condition2=c2,

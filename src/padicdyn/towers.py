@@ -11,6 +11,12 @@ ramification claim, and carries the Newton polygon as a diagnostic.
 Reduced preimage trees live in a single splitting field F_{p^m}, with
 parent edges given by the reduced map and the p-power Frobenius acting
 on every level.
+
+Every function here takes a ``MapAtPrime`` session and reads its
+iterates, fiber forms and factorizations from it, so the certificate,
+the Frobenius cycle type and the preimage tree of one level share one
+iterate and, whenever they factor the same polynomial over F_p, one
+factorization.
 """
 
 from __future__ import annotations
@@ -23,24 +29,14 @@ from .errors import InputError, ResourceLimitError
 from .finitefield import (
     FIELD_SIZE_CAP,
     FqPoly,
-    fiber_form,
     form_is_squarefree,
     fq_extension,
-    iterate_forms,
     prime_field_of,
 )
-from .maps import (
-    DEGREE_CAP,
-    ProjPointQ,
-    RationalMapModel,
-    eval_map,
-    eval_reduced,
-    iterate_map,
-    normalize_integral,
-    reduce_map,
-)
-from .padics import INFINITY, require_prime, vp
+from .maps import ProjPointQ, eval_map, eval_reduced
+from .padics import INFINITY, vp
 from .qpolys import QPoly, discriminant
+from .reduction import MapAtPrime
 
 M_CAP = 24
 
@@ -62,33 +58,16 @@ class FiberPolynomial:
     integral: bool
 
 
-def _fiber_poly_q(model: RationalMapModel, n: int, x: ProjPointQ, *, cap_degree: int):
-    """Integer fiber form b*P_n - a*Q_n of the canonical iterate model."""
-    it = iterate_map(model, n, cap_degree=cap_degree)
-    a, b = x.a, x.b
-    raw = tuple(b * f - a * g for f, g in zip(it.F, it.G))
-    if all(c == 0 for c in raw):
-        raise InputError("fiber form vanishes identically; the map is degenerate")
-    return raw
-
-
-def fiber_polynomial(
-    model: RationalMapModel,
-    n: int,
-    x: ProjPointQ,
-    p: int,
-    *,
-    cap_degree: int = DEGREE_CAP,
-) -> FiberPolynomial:
+def fiber_polynomial(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberPolynomial:
     if n < 1:
         raise InputError("fiber level must be >= 1")
-    require_prime(p)
-    raw = _fiber_poly_q(model, n, x, cap_degree=cap_degree)
+    p = mp.p
+    raw = mp.fiber_form(n, x)
     minv = min(vp(p, c) for c in raw if c != 0)
     scale = p**minv
     form = tuple(c // scale for c in raw)
     poly = QPoly(form)
-    formal = model.d**n
+    formal = mp.d**n
     return FiberPolynomial(
         n=n,
         x=x,
@@ -141,14 +120,15 @@ class FiberReport:
     integral: bool
 
 
-def fiber_report(fiber: FiberPolynomial) -> FiberReport:
-    """Unit-lc/unit-disc certificate for the splitting field of a fiber.
+def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
+    """Unit-lc/unit-disc certificate for the level-n fiber over x.
 
     UNRAMIFIED exactly when both valuations vanish; anything else is
     NO_CERTIFICATE (the unit-discriminant test is sufficient, not
     necessary, so no negative claim is ever reported).
     """
-    p = fiber.p
+    fiber = fiber_polynomial(mp, n, x)
+    p = mp.p
     poly = fiber.poly
     if poly.is_zero():
         raise InputError("zero fiber polynomial")
@@ -178,7 +158,7 @@ def fiber_report(fiber: FiberPolynomial) -> FiberReport:
     if unramified:
         reduced = FqPoly.of_integers(prime_field_of(p), [int(c) for c in poly.coeffs])
         degs = []
-        for fac, mult in reduced.factor():
+        for fac, mult in mp.factor(reduced):
             assert mult == 1, "unit discriminant forces a squarefree reduction"
             degs.append(fac.degree)
         factor_degrees = tuple(sorted(degs))
@@ -200,28 +180,7 @@ def fiber_report(fiber: FiberPolynomial) -> FiberReport:
     )
 
 
-def _reduced_fiber(model: RationalMapModel, n: int, xbar: int | None, p: int):
-    """Fiber form of the n-th iterate of the reduced map over a residue point."""
-    prim = normalize_integral(model, p)
-    rmap = reduce_map(prim)
-    if rmap.reduced_degree < model.d:
-        raise InputError(
-            f"reduction has degree {rmap.reduced_degree} < {model.d}; "
-            "every reduced fiber is degree-deficient"
-        )
-    Fn, Gn = iterate_forms(rmap.field, rmap.F1, rmap.G1, n)
-    a, b = (1, 0) if xbar is None else (xbar % p, 1)
-    return rmap, fiber_form(rmap.field, Fn, Gn, a, b)
-
-
-def frobenius_cycle_type(
-    model: RationalMapModel,
-    n: int,
-    xbar: int | None,
-    p: int,
-    *,
-    cap_degree: int = DEGREE_CAP,
-) -> tuple:
+def frobenius_cycle_type(mp: MapAtPrime, n: int, xbar: int | None) -> tuple:
     """Cycle type of Frobenius on the level-n reduced fiber over xbar.
 
     Equals the sorted multiset of irreducible-factor degrees of the affine
@@ -230,9 +189,15 @@ def frobenius_cycle_type(
     """
     if n < 1:
         raise InputError("fiber level must be >= 1")
-    if model.d**n > cap_degree:
-        raise ResourceLimitError(f"fiber degree {model.d}^{n} exceeds cap {cap_degree}")
-    rmap, fib = _reduced_fiber(model, n, xbar, p)
+    if mp.d**n > mp.cap_degree:
+        raise ResourceLimitError(f"fiber degree {mp.d}^{n} exceeds cap {mp.cap_degree}")
+    rmap = mp.rmap
+    if rmap.reduced_degree < mp.d:
+        raise InputError(
+            f"reduction has degree {rmap.reduced_degree} < {mp.d}; "
+            "every reduced fiber is degree-deficient"
+        )
+    fib = mp.reduced_fiber(n, xbar)
     if not form_is_squarefree(rmap.field, fib):
         raise InputError(
             f"reduced fiber over {render_residue(xbar)} at level {n} is not "
@@ -243,10 +208,10 @@ def frobenius_cycle_type(
     inf_mult = (len(fib) - 1) - poly.degree
     degs = []
     if poly.degree >= 1:
-        degs = [fac.degree for fac, _ in poly.factor()]
+        degs = [fac.degree for fac, _ in mp.factor(poly)]
     degs.extend([1] * inf_mult)
     out = tuple(sorted(degs))
-    assert sum(out) == model.d**n
+    assert sum(out) == mp.d**n
     return out
 
 
@@ -297,22 +262,18 @@ def _point_sort_key(pt):
 
 
 def preimage_tree(
-    model: RationalMapModel,
+    mp: MapAtPrime,
     N: int,
     xbar: int | None,
-    p: int,
     *,
     m_cap: int = M_CAP,
     cap_field: int = FIELD_SIZE_CAP,
-    cap_degree: int = DEGREE_CAP,
-    seed: int = 0,
 ) -> PreimageTree:
     if N < 1:
         raise InputError("tree depth must be >= 1")
-    if model.d**N > cap_degree:
-        raise ResourceLimitError(f"fiber degree {model.d}^{N} exceeds cap {cap_degree}")
-    prim = normalize_integral(model, p)
-    rmap = reduce_map(prim)
+    if mp.d**N > mp.cap_degree:
+        raise ResourceLimitError(f"fiber degree {mp.d}^{N} exceeds cap {mp.cap_degree}")
+    p, rmap = mp.p, mp.rmap
     if rmap.reduced_degree < 1:
         raise InputError("reduced map is constant; no preimage tree")
     field = rmap.field
@@ -320,12 +281,8 @@ def preimage_tree(
 
     fibers = []
     degrees = set()
-    Fn, Gn = rmap.F1, rmap.G1
     for n in range(1, N + 1):
-        if n > 1:
-            Fn, Gn = iterate_forms(field, rmap.F1, rmap.G1, n)
-        a, b = (1, 0) if xbar is None else (xbar, 1)
-        fib = fiber_form(field, Fn, Gn, a, b)
+        fib = mp.reduced_fiber(n, xbar)
         if not form_is_squarefree(field, fib):
             raise InputError(
                 f"separability failure at level {n} over {render_residue(xbar)}: "
@@ -334,7 +291,7 @@ def preimage_tree(
         poly = FqPoly(field, fib)
         inf_mult = (len(fib) - 1) - poly.degree
         if poly.degree >= 1:
-            degrees.update(fac.degree for fac, _ in poly.factor(seed=seed))
+            degrees.update(fac.degree for fac, _ in mp.factor(poly))
         fibers.append((poly, inf_mult))
 
     m = 1
@@ -350,11 +307,11 @@ def preimage_tree(
     for poly, inf_mult in fibers:
         pts = []
         if poly.degree >= 1:
-            lifted = FqPoly(ext, poly.coeffs)
-            roots = lifted.roots()
-            assert all(mult == 1 for _, mult in roots)
-            assert len(roots) == poly.degree, "fiber must split in F_{p^m}"
-            pts = [root for root, _ in roots]
+            factors = mp.factor(FqPoly(ext, poly.coeffs))
+            linear = [(fac, mult) for fac, mult in factors if fac.degree == 1]
+            assert all(mult == 1 for _, mult in linear)
+            assert len(linear) == poly.degree, "fiber must split in F_{p^m}"
+            pts = [ext.neg(fac[0]) for fac, _ in linear]
         if inf_mult == 1:
             pts.append(None)
         levels.append(tuple(sorted(pts, key=_point_sort_key)))
@@ -389,13 +346,7 @@ def preimage_tree(
     )
 
 
-def shift_divisibility_check(
-    model: RationalMapModel,
-    n: int,
-    x: ProjPointQ,
-    *,
-    cap_degree: int = DEGREE_CAP,
-) -> bool:
+def shift_divisibility_check(mp: MapAtPrime, n: int, x: ProjPointQ) -> bool:
     """Does the level-n fiber over x embed into the level-(n+1) fiber over phi(x)?
 
     True iff F_{n,x} divides F_{n+1,phi(x)} up to scalars, checked by a
@@ -405,11 +356,11 @@ def shift_divisibility_check(
         raise InputError("fiber level must be >= 1")
     if x.is_infinity:
         raise InputError("shift check needs an affine basepoint")
-    y = eval_map(model, x)
+    y = eval_map(mp.model, x)
     if y.is_infinity:
         raise InputError("phi(x) is the point at infinity; no affine shift target")
-    f = QPoly(_fiber_poly_q(model, n, x, cap_degree=cap_degree))
+    f = QPoly(mp.fiber_form(n, x))
     if f.degree >= 1 and f.gcd(f.derivative()).degree > 0:
         raise InputError(f"level-{n} fiber over {x} is inseparable")
-    g = QPoly(_fiber_poly_q(model, n + 1, y, cap_degree=cap_degree))
+    g = QPoly(mp.fiber_form(n + 1, y))
     return f.gcd(g).degree == f.degree

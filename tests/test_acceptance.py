@@ -7,7 +7,7 @@ Run with `pytest -v tests/test_acceptance.py`; each test prints
 
 from fractions import Fraction
 
-from padicdyn.finitefield import form_is_zero, form_resultant
+from padicdyn.finitefield import form_is_zero
 from padicdyn.maps import (
     ProjPointQ,
     iterate_map,
@@ -19,6 +19,7 @@ from padicdyn.orbits import moduli_search
 from padicdyn.padics import vp
 from padicdyn.reduction import (
     ClosedPoint,
+    MapAtPrime,
     condition2_check,
     critical_divisor,
     degree_one_check,
@@ -35,6 +36,7 @@ from padicdyn.towers import (
 )
 
 from corpus_util import random_mobius_models, random_models
+from oracles import form_resultant
 
 
 def _verdict(capsys, num, summary, body):
@@ -49,15 +51,14 @@ def _verdict(capsys, num, summary, body):
 
 
 def _pc_points(model, p):
-    rmap = reduce_map(normalize_integral(model, p))
-    return postcritical_set(rmap).points
+    return postcritical_set(MapAtPrime(model, p)).points
 
 
 def test_criterion_01(capsys):
     def body():
         for p in (3, 5, 7):
             m = parse_map("z^2 + p", p)
-            sgr = strict_good_reduction(m, p)
+            sgr = strict_good_reduction(MapAtPrime(m, p))
             assert sgr.res_valuation == 0 and sgr.is_strict_good_reduction
             rmap = reduce_map(normalize_integral(m, p))
             assert (rmap.F1, rmap.G1) == ((0, 0, 1), (1, 0, 0))  # z^2
@@ -66,13 +67,13 @@ def test_criterion_01(capsys):
             )
             for x in (1, 2, 3):
                 pt = ProjPointQ(x, 1)
-                rep1 = fiber_report(fiber_polynomial(m, 1, pt, p))
+                rep1 = fiber_report(MapAtPrime(m, p), 1, pt)
                 assert rep1.disc == Fraction(-4 * (p - x))
                 # x = p lands on the postcritical residue 0: the level-1
                 # discriminant vanishes and no unit certificate can exist
                 want = UNRAMIFIED if x % p else NO_CERTIFICATE
                 for n in (1, 2, 3):
-                    rep = fiber_report(fiber_polynomial(m, n, pt, p))
+                    rep = fiber_report(MapAtPrime(m, p), n, pt)
                     assert rep.certificate == want
 
     _verdict(capsys, 1, "z^2+p: unit resultant, PC {0,inf}, disc -4(p-x), towers certify", body)
@@ -89,7 +90,7 @@ def test_criterion_02(capsys):
                     ClosedPoint.infinity(p),
                 }
             )
-            c2 = condition2_check(m, p)
+            c2 = condition2_check(MapAtPrime(m, p))
             assert c2.holds
             assert c2.violations == ()
             assert len(c2.witnesses) == len(c2.locus) > 0
@@ -101,10 +102,10 @@ def test_criterion_03(capsys):
     def body():
         for p in (3, 5, 7):
             m = parse_map("p*z^2 + z", p)
-            sgr = strict_good_reduction(m, p)
+            sgr = strict_good_reduction(MapAtPrime(m, p))
             assert sgr.reduced_degree == 1
             assert not sgr.is_strict_good_reduction
-            c2 = condition2_check(m, p)
+            c2 = condition2_check(MapAtPrime(m, p))
             assert not c2.holds
             # every residue point fails: no degree-2 separable level-1 fiber
             assert set(c2.violations) == set(c2.locus) != set()
@@ -119,7 +120,7 @@ def test_criterion_04(capsys):
             m = parse_map("z^2/(1 + p*z^2)", p)
             prim = normalize_integral(m, p)
             assert prim.resultant() == Fraction(1)
-            sgr = strict_good_reduction(m, p)
+            sgr = strict_good_reduction(MapAtPrime(m, p))
             assert sgr.res_valuation == 0
             rmap = reduce_map(prim)
             assert (rmap.F1, rmap.G1) == ((0, 0, 1), (1, 0, 0))
@@ -135,13 +136,13 @@ def test_criterion_05(capsys):
         for p in (3, 5):
             checked = 0
             for m in random_models(p, 300, seed=500 + p):
-                sgr = strict_good_reduction(m, p)
+                sgr = strict_good_reduction(MapAtPrime(m, p))
                 if sgr.inseparable_reduction:
                     # the fiber criterion presumes a separable reduction;
                     # an inseparable map can keep full degree yet has no
                     # etale fiber anywhere
                     continue
-                c2 = condition2_check(m, p)
+                c2 = condition2_check(MapAtPrime(m, p))
                 assert c2.holds == sgr.is_strict_good_reduction, m.map_str()
                 checked += 1
             assert checked >= 200
@@ -154,12 +155,13 @@ def test_criterion_06(capsys):
         for p in (3, 5, 7):
             kept = 0
             for m in random_models(p, 150, seed=600 + p):
-                rmap = reduce_map(normalize_integral(m, p))
+                mp = MapAtPrime(m, p)
+                rmap = mp.rmap
                 if rmap.reduced_degree < 1:
                     continue
                 if form_is_zero(critical_divisor(rmap)):
                     continue
-                pc = postcritical_set(rmap)
+                pc = postcritical_set(mp)
                 if pc.everything or pc.stable_depth > 4:
                     # depth-4 fiber checks can only see the depth-4 part
                     # of the postcritical set
@@ -183,7 +185,7 @@ def test_criterion_07(capsys):
         checked = 0
         for p in (3, 5):
             for m in random_models(p, 120, seed=p):
-                if not strict_good_reduction(m, p).is_strict_good_reduction:
+                if not strict_good_reduction(MapAtPrime(m, p)).is_strict_good_reduction:
                     continue
                 checked += 1
                 for n in (2, 3):
@@ -254,7 +256,7 @@ def test_criterion_08(capsys):
         assert ct2 == (1, 1, 1, 1)
         assert commutes
 
-        t = preimage_tree(parse_map("z^2", 5), 2, 1, 5)
+        t = preimage_tree(MapAtPrime(parse_map("z^2", 5), 5), 2, 1)
         assert t.level_sizes == sizes
         assert t.cycle_type(2) == ct2
         assert t.cycle_type(1) == (1, 1)
@@ -273,7 +275,7 @@ def test_criterion_09(capsys):
                 assert mr.achieved_zero
                 assert mr.best_valuation == 0
                 assert mr.initial_valuation > 0
-                assert strict_good_reduction(mr.best_model, p).is_strict_good_reduction
+                assert strict_good_reduction(MapAtPrime(mr.best_model, p)).is_strict_good_reduction
         mr5 = moduli_search(parse_map("p*z^2 + z", 5), 5)
         assert mr5.best_mobius.formula() == "5*z"
         assert moduli_search(parse_map("p^2*z^2", 5), 5).best_mobius.formula() == "25*z"
@@ -287,14 +289,14 @@ def test_criterion_10(capsys):
         count = 0
         for m in random_mobius_models(p, 100, seed=1010):
             count += 1
-            rep = degree_one_check(m, p)
+            rep = degree_one_check(MapAtPrime(m, p))
             assert rep.is_strict_good_reduction == (
-                strict_good_reduction(m, p).is_strict_good_reduction
+                strict_good_reduction(MapAtPrime(m, p)).is_strict_good_reduction
             )
             assert rep.towers_trivial
             assert "K(X_n(x)) = K" in rep.note
             for n in (1, 2, 3):
-                fp = fiber_polynomial(m, n, ProjPointQ(2, 1), p)
+                fp = fiber_polynomial(MapAtPrime(m, p), n, ProjPointQ(2, 1))
                 assert fp.formal_degree == 1
         assert count == 100
 

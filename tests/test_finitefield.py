@@ -16,7 +16,6 @@ from padicdyn.finitefield import (
     form_gcd_split,
     form_is_squarefree,
     form_mul,
-    form_resultant,
     fq_extension,
     fq_factor,
     iterate_forms,
@@ -24,6 +23,8 @@ from padicdyn.finitefield import (
     squarefree_decomposition,
 )
 from padicdyn.qpolys import binary_form_resultant
+
+from oracles import form_resultant
 
 
 def test_canonical_moduli_are_frozen():

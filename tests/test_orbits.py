@@ -9,7 +9,7 @@ import pytest
 from padicdyn.errors import ResourceLimitError
 from padicdyn.maps import Mobius, ProjPointQ, conjugate_map, eval_map, parse_map
 from padicdyn.orbits import forward_orbit, moduli_search, orbital_report
-from padicdyn.reduction import strict_good_reduction
+from padicdyn.reduction import MapAtPrime, strict_good_reduction
 from padicdyn.towers import NO_CERTIFICATE, UNRAMIFIED
 
 from corpus_util import random_models
@@ -20,7 +20,7 @@ def _pt(text):
 
 
 def test_forward_orbit_cycle_detection():
-    prof = forward_orbit(parse_map("z^2 - 1", 5), _pt("0"), 6, 5)
+    prof = forward_orbit(MapAtPrime(parse_map("z^2 - 1", 5), 5), _pt("0"), 6)
     assert [str(q) for q in prof.points] == ["0", "-1", "0", "-1", "0", "-1", "0"]
     assert (prof.preperiod, prof.period) == (0, 2)
     assert prof.has_cycle
@@ -29,11 +29,11 @@ def test_forward_orbit_cycle_detection():
     assert all(prof.in_pc_flags)
 
     # strictly preperiodic: 1 falls onto the 2-cycle after one step
-    prof2 = forward_orbit(parse_map("z^2 - 1", 5), _pt("1"), 4, 5)
+    prof2 = forward_orbit(MapAtPrime(parse_map("z^2 - 1", 5), 5), _pt("1"), 4)
     assert (prof2.preperiod, prof2.period) == (1, 2)
 
     # generic rational orbits never close up
-    prof3 = forward_orbit(parse_map("z^2 + p", 5), _pt("1"), 3, 5)
+    prof3 = forward_orbit(MapAtPrime(parse_map("z^2 + p", 5), 5), _pt("1"), 3)
     assert not prof3.has_cycle
     assert (prof3.preperiod, prof3.period) == (None, None)
 
@@ -44,7 +44,7 @@ def test_forward_orbit_without_prime_and_nonintegral():
     assert prof.reductions is None and prof.in_pc_flags is None
 
     # 1/p stays non-integral and reduces to infinity, which is postcritical
-    prof2 = forward_orbit(parse_map("z^2 + p", 5), _pt("1/5"), 2, 5)
+    prof2 = forward_orbit(MapAtPrime(parse_map("z^2 + p", 5), 5), _pt("1/5"), 2)
     assert prof2.integral_flags == (False, False, False)
     assert prof2.reductions == (None, None, None)
     assert prof2.in_pc_flags == (True, True, True)
@@ -52,7 +52,7 @@ def test_forward_orbit_without_prime_and_nonintegral():
 
 def test_forward_orbit_height_cap():
     with pytest.raises(ResourceLimitError, match="exceeded 16 bits"):
-        forward_orbit(parse_map("z^2", 5), _pt("2"), 20, 5, cap_height_bits=16)
+        forward_orbit(MapAtPrime(parse_map("z^2", 5), 5), _pt("2"), 20, cap_height_bits=16)
 
 
 def test_forward_orbit_tail_consistency():
@@ -60,15 +60,15 @@ def test_forward_orbit_tail_consistency():
     for m in random_models(5, 10, seed=53):
         x = ProjPointQ(rng.randint(-4, 4), 1)
         try:
-            prof = forward_orbit(m, x, 5, 5)
+            prof = forward_orbit(MapAtPrime(m, 5), x, 5)
         except ResourceLimitError:
             continue
-        shifted = forward_orbit(m, eval_map(m, x), 4, 5)
+        shifted = forward_orbit(MapAtPrime(m, 5), eval_map(m, x), 4)
         assert shifted.points == prof.points[1:]
 
 
 def test_orbital_report_unramified_everywhere_on_orbit():
-    rep = orbital_report(parse_map("z^2 + p", 5), _pt("1"), 2, 2, 5)
+    rep = orbital_report(MapAtPrime(parse_map("z^2 + p", 5), 5), _pt("1"), 2, 2)
     assert rep.all_unramified_on_locus
     assert len(rep.basepoints) == 3
     for bp in rep.basepoints:
@@ -80,14 +80,14 @@ def test_orbital_report_unramified_everywhere_on_orbit():
 def test_orbital_report_off_locus_is_not_a_failure():
     # x = p reduces to 0, inside the postcritical set: no certificate is
     # expected there and the overall flag must not trip
-    rep = orbital_report(parse_map("z^2 + p", 5), _pt("5"), 1, 1, 5)
+    rep = orbital_report(MapAtPrime(parse_map("z^2 + p", 5), 5), _pt("5"), 1, 1)
     assert rep.all_unramified_on_locus
     assert rep.basepoints[0].fiber_reports[0].certificate == NO_CERTIFICATE
     assert rep.basepoints[0].cycle_types == (None,)
 
 
 def test_orbital_report_infinity_shift_notes():
-    rep = orbital_report(parse_map("1/z", 5), _pt("0"), 2, 2, 5)
+    rep = orbital_report(MapAtPrime(parse_map("1/z", 5), 5), _pt("0"), 2, 2)
     assert [(s.ok, s.note) for s in rep.shifts] == [
         (None, "basepoint at infinity"),
         (None, "basepoint at infinity"),
@@ -103,8 +103,8 @@ def test_sgr_is_invariant_under_unit_conjugation():
         M = rng.choice(mats)
         assert M.is_p_unit(p)
         assert (
-            strict_good_reduction(m, p).is_strict_good_reduction
-            == strict_good_reduction(conjugate_map(m, M), p).is_strict_good_reduction
+            strict_good_reduction(MapAtPrime(m, p)).is_strict_good_reduction
+            == strict_good_reduction(MapAtPrime(conjugate_map(m, M), p)).is_strict_good_reduction
         )
 
 
@@ -122,8 +122,8 @@ def test_orbit_report_is_invariant_under_affine_unit_conjugation():
         twisted = conjugate_map(m, M)
         x = ProjPointQ(rng.randint(-3, 3), 1)
         try:
-            a = orbital_report(m, x, 2, 1, p)
-            b = orbital_report(twisted, M.apply(x), 2, 1, p)
+            a = orbital_report(MapAtPrime(m, p), x, 2, 1)
+            b = orbital_report(MapAtPrime(twisted, p), M.apply(x), 2, 1)
         except ResourceLimitError:
             continue
         assert a.all_unramified_on_locus == b.all_unramified_on_locus
@@ -179,4 +179,4 @@ def test_moduli_search_never_worsens_and_is_sound():
             assert mr.best_valuation <= mr.initial_valuation
             assert mr.achieved_zero == (mr.best_valuation == 0)
             if mr.achieved_zero:
-                assert strict_good_reduction(mr.best_model, p).is_strict_good_reduction
+                assert strict_good_reduction(MapAtPrime(mr.best_model, p)).is_strict_good_reduction

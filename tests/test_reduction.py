@@ -12,6 +12,7 @@ from padicdyn.finitefield import FqField, form_degree, form_eval, form_is_zero
 from padicdyn.maps import normalize_integral, parse_map, reduce_map, vp
 from padicdyn.reduction import (
     ClosedPoint,
+    MapAtPrime,
     analyze_map,
     closed_points_of_form,
     condition2_check,
@@ -29,6 +30,10 @@ from corpus_util import random_mobius_models, random_models
 
 def _rmap(text, p):
     return reduce_map(normalize_integral(parse_map(text, p), p))
+
+
+def _mp(text, p):
+    return MapAtPrime(parse_map(text, p), p)
 
 
 def test_closed_point_basics():
@@ -119,7 +124,7 @@ def _etale_residues_by_sympy(text, p, levels):
 def test_separable_reduction_when_p_divides_the_degree(text, p):
     # f' = 1 in both cases: separable, with the only critical point at
     # infinity, even though the Wronskian F_X G_Y - F_Y G_X vanishes
-    rep = analyze_map(parse_map(text, p), p)
+    rep = analyze_map(MapAtPrime(parse_map(text, p), p))
     assert not rep.sgr.inseparable_reduction
     assert not rep.pc.everything
     assert rep.pc.points == frozenset({ClosedPoint.infinity(p)})
@@ -174,7 +179,7 @@ def _rand_monic_irreducible(rng, p):
 
 
 def test_postcritical_set_examples():
-    pc = postcritical_set(_rmap("z^2 - 1", 5))
+    pc = postcritical_set(_mp("z^2 - 1", 5))
     assert pc.points == frozenset(
         {
             ClosedPoint.of_residue(5, 0),
@@ -188,51 +193,51 @@ def test_postcritical_set_examples():
     assert pc.contains_residue(4) and pc.contains_residue(None)
     assert not pc.contains_residue(1)
 
-    pc2 = postcritical_set(_rmap("z^2", 5))
+    pc2 = postcritical_set(_mp("z^2", 5))
     assert pc2.points == frozenset({ClosedPoint.of_residue(5, 0), ClosedPoint.infinity(5)})
     assert pc2.stable_depth == 1
 
     # 0 -> 1 -> 2 -> 2 at p = 3, so only the residue 0 stays off the set
-    r3 = _rmap("z^2 + 1", 3)
+    r3 = _mp("z^2 + 1", 3)
     pc3 = postcritical_set(r3)
     assert {q.render() for q in pc3.points} == {"T+1", "T+2", "inf"}
     assert pc3.stable_depth == 2
-    assert good_locus(r3, pc3) == (0,)
+    assert good_locus(r3.rmap, pc3) == (0,)
 
 
 def test_postcritical_set_inseparable_is_everything():
-    r = _rmap("z^3", 3)
+    r = _mp("z^3", 3)
     pc = postcritical_set(r)
     assert pc.everything
     assert pc.points == frozenset()
     assert pc.stable_depth == 0
     assert pc.contains_residue(0) and pc.contains_residue(None)
-    assert good_locus(r, pc) == ()
+    assert good_locus(r.rmap, pc) == ()
 
 
 def test_postcritical_set_cap():
     with pytest.raises(ResourceLimitError):
-        postcritical_set(_rmap("z^2 - 1", 5), cap=1)
+        postcritical_set(_mp("z^2 - 1", 5), cap=1)
 
 
 def test_strict_good_reduction_examples():
-    s = strict_good_reduction(parse_map("z^2 + p", 5), 5)
+    s = strict_good_reduction(MapAtPrime(parse_map("z^2 + p", 5), 5))
     assert s.is_strict_good_reduction
     assert s.resultant == Fraction(1)
     assert s.res_valuation == 0
     assert s.reduced_degree == 2
     assert not s.inseparable_reduction
 
-    s2 = strict_good_reduction(parse_map("p*z^2 + z", 5), 5)
+    s2 = strict_good_reduction(MapAtPrime(parse_map("p*z^2 + z", 5), 5))
     assert not s2.is_strict_good_reduction
     assert s2.res_valuation == 2
     assert s2.reduced_degree == 1
 
-    s3 = strict_good_reduction(parse_map("p^2*z^2", 5), 5)
+    s3 = strict_good_reduction(MapAtPrime(parse_map("p^2*z^2", 5), 5))
     assert (s3.res_valuation, s3.reduced_degree) == (4, 0)
 
     # good reduction can still be inseparable
-    s4 = strict_good_reduction(parse_map("z^3", 3), 3)
+    s4 = strict_good_reduction(MapAtPrime(parse_map("z^3", 3), 3))
     assert s4.is_strict_good_reduction
     assert s4.inseparable_reduction
 
@@ -246,15 +251,15 @@ def test_sgr_invariant_under_scaling():
             tuple(c * Fraction(50, 3) for c in m.G),
         )
         assert (
-            strict_good_reduction(scaled, p).res_valuation
-            == strict_good_reduction(m, p).res_valuation
+            strict_good_reduction(MapAtPrime(scaled, p)).res_valuation
+            == strict_good_reduction(MapAtPrime(m, p)).res_valuation
         )
 
 
 def test_condition2_counts_the_fiber_point_at_infinity():
     # fiber over 0 is cut out by XY, one of whose zeros is infinity;
     # forgetting it would undercount the fiber and flag a false violation
-    c2 = condition2_check(parse_map("z/(z^2 + 1)", 7), 7)
+    c2 = condition2_check(MapAtPrime(parse_map("z/(z^2 + 1)", 7), 7))
     assert c2.holds
     assert c2.sgr.is_strict_good_reduction
     assert c2.locus == (0, 2, 5, None)
@@ -264,14 +269,14 @@ def test_condition2_counts_the_fiber_point_at_infinity():
 
 
 def test_condition2_degenerate_and_degree_drop():
-    c2 = condition2_check(parse_map("p*z^2 + z", 5), 5)
+    c2 = condition2_check(MapAtPrime(parse_map("p*z^2 + z", 5), 5))
     assert not c2.holds
     assert not c2.reduced_degree_full
     assert set(c2.violations) == set(c2.locus)
     assert c2.witnesses == ()
 
     # constant reduction: empty locus, nothing to certify
-    c0 = condition2_check(parse_map("p^2*z^2", 5), 5)
+    c0 = condition2_check(MapAtPrime(parse_map("p^2*z^2", 5), 5))
     assert not c0.holds
     assert c0.locus == () and c0.pc is None
 
@@ -280,7 +285,7 @@ def test_condition2_agrees_with_resultant_criterion_on_corpus():
     # the internal alarm cross-checks every call; sweep a mixed corpus
     for p in (3, 5):
         for m in random_models(p, 40, seed=p):
-            c2 = condition2_check(m, p)
+            c2 = condition2_check(MapAtPrime(m, p))
             assert c2.holds == (c2.sgr.is_strict_good_reduction and c2.separable)
 
 
@@ -295,33 +300,33 @@ def test_etale_fiber_oracle_spot_checks():
 
 
 def test_degree_one_check_examples():
-    d1 = degree_one_check(parse_map("z + 1", 5), 5)
+    d1 = degree_one_check(MapAtPrime(parse_map("z + 1", 5), 5))
     assert d1.is_strict_good_reduction and d1.det == 1 and d1.towers_trivial
     assert "K(X_n(x)) = K" in d1.note
 
-    d2 = degree_one_check(parse_map("p*z", 5), 5)
+    d2 = degree_one_check(MapAtPrime(parse_map("p*z", 5), 5))
     assert not d2.is_strict_good_reduction
     assert (d2.det, d2.det_valuation) == (5, 1)
 
-    d3 = degree_one_check(parse_map("1/z", 5), 5)
+    d3 = degree_one_check(MapAtPrime(parse_map("1/z", 5), 5))
     assert d3.is_strict_good_reduction and d3.det == -1
 
     with pytest.raises(InputError):
-        degree_one_check(parse_map("z^2", 5), 5)
+        degree_one_check(MapAtPrime(parse_map("z^2", 5), 5))
 
 
 def test_degree_one_check_agrees_with_resultant():
     for p in (3, 7):
         for m in random_mobius_models(p, 25, seed=p):
-            agree = degree_one_check(m, p).is_strict_good_reduction
-            assert agree == strict_good_reduction(m, p).is_strict_good_reduction
+            agree = degree_one_check(MapAtPrime(m, p)).is_strict_good_reduction
+            assert agree == strict_good_reduction(MapAtPrime(m, p)).is_strict_good_reduction
             # for Mobius maps the resultant is the determinant up to sign
             prim = normalize_integral(m, p)
-            assert vp(p, prim.resultant()) == degree_one_check(m, p).det_valuation
+            assert vp(p, prim.resultant()) == degree_one_check(MapAtPrime(m, p)).det_valuation
 
 
 def test_analyze_report_coherence():
-    rep = analyze_map(parse_map("z^2 - 1", 7), 7)
+    rep = analyze_map(MapAtPrime(parse_map("z^2 - 1", 7), 7))
     assert rep.p == 7
     assert rep.sgr is rep.condition2.sgr
     assert rep.pc is rep.condition2.pc

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from padicdyn.errors import InputError, ResourceLimitError
-from padicdyn.maps import ProjPointQ, eval_reduced, normalize_integral, parse_map, reduce_map
+from padicdyn.maps import ProjPointQ, eval_reduced, parse_map
+from padicdyn.padics import vp
 from padicdyn.qpolys import QPoly
-from padicdyn.reduction import postcritical_set
+from padicdyn.reduction import MapAtPrime, postcritical_set
 from padicdyn.towers import (
     NO_CERTIFICATE,
     UNRAMIFIED,
@@ -30,38 +31,36 @@ def _pt(text):
 
 def test_fiber_polynomial_forms():
     m = parse_map("z^2 + p", 5)
-    fp = fiber_polynomial(m, 1, _pt("1"), 5)
+    fp = fiber_polynomial(MapAtPrime(m, 5), 1, _pt("1"))
     assert fp.form == (4, 0, 1)
     assert fp.poly == QPoly((4, 0, 1))
     assert (fp.formal_degree, fp.inf_multiplicity, fp.integral) == (2, 0, True)
 
     # non-integral basepoint: the p-primitive form keeps a p in the top slot
-    fp2 = fiber_polynomial(m, 1, _pt("1/5"), 5)
+    fp2 = fiber_polynomial(MapAtPrime(m, 5), 1, _pt("1/5"))
     assert fp2.form == (24, 0, 5)
     assert not fp2.integral
 
     # over infinity the affine part collapses to a constant
-    fp3 = fiber_polynomial(parse_map("z^2", 5), 1, _pt("inf"), 5)
+    fp3 = fiber_polynomial(MapAtPrime(parse_map("z^2", 5), 5), 1, _pt("inf"))
     assert fp3.form == (-1, 0, 0)
     assert fp3.poly.degree == 0
     assert fp3.inf_multiplicity == 2
 
     with pytest.raises(InputError):
-        fiber_polynomial(m, 0, _pt("1"), 5)
+        fiber_polynomial(MapAtPrime(m, 5), 0, _pt("1"))
     with pytest.raises(InputError):
-        fiber_polynomial(m, 1, _pt("1"), 6)
+        fiber_polynomial(MapAtPrime(m, 6), 1, _pt("1"))
     with pytest.raises(ResourceLimitError):
-        fiber_polynomial(m, 5, _pt("1"), 5, cap_degree=16)
+        fiber_polynomial(MapAtPrime(m, 5, cap_degree=16), 5, _pt("1"))
 
 
 def test_fiber_polynomial_is_p_primitive():
     rng = random.Random(13)
     for m in random_models(5, 12, seed=61):
         x = ProjPointQ(rng.randint(-8, 8), rng.randint(1, 8))
-        fp = fiber_polynomial(m, 2, x, 5)
-        from padicdyn.padics import min_valuation
-
-        assert min_valuation(5, fp.form) == 0
+        fp = fiber_polynomial(MapAtPrime(m, 5), 2, x)
+        assert min(vp(5, c) for c in fp.form) == 0
 
 
 def test_newton_polygon_cases():
@@ -80,7 +79,7 @@ def test_newton_polygon_cases():
 def test_fiber_report_certificates():
     m = parse_map("z^2 + p", 5)
 
-    rep = fiber_report(fiber_polynomial(m, 1, _pt("1"), 5))
+    rep = fiber_report(MapAtPrime(m, 5), 1, _pt("1"))
     assert rep.certificate == UNRAMIFIED
     assert (rep.lc_valuation, rep.disc_valuation) == (0, 0)
     assert rep.disc == -16
@@ -89,19 +88,19 @@ def test_fiber_report_certificates():
     assert rep.degree_full
 
     # unit lc fails: no certificate, Newton polygon attached
-    rep2 = fiber_report(fiber_polynomial(m, 1, _pt("1/5"), 5))
+    rep2 = fiber_report(MapAtPrime(m, 5), 1, _pt("1/5"))
     assert rep2.certificate == NO_CERTIFICATE
     assert rep2.lc_valuation == 1
     assert rep2.newton == ((Fraction(1, 2), 2),)
 
     # basepoint p: the fiber polynomial is z^2, discriminant vanishes
-    rep3 = fiber_report(fiber_polynomial(m, 1, _pt("5"), 5))
+    rep3 = fiber_report(MapAtPrime(m, 5), 1, _pt("5"))
     assert rep3.certificate == NO_CERTIFICATE
     assert rep3.disc == 0
     assert rep3.disc_valuation == float("inf")
 
     # degree-0 affine part: nothing to certify
-    rep4 = fiber_report(fiber_polynomial(parse_map("z^2", 5), 1, _pt("inf"), 5))
+    rep4 = fiber_report(MapAtPrime(parse_map("z^2", 5), 5), 1, _pt("inf"))
     assert rep4.certificate == NO_CERTIFICATE
     assert rep4.disc is None
     assert rep4.disc_valuation == float("inf")
@@ -112,38 +111,39 @@ def test_fiber_report_unramified_ladder():
     # the worked tower: every level over x = 1 certifies
     m = parse_map("z^2 + p", 7)
     for n in (1, 2, 3):
-        rep = fiber_report(fiber_polynomial(m, n, _pt("1"), 7))
+        rep = fiber_report(MapAtPrime(m, 7), n, _pt("1"))
         assert rep.certificate == UNRAMIFIED
         assert sum(rep.reduced_factor_degrees) == 2**n
 
 
 def test_frobenius_cycle_type_examples():
-    assert frobenius_cycle_type(parse_map("z^2 + 1", 3), 1, 0, 3) == (2,)
-    assert frobenius_cycle_type(parse_map("z^2 + 1", 3), 2, 0, 3) == (4,)
-    assert frobenius_cycle_type(parse_map("z^2", 5), 1, 2, 5) == (2,)
-    assert frobenius_cycle_type(parse_map("z^2", 5), 1, 4, 5) == (1, 1)
+    assert frobenius_cycle_type(MapAtPrime(parse_map("z^2 + 1", 3), 3), 1, 0) == (2,)
+    assert frobenius_cycle_type(MapAtPrime(parse_map("z^2 + 1", 3), 3), 2, 0) == (4,)
+    assert frobenius_cycle_type(MapAtPrime(parse_map("z^2", 5), 5), 1, 2) == (2,)
+    assert frobenius_cycle_type(MapAtPrime(parse_map("z^2", 5), 5), 1, 4) == (1, 1)
     # an infinity basepoint works when infinity is off the postcritical set
-    assert frobenius_cycle_type(parse_map("z/(z^2 + 1)", 7), 1, None, 7) == (2,)
+    assert frobenius_cycle_type(MapAtPrime(parse_map("z/(z^2 + 1)", 7), 7), 1, None) == (2,)
 
 
 def test_frobenius_cycle_type_preconditions():
     with pytest.raises(InputError):
-        frobenius_cycle_type(parse_map("z^2", 5), 0, 2, 5)
+        frobenius_cycle_type(MapAtPrime(parse_map("z^2", 5), 5), 0, 2)
     with pytest.raises(ResourceLimitError):
-        frobenius_cycle_type(parse_map("z^2", 5), 6, 2, 5, cap_degree=32)
+        frobenius_cycle_type(MapAtPrime(parse_map("z^2", 5), 5, cap_degree=32), 6, 2)
     with pytest.raises(InputError, match="not\\s+separable|postcritical"):
-        frobenius_cycle_type(parse_map("z^2", 5), 1, 0, 5)
+        frobenius_cycle_type(MapAtPrime(parse_map("z^2", 5), 5), 1, 0)
     with pytest.raises(InputError, match="degree"):
-        frobenius_cycle_type(parse_map("p*z^2 + z", 5), 1, 0, 5)
+        frobenius_cycle_type(MapAtPrime(parse_map("p*z^2 + z", 5), 5), 1, 0)
 
 
 def test_frobenius_cycle_type_sums_to_fiber_degree():
     for p in (3, 5):
         for m in random_models(p, 25, seed=p + 100):
-            rmap = reduce_map(normalize_integral(m, p))
+            mp = MapAtPrime(m, p)
+            rmap = mp.rmap
             if rmap.reduced_degree < m.d:
                 continue
-            pc = postcritical_set(rmap)
+            pc = postcritical_set(mp)
             if pc.everything:
                 continue
             for xbar in range(p):
@@ -151,7 +151,7 @@ def test_frobenius_cycle_type_sums_to_fiber_degree():
                     continue
                 for n in (1, 2):
                     try:
-                        ct = frobenius_cycle_type(m, n, xbar, p)
+                        ct = frobenius_cycle_type(mp, n, xbar)
                     except InputError:
                         # level-n fibers can still meet the postcritical set
                         continue
@@ -159,7 +159,7 @@ def test_frobenius_cycle_type_sums_to_fiber_degree():
 
 
 def test_preimage_tree_example():
-    t = preimage_tree(parse_map("z^2 + 1", 3), 2, 0, 3)
+    t = preimage_tree(MapAtPrime(parse_map("z^2 + 1", 3), 3), 2, 0)
     assert t.level_sizes == (1, 2, 4)
     assert t.m == 4
     assert t.levels[0] == (0,)
@@ -171,17 +171,18 @@ def test_preimage_tree_invariants():
     checked = 0
     for p in (3, 5):
         for m in random_models(p, 20, seed=p + 7):
-            rmap = reduce_map(normalize_integral(m, p))
+            mp = MapAtPrime(m, p)
+            rmap = mp.rmap
             if rmap.reduced_degree < m.d or m.d**3 > 64:
                 continue
-            pc = postcritical_set(rmap)
+            pc = postcritical_set(mp)
             if pc.everything:
                 continue
             for xbar in list(range(p)) + [None]:
                 if pc.contains_residue(xbar):
                     continue
                 try:
-                    t = preimage_tree(m, 3, xbar, p)
+                    t = preimage_tree(mp, 3, xbar)
                 except (InputError, ResourceLimitError):
                     continue
                 checked += 1
@@ -207,29 +208,29 @@ def test_preimage_tree_invariants():
 
 def test_preimage_tree_errors_and_caps():
     with pytest.raises(InputError):
-        preimage_tree(parse_map("z^2", 5), 0, 2, 5)
+        preimage_tree(MapAtPrime(parse_map("z^2", 5), 5), 0, 2)
     with pytest.raises(InputError, match="constant"):
-        preimage_tree(parse_map("p^2*z^2", 5), 1, 2, 5)
+        preimage_tree(MapAtPrime(parse_map("p^2*z^2", 5), 5), 1, 2)
     with pytest.raises(InputError, match="postcritical"):
-        preimage_tree(parse_map("z^2", 5), 1, 0, 5)
+        preimage_tree(MapAtPrime(parse_map("z^2", 5), 5), 1, 0)
     with pytest.raises(ResourceLimitError, match="extension cap"):
-        preimage_tree(parse_map("z^2", 5), 1, 2, 5, m_cap=1)
+        preimage_tree(MapAtPrime(parse_map("z^2", 5), 5), 1, 2, m_cap=1)
     with pytest.raises(ResourceLimitError):
-        preimage_tree(parse_map("z^2", 5), 7, 2, 5, cap_degree=64)
+        preimage_tree(MapAtPrime(parse_map("z^2", 5), 5, cap_degree=64), 7, 2)
 
 
 def test_shift_divisibility_examples():
     m = parse_map("z^2 + p", 5)
-    assert all(shift_divisibility_check(m, n, _pt("1")) for n in (1, 2, 3))
-    assert shift_divisibility_check(parse_map("z^2 - 1", 5), 1, _pt("3"))
+    assert all(shift_divisibility_check(MapAtPrime(m, 5), n, _pt("1")) for n in (1, 2, 3))
+    assert shift_divisibility_check(MapAtPrime(parse_map("z^2 - 1", 5), 5), 1, _pt("3"))
     with pytest.raises(InputError):
-        shift_divisibility_check(m, 0, _pt("1"))
+        shift_divisibility_check(MapAtPrime(m, 5), 0, _pt("1"))
     with pytest.raises(InputError, match="affine"):
-        shift_divisibility_check(m, 1, _pt("inf"))
+        shift_divisibility_check(MapAtPrime(m, 5), 1, _pt("inf"))
     with pytest.raises(InputError, match="infinity"):
-        shift_divisibility_check(parse_map("1/z", 5), 1, _pt("0"))
+        shift_divisibility_check(MapAtPrime(parse_map("1/z", 5), 5), 1, _pt("0"))
     with pytest.raises(InputError, match="inseparable"):
-        shift_divisibility_check(parse_map("z^2", 5), 1, _pt("0"))
+        shift_divisibility_check(MapAtPrime(parse_map("z^2", 5), 5), 1, _pt("0"))
 
 
 def test_shift_divisibility_on_corpus():
@@ -238,7 +239,7 @@ def test_shift_divisibility_on_corpus():
         for _ in range(3):
             x = ProjPointQ(rng.randint(-6, 6), rng.randint(1, 4))
             try:
-                ok = shift_divisibility_check(m, 1, x)
+                ok = shift_divisibility_check(MapAtPrime(m, 5), 1, x)
             except InputError:
                 continue
             assert ok
