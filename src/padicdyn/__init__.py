@@ -10,7 +10,7 @@ arithmetic is exact: Fractions over Q, digit-encoded F_{p^m} elements
 over residue fields.
 """
 
-from .errors import InputError, PadicDynError, ResourceLimitError
+from .errors import InputError, InternalError, PadicDynError, ResourceLimitError
 from .golden import battery_passed, run_battery
 from .maps import (
     IntegralModel,
@@ -54,6 +54,7 @@ __all__ = [
     "ClosedPoint",
     "InputError",
     "IntegralModel",
+    "InternalError",
     "MapAtPrime",
     "Mobius",
     "PadicDynError",

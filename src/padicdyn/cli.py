@@ -20,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import InputError, PadicDynError, ResourceLimitError
+from .errors import InputError, InternalError, PadicDynError, ResourceLimitError
 from .finitefield import FIELD_SIZE_CAP
 from .golden import battery_passed, run_battery
 from .maps import DEGREE_CAP, HEIGHT_CAP_BITS, ProjPointQ, parse_map
@@ -423,6 +423,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except PadicDynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -151,6 +151,8 @@ class FqField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
+        if self.m == 1:
+            return pow(a, -1, self.p)
         return self.pow(a, self.q - 2)
 
     def frobenius(self, a: int) -> int:
@@ -290,11 +292,11 @@ class FqPoly:
         dn, dd = len(rem) - 1, other.degree
         if dn < dd:
             return FqPoly(F), self
-        inv = F.inv(other.lc)
+        inv = 1 if other.lc == 1 else F.inv(other.lc)
         quot = [0] * (dn - dd + 1)
         oc = other.coeffs
         for i in range(dn - dd, -1, -1):
-            c = F.mul(rem[i + dd], inv)
+            c = rem[i + dd] if inv == 1 else F.mul(rem[i + dd], inv)
             if c:
                 quot[i] = c
                 for j, o in enumerate(oc):
@@ -378,14 +380,6 @@ class FqPoly:
             if g.degree > 0:
                 return False
         return True
-
-    def roots(self) -> list[tuple[int, int]]:
-        """Roots in the coefficient field as (element, multiplicity), sorted."""
-        out = []
-        for fac, mult in fq_factor(self):
-            if fac.degree == 1:
-                out.append((self.field.neg(fac[0]), mult))
-        return sorted(out)
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -507,6 +501,21 @@ def fq_factor(f: FqPoly, seed: int = 0) -> list[tuple[FqPoly, int]]:
                 out.extend((irr, mult) for irr in _equal_degree(prod, e, rng))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out
+
+
+def split_roots(f: FqPoly) -> list[int]:
+    """Sorted roots of an f that splits into distinct linear factors.
+
+    Equal-degree splitting with e = 1 on a fixed-seed stream; a linear f
+    is solved directly and a constant has no roots.  The caller guarantees
+    the splitting: on any other f the random search never ends.
+    """
+    F = f.field
+    if f.degree < 1:
+        return []
+    if f.degree == 1:
+        return [F.neg(F.mul(f[0], F.inv(f[1])))]
+    return sorted(F.neg(fac[0]) for fac in _equal_degree(f.monic(), 1, random.Random(0)))
 
 
 # -- binary forms of fixed formal degree -------------------------------------

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import FqField, prime_field_of
 from .padics import require_prime, vp
 from .qpolys import QPoly, binary_form_resultant, poly_str
@@ -594,7 +594,8 @@ def eval_map(model: RationalMapModel, point: ProjPointQ) -> ProjPointQ:
         pb.append(pb[-1] * b)
     fa = sum(c * pa[i] * pb[d - i] for i, c in enumerate(model.F))
     ga = sum(c * pa[i] * pb[d - i] for i, c in enumerate(model.G))
-    assert not (fa == 0 and ga == 0), "coprime forms cannot vanish together"
+    if fa == 0 and ga == 0:
+        raise InternalError("coprime forms cannot vanish together")
     return ProjPointQ(fa, ga)
 
 
@@ -657,7 +658,8 @@ def eval_reduced(field: FqField, F1, G1, point: int | None) -> int | None:
         a, b = point, field.of_int(1)
     fa = form_eval(field, F1, a, b)
     ga = form_eval(field, G1, a, b)
-    assert not (fa == 0 and ga == 0), "coprime reduced forms cannot vanish together"
+    if fa == 0 and ga == 0:
+        raise InternalError("coprime reduced forms cannot vanish together")
     if ga == 0:
         return None
     return field.mul(fa, field.inv(ga))
@@ -671,9 +673,8 @@ def reduce_map(integral: IntegralModel) -> ReducedMap:
     field = prime_field_of(p)
     rawF = tuple(c % p for c in integral.F)
     rawG = tuple(c % p for c in integral.G)
-    assert not (form_is_zero(rawF) and form_is_zero(rawG)), (
-        "a p-primitive model cannot reduce to the zero pair"
-    )
+    if form_is_zero(rawF) and form_is_zero(rawG):
+        raise InternalError("a p-primitive model cannot reduce to the zero pair")
     if form_is_zero(rawF):
         common, F1, G1 = _degenerate_split(field, rawG)
     elif form_is_zero(rawG):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InternalError, ResourceLimitError
 from .maps import (
     HEIGHT_CAP_BITS,
     Mobius,
@@ -253,9 +253,8 @@ def moduli_search(
     if initial is None:
         initial = vp(p, normalize_integral(model, p).resultant())
     achieved = best_val == 0
-    if achieved:
-        check = MapAtPrime(best_model, p).sgr
-        assert check.is_strict_good_reduction, "zero witness failed re-verification"
+    if achieved and not MapAtPrime(best_model, p).sgr.is_strict_good_reduction:
+        raise InternalError("zero witness failed re-verification")
     return ModuliReport(
         p=p,
         initial_valuation=initial,

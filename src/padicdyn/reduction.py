@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import (
     FqField,
     FqPoly,
@@ -269,7 +269,8 @@ def pushforward(point: ClosedPoint, rmap: ReducedMap) -> frozenset:
     for root in orbit:
         minpoly = minpoly * FqPoly(ext, (ext.neg(root), 1))
     coeffs = tuple(int(c) for c in minpoly.coeffs)
-    assert all(c < p for c in coeffs), "orbit product must have F_p coefficients"
+    if any(c >= p for c in coeffs):
+        raise InternalError("orbit product must have F_p coefficients")
     return frozenset({ClosedPoint(p, coeffs)})
 
 
@@ -365,9 +366,8 @@ def strict_good_reduction(mp: MapAtPrime) -> SGRReport:
     res = mp.integral.resultant()
     val = vp(p, res)
     sgr = val == 0
-    assert sgr == (rmap.reduced_degree == mp.d), (
-        "resultant valuation and reduced degree disagree"
-    )
+    if sgr != (rmap.reduced_degree == mp.d):
+        raise InternalError("resultant valuation and reduced degree disagree")
     insep = rmap.reduced_degree >= 1 and form_is_zero(mp.critical)
     return SGRReport(
         p=p,
@@ -447,7 +447,7 @@ def condition2_check(mp: MapAtPrime) -> Condition2Report:
 def _consistency_alarm(report: Condition2Report, mp: MapAtPrime) -> None:
     expected = report.sgr.is_strict_good_reduction and report.separable
     if report.holds != expected:
-        raise RuntimeError(
+        raise InternalError(
             "internal consistency alarm: the fiber criterion and the "
             f"resultant criterion disagree for {mp.model.map_str()} at p={mp.p}"
         )

@@ -10,7 +10,13 @@ ramification claim, and carries the Newton polygon as a diagnostic.
 
 Reduced preimage trees live in a single splitting field F_{p^m}, with
 parent edges given by the reduced map and the p-power Frobenius acting
-on every level.
+on every level.  The F_p factorizations of the level fibers fix m; the
+tree is then climbed one level at a time.  For one point y = [a : b] of
+each Frobenius orbit of level n - 1, the degree-d form b*F1 - a*G1 is
+split into its roots over F_{p^m} (infinity when its affine degree
+drops), and the preimages of y's conjugates are the Frobenius images of
+y's.  So no level polynomial is ever factored over F_{p^m}, and every
+point is born with its parent.
 
 Every function here takes a ``MapAtPrime`` session and reads its
 iterates, fiber forms and factorizations from it, so the certificate,
@@ -25,15 +31,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import (
     FIELD_SIZE_CAP,
     FqPoly,
+    fiber_form,
     form_is_squarefree,
     fq_extension,
     prime_field_of,
+    split_roots,
 )
-from .maps import ProjPointQ, eval_map, eval_reduced
+from .maps import ProjPointQ, eval_map
 from .padics import INFINITY, vp
 from .qpolys import QPoly, discriminant
 from .reduction import MapAtPrime
@@ -159,7 +167,8 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
         reduced = FqPoly.of_integers(prime_field_of(p), [int(c) for c in poly.coeffs])
         degs = []
         for fac, mult in mp.factor(reduced):
-            assert mult == 1, "unit discriminant forces a squarefree reduction"
+            if mult != 1:
+                raise InternalError("unit discriminant forces a squarefree reduction")
             degs.append(fac.degree)
         factor_degrees = tuple(sorted(degs))
     else:
@@ -211,7 +220,8 @@ def frobenius_cycle_type(mp: MapAtPrime, n: int, xbar: int | None) -> tuple:
         degs = [fac.degree for fac, _ in mp.factor(poly)]
     degs.extend([1] * inf_mult)
     out = tuple(sorted(degs))
-    assert sum(out) == mp.d**n
+    if sum(out) != mp.d**n:
+        raise InternalError(f"level-{n} cycle type {out} does not sum to {mp.d}^{n}")
     return out
 
 
@@ -279,7 +289,6 @@ def preimage_tree(
     field = rmap.field
     xbar = None if xbar is None else xbar % p
 
-    fibers = []
     degrees = set()
     for n in range(1, N + 1):
         fib = mp.reduced_fiber(n, xbar)
@@ -289,10 +298,8 @@ def preimage_tree(
                 "the basepoint meets the reduced postcritical set"
             )
         poly = FqPoly(field, fib)
-        inf_mult = (len(fib) - 1) - poly.degree
         if poly.degree >= 1:
             degrees.update(fac.degree for fac, _ in mp.factor(poly))
-        fibers.append((poly, inf_mult))
 
     m = 1
     for deg in degrees:
@@ -303,38 +310,19 @@ def preimage_tree(
         )
     ext = fq_extension(p, m, cap=cap_field)
 
-    levels = [(xbar,)]
-    for poly, inf_mult in fibers:
-        pts = []
-        if poly.degree >= 1:
-            factors = mp.factor(FqPoly(ext, poly.coeffs))
-            linear = [(fac, mult) for fac, mult in factors if fac.degree == 1]
-            assert all(mult == 1 for _, mult in linear)
-            assert len(linear) == poly.degree, "fiber must split in F_{p^m}"
-            pts = [ext.neg(fac[0]) for fac, _ in linear]
-        if inf_mult == 1:
-            pts.append(None)
-        levels.append(tuple(sorted(pts, key=_point_sort_key)))
-
-    parents = [()]
+    e = rmap.reduced_degree
+    levels, parents, frob = [(xbar,)], [()], [_frobenius_row(ext, (xbar,))]
     for n in range(1, N + 1):
-        idx = {pt: i for i, pt in enumerate(levels[n - 1])}
-        row = []
-        for pt in levels[n]:
-            img = eval_reduced(ext, rmap.F1, rmap.G1, pt)
-            assert img in idx, "a fiber point must map onto the previous level"
-            row.append(idx[img])
-        parents.append(tuple(row))
-
-    frob = []
-    for level in levels:
-        idx = {pt: i for i, pt in enumerate(level)}
-        row = []
-        for pt in level:
-            img = None if pt is None else ext.frobenius(pt)
-            assert img in idx, "levels must be Frobenius-stable"
-            row.append(idx[img])
-        frob.append(tuple(row))
+        parent_of = _climb(ext, rmap, levels[-1], frob[-1])
+        level = tuple(sorted(parent_of, key=_point_sort_key))
+        if len(level) != e**n:
+            raise InternalError(
+                f"level {n} of the preimage tree over {render_residue(xbar)} has "
+                f"{len(level)} points, not {e}^{n}"
+            )
+        levels.append(level)
+        parents.append(tuple(parent_of[pt] for pt in level))
+        frob.append(_frobenius_row(ext, level))
 
     return PreimageTree(
         p=p,
@@ -344,6 +332,45 @@ def preimage_tree(
         parents=tuple(parents),
         frob=tuple(frob),
     )
+
+
+def _climb(ext, rmap, level: tuple, frob_row: tuple) -> dict:
+    """Map each reduced preimage of a point of level to that point's index.
+
+    Splits b*F1 - a*G1 for one y = [a : b] per Frobenius orbit; the reduced
+    map has F_p coefficients, so sigma^k carries y's preimages to sigma^k(y)'s.
+    """
+    parent_of = {}
+    done = [False] * len(level)
+    for i, y in enumerate(level):
+        if done[i]:
+            continue
+        a, b = (1, 0) if y is None else (y, 1)
+        form = fiber_form(ext, rmap.F1, rmap.G1, a, b)
+        poly = FqPoly(ext, form)
+        kids = split_roots(poly)
+        if poly.degree < len(form) - 1:
+            kids.append(None)
+        j = i
+        while not done[j]:
+            done[j] = True
+            for z in kids:
+                parent_of[z] = j
+            kids = [None if z is None else ext.frobenius(z) for z in kids]
+            j = frob_row[j]
+    return parent_of
+
+
+def _frobenius_row(ext, level: tuple) -> tuple:
+    """Index in level of the p-power Frobenius image of each of its points."""
+    idx = {pt: i for i, pt in enumerate(level)}
+    row = []
+    for pt in level:
+        img = None if pt is None else ext.frobenius(pt)
+        if img not in idx:
+            raise InternalError("a level of the preimage tree is not Frobenius-stable")
+        row.append(idx[img])
+    return tuple(row)
 
 
 def shift_divisibility_check(mp: MapAtPrime, n: int, x: ProjPointQ) -> bool:

@@ -47,3 +47,29 @@ def form_resultant(field: FqField, F, G) -> int:
                     for j in range(size)
                 ]
     return det
+
+
+def map_table(field: FqField, F, G) -> dict:
+    """[F : G] at every point of P^1(field), with None for infinity.
+
+    F and G are integer binary forms of one formal degree (entry i is the
+    coefficient of X^i Y^(D-i)), reduced through Z -> F_p and evaluated
+    point by point, so they must have no common zero mod p.
+    """
+
+    def value(form, z):
+        acc = 0
+        for c in reversed(form):
+            acc = field.add(field.mul(acc, z), field.of_int(c))
+        return acc
+
+    table = {}
+    for z in [*field.elements(), None]:
+        if z is None:
+            fz, gz = field.of_int(F[-1]), field.of_int(G[-1])
+        else:
+            fz, gz = value(F, z), value(G, z)
+        if fz == 0 and gz == 0:
+            raise InputError("the forms share a zero mod p")
+        table[z] = None if gz == 0 else field.mul(fz, field.inv(gz))
+    return table

@@ -127,6 +127,23 @@ def test_failed_battery_exits_1(monkeypatch, capsys):
     assert "FAIL" in out and "0/1" in out
 
 
+def test_internal_alarms_exit_4(monkeypatch, capsys):
+    import padicdyn.reduction as reduction
+    import padicdyn.towers as towers
+
+    # a fiber criterion that rejects every fiber contradicts the resultant
+    monkeypatch.setattr(reduction, "form_is_squarefree", lambda field, form: False)
+    assert cli.main(["analyze", "z^2+p", "-p", "5"]) == 4
+    assert "consistency alarm" in capsys.readouterr().err
+    monkeypatch.undo()
+
+    # a climb that loses a root leaves a tree level short of d^n points
+    split_roots = towers.split_roots
+    monkeypatch.setattr(towers, "split_roots", lambda f: split_roots(f)[1:])
+    assert cli.main(["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "2"]) == 4
+    assert "not 2^1" in capsys.readouterr().err
+
+
 def test_module_entry_point_smoke():
     res = _run("--help")
     assert res.returncode == 0

@@ -20,6 +20,7 @@ from padicdyn.finitefield import (
     fq_factor,
     iterate_forms,
     prime_field_of,
+    split_roots,
     squarefree_decomposition,
 )
 from padicdyn.qpolys import binary_form_resultant
@@ -142,11 +143,12 @@ def test_roots_against_brute_force():
     rng = random.Random(41)
     for field in (prime_field_of(7), fq_extension(3, 2)):
         for _ in range(20):
-            deg = rng.randint(1, 5)
-            coeffs = [rng.choice(field.elements()) for _ in range(deg)] + [field.of_int(1)]
-            f = FqPoly(field, coeffs)
-            brute = {a for a in field.elements() if f(a) == 0}
-            assert {r for r, _ in f.roots()} == brute
+            roots = rng.sample(field.elements(), rng.randint(0, 5))
+            f = FqPoly(field, (rng.randrange(1, field.q),))
+            for r in roots:
+                f = f * FqPoly(field, (field.neg(r), 1))
+            brute = [a for a in field.elements() if f(a) == 0]
+            assert split_roots(f) == brute == sorted(roots)
 
 
 def test_form_eval_vs_compose():

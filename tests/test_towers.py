@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from padicdyn.errors import InputError, ResourceLimitError
+from padicdyn.finitefield import fq_extension
 from padicdyn.maps import ProjPointQ, eval_reduced, parse_map
 from padicdyn.padics import vp
 from padicdyn.qpolys import QPoly
@@ -23,6 +24,7 @@ from padicdyn.towers import (
 )
 
 from corpus_util import random_models
+from oracles import map_table
 
 
 def _pt(text):
@@ -186,8 +188,6 @@ def test_preimage_tree_invariants():
                 except (InputError, ResourceLimitError):
                     continue
                 checked += 1
-                from padicdyn.finitefield import fq_extension
-
                 ext = fq_extension(p, t.m)
                 assert t.level_sizes[0] == 1
                 for n in range(1, 4):
@@ -204,6 +204,40 @@ def test_preimage_tree_invariants():
                     assert sum(t.cycle_type(n)) == len(level)
                 assert t.frob[0] == (0,)
     assert checked >= 10
+
+
+@pytest.mark.parametrize(
+    "text,p,xbar,N",
+    [
+        ("(z^2+2)/(z+1)", 5, None, 4),  # xbar = inf, and inf on every level
+        ("(z^2+3)/(z^2+z)", 7, 2, 2),  # inf first appears at level 2
+        ("(z^2+z+1)/z", 2, None, 5),  # p = 2: trace splitting over F_256
+        ("z^2+z+1", 2, 0, 5),
+        ("z^3+z", 3, 1, 3),  # separable cubic with p | d, over F_729
+        ("z^3-z+1", 3, 1, 3),
+    ],
+)
+def test_preimage_tree_against_brute_force(text, p, xbar, N):
+    mp = MapAtPrime(parse_map(text, p), p)
+    t = preimage_tree(mp, N, xbar)
+    ext = fq_extension(p, t.m)
+    assert ext.q <= 729
+    table = map_table(ext, mp.integral.F, mp.integral.G)
+    # level n is exactly {z in P^1(F_q) : phi~^n(z) = xbar}, in sort order
+    level = [xbar]
+    for n in range(N + 1):
+        assert list(t.levels[n]) == sorted(level, key=lambda z: (z is None, z or 0))
+        assert len(level) == mp.d**n
+        for i, z in enumerate(t.levels[n]):
+            assert t.levels[n][t.frob[n][i]] == (None if z is None else ext.pow(z, p))
+            if n:
+                assert t.levels[n - 1][t.parents[n][i]] == table[z]
+        level = [z for z in table if table[z] in level]
+    # F_{p^m} is the smallest field holding every level
+    points = [z for lev in t.levels for z in lev if z is not None]
+    for k in range(1, t.m):
+        if t.m % k == 0:
+            assert any(ext.pow(z, p**k) != z for z in points)
 
 
 def test_preimage_tree_errors_and_caps():
