@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InputError, InternalError, PadicDynError, ResourceLimitError
 from .finitefield import FIELD_SIZE_CAP
@@ -26,6 +26,7 @@ from .golden import battery_passed, run_battery
 from .maps import DEGREE_CAP, HEIGHT_CAP_BITS, ProjPointQ, parse_map
 from .orbits import forward_orbit, moduli_search, orbital_report
 from .padics import INFINITY
+from .qpolys import rational_str
 from .reduction import ClosedPoint, MapAtPrime, analyze_map, degree_one_check
 from .towers import fiber_report, frobenius_cycle_type, preimage_tree
 
@@ -38,10 +39,7 @@ def _big(value) -> str | None:
     """Big integers and rationals as canonical strings."""
     if value is None:
         return None
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    return rational_str(value)
 
 
 def _val(v):
@@ -376,7 +374,9 @@ def _add_common(sub, *, needs_map=True):
     sub.add_argument("--cap-height", type=int, default=HEIGHT_CAP_BITS, help="max orbit coordinate size in bits")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand tree, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="padicdyn",
         description="reduction, postcritical sets and unramified preimage towers of rational maps over Q_p",

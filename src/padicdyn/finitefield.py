@@ -27,6 +27,8 @@ from .errors import InputError, ResourceLimitError
 from .padics import require_prime
 
 FIELD_SIZE_CAP = 1 << 20
+TABLE_Q = 1 << 12  # fq_extension fields up to this size get log tables
+EXTENSION_CACHE = 8
 
 
 class FqField:
@@ -162,6 +164,85 @@ class FqField:
         return range(self.q)
 
 
+class _LogField(FqField):
+    """F_{p^m} as FqField, with every operation a lookup in log tables.
+
+    For a generator g, exp[k] encodes g^k (the list is doubled, so a sum
+    of two logs needs no reduction), log inverts it on the nonzero
+    elements, zech[k] = log(1 + g^k) (None where 1 + g^k = 0) and neg
+    negates.  The encoding is FqField's, so results are the same ints.
+    Building costs q - 1 multiplications by g; a Zech entry is O(1),
+    since 1 + a changes only the lowest base-p digit of a.
+    """
+
+    __slots__ = ("_exp", "_log", "_zech", "_neg")
+
+    def __init__(self, field: FqField):
+        # field's modulus is already proved irreducible; share its presentation
+        for name in ("p", "m", "q", "modulus", "_red"):
+            object.__setattr__(self, name, getattr(field, name))
+        p, q = field.p, field.q
+        g = next(
+            c
+            for c in range(2, q)
+            if all(field.pow(c, (q - 1) // r) != 1 for r in _prime_divisors(q - 1))
+        )
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(field.mul(exp[-1], g))
+        log = [0] * q
+        for k, a in enumerate(exp):
+            log[a] = k
+        zech = []
+        for a in exp:
+            one_plus = a - a % p + (a + 1) % p
+            zech.append(log[one_plus] if one_plus else None)
+        half = 0 if p == 2 else (q - 1) // 2  # -1 = g^half
+        exp += exp
+        neg = [0] * q
+        for k in range(q - 1):
+            neg[exp[k]] = exp[k + half]
+        object.__setattr__(self, "_exp", exp)
+        object.__setattr__(self, "_log", log)
+        object.__setattr__(self, "_zech", zech)
+        object.__setattr__(self, "_neg", neg)
+
+    def add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]  # a negative index wraps mod q - 1
+        return 0 if z is None else self._exp[la + z]
+
+    def neg(self, a: int) -> int:
+        return self._neg[a]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self._neg[b])
+
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
+
+    def pow(self, a: int, e: int) -> int:
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero in a finite field")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero in a finite field")
+        return self._exp[self.q - 1 - self._log[a]]
+
+    def frobenius(self, a: int) -> int:
+        return self._exp[self._log[a] * self.p % (self.q - 1)] if a else 0
+
+
 def _modulus_irreducible(p: int, modulus: tuple[int, ...]) -> bool:
     prime_field = prime_field_of(p)
     return FqPoly(prime_field, modulus).is_irreducible()
@@ -177,7 +258,8 @@ def fq_extension(p: int, m: int, *, cap: int = FIELD_SIZE_CAP) -> FqField:
 
     Candidates T^m + c_{m-1} T^(m-1) + ... + c_0 are ordered by the integer
     encoding sum(c_i p^i) of their lower coefficients, so the search is
-    deterministic.  For m = 1 the modulus is T itself.
+    deterministic.  For m = 1 the modulus is T itself.  Fields are cached
+    per (p, m), and one of at most TABLE_Q elements carries log tables.
     """
     require_prime(p)
     if m < 1:
@@ -186,8 +268,12 @@ def fq_extension(p: int, m: int, *, cap: int = FIELD_SIZE_CAP) -> FqField:
         raise ResourceLimitError(f"field size {p}^{m} exceeds cap {cap}")
     if m == 1:
         return prime_field_of(p)
+    return _extension(p, m)
+
+
+@lru_cache(maxsize=EXTENSION_CACHE)
+def _extension(p: int, m: int) -> FqField:
     prime_field = prime_field_of(p)
-    lower = [0] * m
     for k in range(p**m):
         a, digits = k, []
         for _ in range(m):
@@ -195,7 +281,8 @@ def fq_extension(p: int, m: int, *, cap: int = FIELD_SIZE_CAP) -> FqField:
             a //= p
         candidate = tuple(digits) + (1,)
         if FqPoly(prime_field, candidate).is_irreducible():
-            return FqField(p, m, candidate)
+            field = FqField(p, m, candidate)
+            return _LogField(field) if field.q <= TABLE_Q else field
     raise InputError(f"no irreducible modulus of degree {m} over F_{p}")  # pragma: no cover
 
 
@@ -209,7 +296,7 @@ class FqPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
+        object.__setattr__(self, "coeffs", tuple(map(int, cs)))
 
     def __setattr__(self, *args):
         raise AttributeError("FqPoly is immutable")

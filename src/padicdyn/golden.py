@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import InputError
 from .maps import Mobius, ProjPointQ, conjugate_map, parse_map
 from .padics import require_prime
+from .qpolys import rational_str
 from .reduction import ClosedPoint, MapAtPrime, condition2_check, degree_one_check
 from .towers import fiber_polynomial, fiber_report
 
@@ -36,6 +37,8 @@ def _render(value) -> str:
             key=lambda s: (s == "inf", len(s), s),
         )
         return "{" + ", ".join(parts) + "}"
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return rational_str(value)
     return str(value)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import FqField, prime_field_of
 from .padics import require_prime, vp
-from .qpolys import QPoly, binary_form_resultant, poly_str
+from .qpolys import QPoly, binary_form_resultant, int_str, poly_str, rational_str
 
 DEGREE_CAP = 4096
 HEIGHT_CAP_BITS = 10**6
@@ -103,7 +103,7 @@ class ProjPointQ:
     def __str__(self):
         if self.b == 0:
             return "inf"
-        return str(Fraction(self.a, self.b))
+        return rational_str(Fraction(self.a, self.b))
 
     def __repr__(self):
         return f"ProjPointQ({self})"
@@ -294,6 +294,14 @@ class RationalMapModel:
 # -- parsing ------------------------------------------------------------------
 
 
+def _int_of_digits(digits: str) -> int:
+    """int() of a decimal digit string, exact past the interpreter's digit limit."""
+    if len(digits) <= 600:
+        return int(digits)
+    half = len(digits) // 2
+    return _int_of_digits(digits[:-half]) * 10**half + _int_of_digits(digits[-half:])
+
+
 def _tokenize(text: str, prime: int) -> list:
     tokens = []
     i, n = 0, len(text)
@@ -306,7 +314,7 @@ def _tokenize(text: str, prime: int) -> list:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("INT", int(text[i:j])))
+            tokens.append(("INT", _int_of_digits(text[i:j])))
             i = j
             continue
         if ch.isalpha():
@@ -378,7 +386,7 @@ class _RatFunc:
 def _token_text(token) -> str:
     kind, value = token
     if kind == "INT":
-        return str(value)
+        return int_str(value)
     if kind == "Z":
         return "z"
     return kind

@@ -2,21 +2,28 @@
 
 Coefficient lists are stored lowest degree first, as tuples of Fraction,
 with no trailing zeros; the zero polynomial is the empty tuple.  Resultants
-and discriminants are computed exactly through fraction-free (Bareiss)
-elimination of the Sylvester matrix, with the rows of the first argument
-placed on top:
+are the Sylvester determinant with the rows of the first argument on top:
 
     resultant(f, g) = lc(f)^deg(g) * prod g(alpha_i)   over the roots of f.
 
-``binary_form_resultant`` evaluates the same determinant for homogeneous
-binary forms of a stated formal degree d, so vanishing top coefficients are
-kept (the determinant is then 0 exactly when the forms share a projective
-root, including the point at infinity).
+They are computed on the primitive integer parts by the subresultant
+polynomial remainder sequence over Z (Brown and Traub, J. ACM 18, 1971;
+Cohen, GTM 138, Alg. 3.3.7), whose exact divisions keep every
+coefficient the size of a minor of the Sylvester matrix.  Discriminants
+are Res(f, f') up to sign and lc(f).  ``binary_form_resultant`` gives the
+same determinant for homogeneous binary forms of a stated formal degree
+d, so vanishing top coefficients count (the determinant is then 0 exactly
+when the forms share a projective root, including the point at infinity);
+it is read off the affine resultant with a leading-coefficient factor for
+the roots at infinity.  ``det_bareiss`` (fraction-free elimination) is
+no longer called by the package; it stays because the layer tracer of
+``perfbench`` wraps it by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InputError
@@ -170,6 +177,43 @@ class QPoly:
         return Fraction(g, den), tuple(c // g for c in ints)
 
 
+# str() is exact below 640 digits, the lowest digit limit an interpreter
+# accepts (sys.set_int_max_str_digits); 2000 bits is at most 603 digits
+_STR_BITS = 2000
+
+
+@lru_cache(maxsize=None)
+def _ten_to_two_to(j: int) -> int:
+    return 10 ** (1 << j)
+
+
+def int_str(n: int) -> str:
+    """Decimal digits of n, exact at any size.
+
+    str() refuses integers past the interpreter's digit limit (4300 by
+    default, sys.int_info.default_max_str_digits).  Above _STR_BITS the
+    number is split on 10^(2^j) with 10^(2^j) <= n < 10^(2^(j+1)), so both
+    halves have at most 2^j digits, and the low half is zero-padded.
+    """
+    if n < 0:
+        return "-" + int_str(-n)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    j = 0
+    while _ten_to_two_to(j + 1) <= n:
+        j += 1
+    hi, lo = divmod(n, _ten_to_two_to(j))
+    return int_str(hi) + int_str(lo).rjust(1 << j, "0")
+
+
+def rational_str(c) -> str:
+    """"num/den", or "num" for an integer, exact at any size."""
+    c = Fraction(c)
+    if c.denominator == 1:
+        return int_str(c.numerator)
+    return f"{int_str(c.numerator)}/{int_str(c.denominator)}"
+
+
 def poly_str(coeffs, var: str = "T") -> str:
     """Readable rendering, highest degree first."""
     cs = _to_fraction_tuple(coeffs)
@@ -181,9 +225,9 @@ def poly_str(coeffs, var: str = "T") -> str:
         if c == 0:
             continue
         if i == 0:
-            term = str(c)
+            term = rational_str(c)
         else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            mag = "" if abs(c) == 1 else f"{rational_str(abs(c))}*"
             term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
             if c < 0:
                 term = "-" + term
@@ -228,34 +272,66 @@ def det_bareiss(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _sylvester_rows(f_desc: list[int], g_desc: list[int], rows_f: int, rows_g: int):
-    size = rows_f + rows_g
-    rows = []
-    for i in range(rows_f):
-        row = [0] * size
-        for j, c in enumerate(f_desc):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(rows_g):
-        row = [0] * size
-        for j, c in enumerate(g_desc):
-            row[i + j] = c
-        rows.append(row)
-    return rows
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """R with lc(b)^(deg a - deg b + 1) * a = Q * b + R and deg R < deg b."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    e = len(a) - db
+    while r and len(r) - 1 >= db:
+        lr, shift = r[-1], len(r) - 1 - db
+        r = [c * lb for c in r]
+        for j, c in enumerate(b):
+            r[shift + j] -= lr * c
+        while r and r[-1] == 0:
+            r.pop()
+        e -= 1
+    if e:
+        scale = lb**e
+        r = [c * scale for c in r]
+    return r
+
+
+def _integer_resultant(a: list[int], b: list[int]) -> int:
+    """Res(a, b) of integer polynomials (ascending, degrees >= 1).
+
+    Subresultant PRS (Brown-Traub 1971; Cohen, GTM 138, Alg. 3.3.7); the
+    divisions by g*h^delta and h^(delta-1) are exact over Z, so the
+    coefficients stay the size of subresultants.
+    """
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
+            s = -1
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return 0
+        div = g * h**delta
+        a, b = b, [c // div for c in r]
+        g = a[-1]
+        h = g**delta // h ** (delta - 1) if delta else h
+    da = len(a) - 1
+    return s * (b[0] ** da // h ** (da - 1))
 
 
 def resultant(f: QPoly, g: QPoly) -> Fraction:
-    """Res(f, g) with true degrees; f's rows first in the Sylvester matrix."""
+    """Res(f, g) with true degrees: the Sylvester determinant, f's rows first."""
     if f.is_zero() or g.is_zero():
         raise InputError("resultant of the zero polynomial is undefined")
     n, m = f.degree, g.degree
-    if n == 0 and m == 0:
-        return Fraction(1)
+    if n == 0:
+        return f.lc**m
+    if m == 0:
+        return g.lc**n
     sf, fi = f.integer_primitive()
     sg, gi = g.integer_primitive()
-    rows = _sylvester_rows(list(reversed(fi)), list(reversed(gi)), m, n)
-    det = det_bareiss(rows)
-    return det * sf**m * sg**n
+    return _integer_resultant(list(fi), list(gi)) * sf**m * sg**n
 
 
 def discriminant(f: QPoly) -> Fraction:
@@ -273,18 +349,23 @@ def binary_form_resultant(f_coeffs, g_coeffs, d: int) -> Fraction:
     Coefficient lists are ascending: entry i is the coefficient of
     X^i Y^(d-i).  The result is the determinant of the 2d x 2d Sylvester
     matrix built from the formal coefficient lists (F rows on top), which
-    scales by lambda^(2d) when both forms are scaled by lambda.
+    scales by lambda^(2d) when both forms are scaled by lambda.  It is
+    read off the affine resultant: when F has full degree and G affine
+    degree e, the top d - e rows of G are zero and the determinant is
+    lc(F)^(d-e) * Res(F, G); when only G has full degree the two row
+    blocks swap first, with sign (-1)^(d*(d - deg F)); when neither has
+    full degree both forms vanish at infinity and the determinant is 0.
     """
     if d < 1:
         raise InputError("formal degree must be >= 1")
-    fc = [Fraction(c) for c in f_coeffs]
-    gc = [Fraction(c) for c in g_coeffs]
-    if len(fc) != d + 1 or len(gc) != d + 1:
+    if len(f_coeffs) != d + 1 or len(g_coeffs) != d + 1:
         raise InputError(f"coefficient lists must have length d+1 = {d + 1}")
-    den_f = lcm(*[c.denominator for c in fc]) if fc else 1
-    den_g = lcm(*[c.denominator for c in gc]) if gc else 1
-    fi = [int(c * den_f) for c in fc]
-    gi = [int(c * den_g) for c in gc]
-    rows = _sylvester_rows(list(reversed(fi)), list(reversed(gi)), d, d)
-    det = det_bareiss(rows)
-    return Fraction(det, den_f**d * den_g**d)
+    f, g = QPoly(f_coeffs), QPoly(g_coeffs)
+    if f.is_zero() or g.is_zero():
+        return Fraction(0)
+    if f.degree == d:
+        return f.lc ** (d - g.degree) * resultant(f, g)
+    if g.degree == d:
+        sign = -1 if d * (d - f.degree) % 2 else 1
+        return sign * g.lc ** (d - f.degree) * resultant(f, g)
+    return Fraction(0)

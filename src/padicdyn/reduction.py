@@ -6,8 +6,10 @@ proves p prime once and derives each artifact on first use and only
 once: the p-primitive integral model, the reduced map, the strict good
 reduction report, the critical divisor and the postcritical set, the
 iterates over Q and over F_p (extended one composition at a time), the
-fiber forms keyed by (n, x), and the factorizations over finite fields
-keyed by their monic coefficients.  The analysis functions take a
+fiber forms keyed by (n, x), and the factor degrees of polynomials over
+F_p keyed by their monic coefficients (read off squarefree and
+distinct-degree factorization; only the PC set, which needs the factors
+themselves, runs Cantor-Zassenhaus).  The analysis functions take a
 session, so the reduction, the PC set and the towers of one query share
 all of it; the memo lives on the session and is dropped with it.
 
@@ -36,6 +38,7 @@ from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import (
     FqField,
     FqPoly,
+    distinct_degree,
     fiber_form,
     form_compose_pair,
     form_from_poly,
@@ -43,6 +46,7 @@ from .finitefield import (
     form_is_zero,
     fq_factor,
     iterate_forms,
+    squarefree_decomposition,
 )
 from .maps import (
     DEGREE_CAP,
@@ -65,7 +69,7 @@ class MapAtPrime:
     """One rational map at one prime, with everything derived from it once.
 
     Properties are computed on first access and kept; iterates grow one
-    composition at a time; fiber forms and factorizations are kept by
+    composition at a time; fiber forms and factor degrees are kept by
     key.  cap_degree bounds the degree d^n of every iterate asked for.
     """
 
@@ -77,7 +81,7 @@ class MapAtPrime:
         self._iterates = [model]
         self._fiber_forms = {}
         self._reduced_fibers = {}
-        self._factors = {}
+        self._factor_degrees = {}
 
     @property
     def d(self) -> int:
@@ -150,13 +154,23 @@ class MapAtPrime:
             self._reduced_fibers[key] = fiber_form(self.rmap.field, Fn, Gn, a, b)
         return self._reduced_fibers[key]
 
-    def factor(self, poly: FqPoly) -> tuple:
-        """fq_factor of poly, run once per field and monic coefficient tuple."""
+    def factor_degrees(self, poly: FqPoly) -> tuple:
+        """Sorted (degree, multiplicity) of each irreducible factor of poly.
+
+        Squarefree decomposition, then distinct-degree splitting: a part of
+        degree k made of degree-e irreducibles holds k/e of them, so no
+        factor is ever split off.  Computed once per field and monic
+        coefficient tuple.
+        """
         monic = poly.monic()
         key = (monic.field, monic.coeffs)
-        if key not in self._factors:
-            self._factors[key] = tuple(fq_factor(monic))
-        return self._factors[key]
+        if key not in self._factor_degrees:
+            out = []
+            for part, mult in squarefree_decomposition(monic):
+                for prod, e in distinct_degree(part):
+                    out.extend([(e, mult)] * (prod.degree // e))
+            self._factor_degrees[key] = tuple(sorted(out))
+        return self._factor_degrees[key]
 
 
 @dataclass(frozen=True)

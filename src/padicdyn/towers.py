@@ -10,19 +10,21 @@ ramification claim, and carries the Newton polygon as a diagnostic.
 
 Reduced preimage trees live in a single splitting field F_{p^m}, with
 parent edges given by the reduced map and the p-power Frobenius acting
-on every level.  The F_p factorizations of the level fibers fix m; the
-tree is then climbed one level at a time.  For one point y = [a : b] of
+on every level.  The F_p factor degrees of the level fibers, read off
+distinct-degree factorization with no factor split off, fix m as their
+lcm; the tree is then climbed one level at a time.  For one point y = [a : b] of
 each Frobenius orbit of level n - 1, the degree-d form b*F1 - a*G1 is
 split into its roots over F_{p^m} (infinity when its affine degree
 drops), and the preimages of y's conjugates are the Frobenius images of
 y's.  So no level polynomial is ever factored over F_{p^m}, and every
-point is born with its parent.
+point is born with its parent.  ``fq_extension`` hands out a cached
+F_{p^m} with log tables, so the splitting is table lookups.
 
 Every function here takes a ``MapAtPrime`` session and reads its
-iterates, fiber forms and factorizations from it, so the certificate,
+iterates, fiber forms and factor degrees from it, so the certificate,
 the Frobenius cycle type and the preimage tree of one level share one
-iterate and, whenever they factor the same polynomial over F_p, one
-factorization.
+iterate and, whenever they read the same polynomial over F_p, one
+distinct-degree factorization.
 """
 
 from __future__ import annotations
@@ -165,12 +167,10 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
     newton = None
     if unramified:
         reduced = FqPoly.of_integers(prime_field_of(p), [int(c) for c in poly.coeffs])
-        degs = []
-        for fac, mult in mp.factor(reduced):
-            if mult != 1:
-                raise InternalError("unit discriminant forces a squarefree reduction")
-            degs.append(fac.degree)
-        factor_degrees = tuple(sorted(degs))
+        degs = mp.factor_degrees(reduced)
+        if any(mult != 1 for _, mult in degs):
+            raise InternalError("unit discriminant forces a squarefree reduction")
+        factor_degrees = tuple(e for e, _ in degs)
     else:
         newton = newton_polygon(poly, p)
     return FiberReport(
@@ -217,7 +217,7 @@ def frobenius_cycle_type(mp: MapAtPrime, n: int, xbar: int | None) -> tuple:
     inf_mult = (len(fib) - 1) - poly.degree
     degs = []
     if poly.degree >= 1:
-        degs = [fac.degree for fac, _ in mp.factor(poly)]
+        degs = [e for e, _ in mp.factor_degrees(poly)]
     degs.extend([1] * inf_mult)
     out = tuple(sorted(degs))
     if sum(out) != mp.d**n:
@@ -299,7 +299,7 @@ def preimage_tree(
             )
         poly = FqPoly(field, fib)
         if poly.degree >= 1:
-            degrees.update(fac.degree for fac, _ in mp.factor(poly))
+            degrees.update(e for e, _ in mp.factor_degrees(poly))
 
     m = 1
     for deg in degrees:

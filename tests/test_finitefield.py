@@ -7,7 +7,9 @@ import sympy
 
 from padicdyn.errors import InputError, ResourceLimitError
 from padicdyn.finitefield import (
+    TABLE_Q,
     FqField,
+    _LogField,
     FqPoly,
     fiber_form,
     form_compose_pair,
@@ -63,6 +65,54 @@ def test_frobenius_is_additive_and_fixes_prime_field():
         )
     for a in range(3):
         assert field.frobenius(field.of_int(a)) == field.of_int(a)
+
+
+def _agree(tab, dig, a, b):
+    q = tab.q
+    assert tab.add(a, b) == dig.add(a, b)
+    assert tab.sub(a, b) == dig.sub(a, b)
+    assert tab.mul(a, b) == dig.mul(a, b)
+    assert tab.neg(a) == dig.neg(a)
+    assert tab.frobenius(a) == dig.frobenius(a)
+    for e in (0, 1, 2, tab.p, q - 2, q - 1, q + 3):
+        assert tab.pow(a, e) == dig.pow(a, e)
+    if a:
+        assert tab.inv(a) == dig.inv(a)
+        assert tab.pow(a, -3) == dig.pow(a, -3)
+    else:
+        for field in (tab, dig):
+            with pytest.raises(ZeroDivisionError):
+                field.inv(0)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_log_tables_match_digit_arithmetic_exhaustively(p, m):
+    tab = fq_extension(p, m)
+    dig = FqField(p, m, tab.modulus)  # a field as pushforward builds it
+    assert isinstance(tab, _LogField) and not isinstance(dig, _LogField)
+    assert fq_extension(p, m) is tab
+    for a in tab.elements():
+        for b in tab.elements():
+            _agree(tab, dig, a, b)
+    if p == 2:
+        assert all(tab.neg(a) == a for a in tab.elements())
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 4)])
+def test_log_tables_match_digit_arithmetic_sampled(p, m):
+    tab = fq_extension(p, m)
+    dig = FqField(p, m, tab.modulus)
+    assert isinstance(tab, _LogField)
+    rng = random.Random(tab.q)
+    for a in (0, 1, p - 1, p, tab.q - 1):
+        _agree(tab, dig, a, rng.randrange(tab.q))
+    for _ in range(600):
+        _agree(tab, dig, rng.randrange(tab.q), rng.randrange(tab.q))
+
+
+def test_large_extensions_keep_digit_arithmetic():
+    field = fq_extension(2, 13)
+    assert field.q > TABLE_Q and not isinstance(field, _LogField)
 
 
 def test_bad_modulus_rejected():

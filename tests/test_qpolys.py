@@ -52,6 +52,43 @@ def test_resultant_matches_sylvester_determinant():
         assert ours == _sylvester_det(f, g)
 
 
+def test_resultant_edge_cases_match_sylvester_determinant():
+    # shared factors (resultant 0), constants, non-monic and rational inputs,
+    # and degrees past the random test's
+    rng = random.Random(43)
+    cases = [
+        ([3], [1, 2, 5]),
+        ([1, 2, 5], [-3]),
+        ([4], [7]),
+        ([-4, 1], [0, 0, 0, 1]),
+        ([0, 0, 0, 1], [-4, 1]),
+        ([Fraction(1, 2), 3], [Fraction(-2, 3), 0, Fraction(5, 4)]),
+    ]
+    for _ in range(30):
+        common = _random_poly(rng, rng.randint(1, 2))
+        f = (QPoly(common) * QPoly(_random_poly(rng, rng.randint(0, 3)))).coeffs
+        g = (QPoly(common) * QPoly(_random_poly(rng, rng.randint(0, 3)))).coeffs
+        cases.append((list(f), list(g)))
+    for _ in range(15):
+        cases.append((_random_poly(rng, rng.randint(6, 9)), _random_poly(rng, rng.randint(6, 9))))
+    for f, g in cases:
+        want = _sylvester_det(f, g)
+        assert resultant(QPoly(f), QPoly(g)) == want, (f, g)
+    assert resultant(QPoly([-4, 1]), QPoly([0, 0, 0, 1])) == 64
+
+
+def test_discriminant_matches_sylvester_determinant():
+    rng = random.Random(47)
+    for _ in range(40):
+        f = _random_poly(rng, rng.randint(1, 8))
+        if rng.random() < 0.3:
+            f = list((QPoly(f) * QPoly(f[:2] or [1, 1])).coeffs)  # a repeated factor
+        n = len(f) - 1
+        df = [i * c for i, c in enumerate(f)][1:]
+        sign = -1 if n * (n - 1) // 2 % 2 else 1
+        assert discriminant(QPoly(f)) == sign * _sylvester_det(f, df) / f[-1]
+
+
 def test_resultant_matches_sympy_up_to_antisymmetry():
     rng = random.Random(29)
     for _ in range(40):
@@ -98,6 +135,24 @@ def test_binary_form_resultant_dehomogenized_agreement():
         f = _random_poly(rng, d)
         g = _random_poly(rng, d)
         assert binary_form_resultant(f, g, d) == resultant(QPoly(f), QPoly(g))
+
+
+def test_binary_form_resultant_matches_formal_sylvester_determinant():
+    # formal coefficient lists, vanishing top coefficients (roots at
+    # infinity) included, against the 2d x 2d determinant
+    rng = random.Random(53)
+    for _ in range(120):
+        d = rng.randint(1, 5)
+        f = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(d + 1)]
+        g = [Fraction(rng.randint(-6, 6)) for _ in range(d + 1)]
+        for form in (f, g):
+            for k in range(rng.choice([0, 0, 1, 2])):
+                form[d - k] = 0
+        if rng.random() < 0.2:
+            f = [0] + [c for c in f[:-1]]  # a root at X = 0
+            g = [0] + [c for c in g[:-1]]
+        assert binary_form_resultant(f, g, d) == _sylvester_det(f, g), (f, g, d)
+    assert binary_form_resultant([0, 0, 0], [1, 2, 3], 2) == 0
 
 
 def test_binary_form_resultant_formal_scaling():

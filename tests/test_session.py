@@ -2,14 +2,17 @@
 
 import contextlib
 import io
+import random
 import sys
 
 import pytest
+import sympy
 
 import padicdyn.cli as cli
+import padicdyn.reduction as reduction
 from corpus_util import random_models
 from padicdyn.errors import InputError
-from padicdyn.finitefield import FqPoly, fq_factor, iterate_forms
+from padicdyn.finitefield import FqPoly, iterate_forms, prime_field_of
 from padicdyn.maps import iterate_map, parse_map
 from padicdyn.reduction import MapAtPrime
 
@@ -45,7 +48,14 @@ def test_each_query_derives_its_artifacts_once(monkeypatch, argv, n_max):
     reduced = _count(monkeypatch, "maps", "reduce_map")
     composed_q = _count(monkeypatch, "maps", "compose_map")
     composed_fp = _count(monkeypatch, "finitefield", "form_compose_pair")
-    factored = _count(monkeypatch, "finitefield", "fq_factor")
+    # squarefree decomposition as the session calls it, not as fq_factor does
+    decomposed = []
+    original = reduction.squarefree_decomposition
+    monkeypatch.setattr(
+        reduction,
+        "squarefree_decomposition",
+        lambda f: decomposed.append(f) or original(f),
+    )
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv + ["--format", "json"]) == 0
 
@@ -54,8 +64,17 @@ def test_each_query_derives_its_artifacts_once(monkeypatch, argv, n_max):
     assert len(composed_q) <= n_max - 1
     # one composition of the reduced map substitutes into both of its forms
     assert len(composed_fp) <= 2 * (n_max - 1)
-    keys = [(f.field, f.monic().coeffs) for f, *_ in factored]
+    keys = [(f.field, f.monic().coeffs) for f in decomposed]
     assert len(keys) == len(set(keys)) > 0
+
+
+def test_tower_factors_nothing_but_the_critical_divisor(monkeypatch):
+    # fibers need only factor degrees; the one fq_factor call is the PC
+    # set's, on the critical divisor 2z of the reduced map z^2
+    factored = _count(monkeypatch, "finitefield", "fq_factor")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "4"]) == 0
+    assert [args[0] for args in factored] == [FqPoly(prime_field_of(5), (0, 2))]
 
 
 def test_session_checks_the_prime():
@@ -85,11 +104,46 @@ def test_session_iterates_match_the_free_functions():
             assert mp.reduced_iterate(n) == iterate_forms(rmap.field, rmap.F1, rmap.G1, n)
 
 
-def test_session_factor_is_keyed_by_monic_coefficients(monkeypatch):
+def test_session_factor_degrees_are_keyed_by_monic_coefficients(monkeypatch):
     mp = MapAtPrime(parse_map("z^2", 5), 5)
     field = mp.rmap.field
-    factored = _count(monkeypatch, "finitefield", "fq_factor")
-    f = FqPoly(field, (1, 0, 0, 1))
-    assert list(mp.factor(f)) == fq_factor(f)
-    assert list(mp.factor(f.scale(3))) == fq_factor(f)
-    assert len(factored) == 1
+    decomposed = _count(monkeypatch, "reduction", "squarefree_decomposition")
+    f = FqPoly(field, (1, 0, 0, 1))  # T^3 + 1 = (T + 1)(T^2 - T + 1)
+    assert mp.factor_degrees(f) == ((1, 1), (2, 1))
+    assert mp.factor_degrees(f.scale(3)) == ((1, 1), (2, 1))
+    assert len(decomposed) == 1
+
+
+def _sympy_degrees(coeffs, p):
+    T = sympy.Symbol("T")
+    _, factors = sympy.Poly(list(reversed(coeffs)), T, modulus=p).factor_list()
+    return tuple(sorted((fac.degree(), mult) for fac, mult in factors))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_factor_degrees_match_sympy(p):
+    rng = random.Random(41 + p)
+    field = prime_field_of(p)
+    mp = MapAtPrime(parse_map("z^2", p), p)
+    for _ in range(40):
+        # a product of random factors, some repeated, some p-th powers
+        coeffs = [rng.randrange(1, p)]
+        for _ in range(rng.randint(1, 4)):
+            deg = rng.randint(1, 4)
+            fac = [rng.randrange(p) for _ in range(deg)] + [1]
+            power = rng.choice([1, 1, 2, 3, p, 2 * p])
+            for _ in range(power):
+                coeffs = list((FqPoly(field, coeffs) * FqPoly(field, fac)).coeffs)
+        assert mp.factor_degrees(FqPoly(field, coeffs)) == _sympy_degrees(coeffs, p)
+
+
+def test_factor_degrees_of_pth_powers():
+    # T^4 + 1 = (T + 1)^4 over F_2; (T^3 + 2)^3 * T^2 = (T + 2)^9 T^2 over F_3
+    for p, coeffs, want in [
+        (2, [1, 0, 0, 0, 1], ((1, 4),)),
+        (3, [0, 0, 8, 0, 0, 12, 0, 0, 6, 0, 0, 1], ((1, 2), (1, 9))),
+        (2, [1, 1, 1, 0, 1, 1, 1], None),
+    ]:
+        mp = MapAtPrime(parse_map("z^2", p), p)
+        f = FqPoly.of_integers(prime_field_of(p), coeffs)
+        assert mp.factor_degrees(f) == (want or _sympy_degrees(coeffs, p))
