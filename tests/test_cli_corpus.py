@@ -72,6 +72,10 @@ CORPUS = [
     # exit code 3: resource caps
     ["orbit", "z^2", "-p", "5", "-x", "2", "-N", "30", "--cap-height", "16"],
     ["tower", "z^2+1", "-p", "3", "-x", "0", "-n", "9", "--cap-degree", "64", "--format", "json"],
+    # integers of more than 4,300 digits (the default limit of str(int))
+    ["analyze", "z^2+7^4000*7^4000", "-p", "5"],
+    ["tower", "z^2+7^4000*7^4000", "-p", "5", "-x", "1", "-n", "1", "--format", "json"],
+    ["orbit", "z^2+7^4000*7^4000", "-p", "5", "-x", "0", "-N", "2", "-n", "0", "--format", "json"],
 ]
 
 
