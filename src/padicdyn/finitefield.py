@@ -6,12 +6,23 @@ generator, lowest degree first.  The prime subfield is therefore encoded
 by the ints 0..p-1 in every extension, which makes lifting coefficient
 lists between F_p and F_{p^m} a no-op.
 
+An FqField computes on the digits.  ``fq_extension`` caches the
+splitting fields it hands out per (p, m), so each modulus is searched and
+proved irreducible once per process; those of at most TABLE_Q = 2^12
+elements carry exp/log/Zech tables that make every operation a list
+lookup on the same encoding.  The tables cost q - 1 digit
+multiplications to build (about 0.07 s at 2^12 and 1.4 s at 2^16 on a
+2-core VM), which a tree in a larger field would seldom repay.  Fields
+built directly, as the postcritical pushforward builds one per closed
+point, stay on digits.
+
 Polynomials (FqPoly) store ascending coefficient tuples of encoded
 elements, trailing zeros trimmed.  Factorization runs squarefree
 decomposition, then distinct-degree splitting, then Cantor-Zassenhaus
 equal-degree splitting driven by a seeded random stream; the returned
 factor list is sorted by (degree, coefficient tuple) so the output is
-reproducible independently of the stream.
+reproducible independently of the stream.  Callers that need only the
+factor degrees stop after the distinct-degree step.
 
 Binary forms of a fixed formal degree D are ascending tuples of length
 D + 1 (entry i is the coefficient of X^i Y^(D-i)); they are never trimmed,
@@ -27,7 +38,7 @@ from .errors import InputError, ResourceLimitError
 from .padics import require_prime
 
 FIELD_SIZE_CAP = 1 << 20
-TABLE_Q = 1 << 12  # fq_extension fields up to this size get log tables
+TABLE_Q = 1 << 12
 EXTENSION_CACHE = 8
 
 

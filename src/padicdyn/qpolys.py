@@ -292,12 +292,16 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
 
 
 def _integer_resultant(a: list[int], b: list[int]) -> int:
-    """Res(a, b) of integer polynomials (ascending, degrees >= 1).
+    """Res(a, b) of nonzero integer polynomials, ascending, true degrees.
 
-    Subresultant PRS (Brown-Traub 1971; Cohen, GTM 138, Alg. 3.3.7); the
-    divisions by g*h^delta and h^(delta-1) are exact over Z, so the
-    coefficients stay the size of subresultants.
+    Subresultant PRS (Cohen, Alg. 3.3.7, without its content step): the
+    divisions by g*h^delta and h^(delta-1) are exact over Z and keep the
+    coefficients the size of subresultants.
     """
+    if len(a) == 1:
+        return a[0] ** (len(b) - 1)
+    if len(b) == 1:
+        return b[0] ** (len(a) - 1)
     s = 1
     if len(a) < len(b):
         a, b = b, a
@@ -324,14 +328,9 @@ def resultant(f: QPoly, g: QPoly) -> Fraction:
     """Res(f, g) with true degrees: the Sylvester determinant, f's rows first."""
     if f.is_zero() or g.is_zero():
         raise InputError("resultant of the zero polynomial is undefined")
-    n, m = f.degree, g.degree
-    if n == 0:
-        return f.lc**m
-    if m == 0:
-        return g.lc**n
     sf, fi = f.integer_primitive()
     sg, gi = g.integer_primitive()
-    return _integer_resultant(list(fi), list(gi)) * sf**m * sg**n
+    return _integer_resultant(list(fi), list(gi)) * sf**g.degree * sg**f.degree
 
 
 def discriminant(f: QPoly) -> Fraction:
@@ -360,12 +359,22 @@ def binary_form_resultant(f_coeffs, g_coeffs, d: int) -> Fraction:
         raise InputError("formal degree must be >= 1")
     if len(f_coeffs) != d + 1 or len(g_coeffs) != d + 1:
         raise InputError(f"coefficient lists must have length d+1 = {d + 1}")
-    f, g = QPoly(f_coeffs), QPoly(g_coeffs)
-    if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    if f.degree == d:
-        return f.lc ** (d - g.degree) * resultant(f, g)
-    if g.degree == d:
-        sign = -1 if d * (d - f.degree) % 2 else 1
-        return sign * g.lc ** (d - f.degree) * resultant(f, g)
-    return Fraction(0)
+    fc = [Fraction(c) for c in f_coeffs]
+    gc = [Fraction(c) for c in g_coeffs]
+    den_f = lcm(*[c.denominator for c in fc])
+    den_g = lcm(*[c.denominator for c in gc])
+    fi = [int(c * den_f) for c in fc]
+    gi = [int(c * den_g) for c in gc]
+    for form in (fi, gi):
+        while form and form[-1] == 0:
+            form.pop()
+    if not fi or not gi:
+        det = 0
+    elif len(fi) == d + 1:
+        det = fi[-1] ** (d + 1 - len(gi)) * _integer_resultant(fi, gi)
+    elif len(gi) == d + 1:
+        sign = -1 if d * (d + 1 - len(fi)) % 2 else 1
+        det = sign * gi[-1] ** (d + 1 - len(fi)) * _integer_resultant(fi, gi)
+    else:
+        det = 0
+    return Fraction(det, den_f**d * den_g**d)

@@ -6,20 +6,17 @@ frozen corpus invocations and the two forced internal alarms of
 ``test_cli.py`` run in an optimized subprocess and must match.
 """
 
-import contextlib
-import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import padicdyn.cli as cli
 import padicdyn.reduction as reduction
 import padicdyn.towers as towers
-from test_cli_corpus import CORPUS, STORE
+from test_cli_corpus import CORPUS, STORE, run
 
-ROOT = Path(__file__).resolve().parent.parent
+TESTS = Path(__file__).resolve().parent
 
 CASES = [
     ["analyze", "z^3+z", "-p", "3", "--format", "json"],
@@ -32,68 +29,46 @@ CASES = [
     ["tower", "z^2+1", "-p", "3", "-x", "0", "-n", "9", "--cap-degree", "64", "--format", "json"],
 ]
 
-# runs in the subprocess: the cases, then each alarm with its fault forced
-SCRIPT = """
-import contextlib, io, json, sys
-import padicdyn.reduction as reduction
-import padicdyn.towers as towers
-from test_optimized import ALARMS, CASES, run
+# (argv, module, attribute, fault): each fault trips an internal alarm
+ALARMS = [
+    # a fiber criterion that rejects every fiber contradicts the resultant
+    (["analyze", "z^2+p", "-p", "5"], reduction, "form_is_squarefree", lambda f: lambda field, form: False),
+    # a climb that loses a root leaves a tree level short of d^n points
+    (["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "2"], towers, "split_roots", lambda f: lambda g: f(g)[1:]),
+]
 
+SCRIPT = """
+import json, sys
+from test_optimized import CASES, alarm_outputs, run
 if __debug__:
     sys.exit("not running under -O")
-out = [run(argv) for argv in CASES]
-for argv, module, attr, fault in ALARMS:
-    home = reduction if module == "reduction" else towers
-    original = getattr(home, attr)
-    setattr(home, attr, fault(original))
-    out.append(run(argv))
-    setattr(home, attr, original)
-print(json.dumps(out))
+print(json.dumps([run(argv) for argv in CASES] + alarm_outputs()))
 """
 
 
-def _all_square_free_checks_fail(original):
-    return lambda field, form: False
-
-
-def _climb_loses_a_root(original):
-    return lambda f: original(f)[1:]
-
-
-ALARMS = [
-    (["analyze", "z^2+p", "-p", "5"], "reduction", "form_is_squarefree", _all_square_free_checks_fail),
-    (["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "2"], "towers", "split_roots", _climb_loses_a_root),
-]
-
-
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-
-
-def test_optimized_interpreter_gives_identical_output(monkeypatch):
-    stored = {tuple(e["argv"]): e for e in json.loads(STORE.read_text())}
-    want = [stored[tuple(argv)] for argv in CASES]
+def alarm_outputs():
+    out = []
     for argv, module, attr, fault in ALARMS:
-        home = reduction if module == "reduction" else towers
-        monkeypatch.setattr(home, attr, fault(getattr(home, attr)))
-        want.append(run(argv))
-        monkeypatch.undo()
-    assert [e["exit"] for e in want[len(CASES):]] == [4, 4]
+        original = getattr(module, attr)
+        setattr(module, attr, fault(original))
+        try:
+            out.append(run(argv))
+        finally:
+            setattr(module, attr, original)
+    return out
 
-    tests_dir = str(Path(__file__).resolve().parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), tests_dir]))
+
+def test_optimized_interpreter_gives_identical_output():
+    stored = {tuple(e["argv"]): e for e in json.loads(STORE.read_text())}
+    alarms = alarm_outputs()
+    assert [e["exit"] for e in alarms] == [4, 4]
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
     res = subprocess.run(
-        [sys.executable, "-O", "-c", SCRIPT],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        env=env,
+        [sys.executable, "-O", "-c", SCRIPT], capture_output=True, text=True, env=env
     )
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == want
+    assert json.loads(res.stdout) == [stored[tuple(argv)] for argv in CASES] + alarms
 
 
 def test_cases_are_in_the_frozen_corpus():
