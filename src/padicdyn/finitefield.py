@@ -39,7 +39,6 @@ from .padics import require_prime
 
 FIELD_SIZE_CAP = 1 << 20
 TABLE_Q = 1 << 12
-EXTENSION_CACHE = 8
 
 
 class FqField:
@@ -282,7 +281,7 @@ def fq_extension(p: int, m: int, *, cap: int = FIELD_SIZE_CAP) -> FqField:
     return _extension(p, m)
 
 
-@lru_cache(maxsize=EXTENSION_CACHE)
+@lru_cache(maxsize=8)
 def _extension(p: int, m: int) -> FqField:
     prime_field = prime_field_of(p)
     for k in range(p**m):
