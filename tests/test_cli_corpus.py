@@ -76,6 +76,11 @@ CORPUS = [
     ["analyze", "z^2+7^4000*7^4000", "-p", "5"],
     ["tower", "z^2+7^4000*7^4000", "-p", "5", "-x", "1", "-n", "1", "--format", "json"],
     ["orbit", "z^2+7^4000*7^4000", "-p", "5", "-x", "0", "-N", "2", "-n", "0", "--format", "json"],
+    # moduli grid corners: a winner at a < 0, a full walk whose best is not 0,
+    # and a full walk that keeps the identity on ties
+    ["moduli", "z^2/p", "-p", "5", "--format", "json"],
+    ["moduli", "(z^2+p*z)/p^2", "-p", "3"],
+    ["moduli", "z^3+2/p", "-p", "5", "--format", "json"],
 ]
 
 
