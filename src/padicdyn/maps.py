@@ -14,6 +14,7 @@ before it has to.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from .qpolys import QPoly, binary_form_resultant, int_str, poly_str, rational_st
 
 DEGREE_CAP = 4096
 HEIGHT_CAP_BITS = 10**6
+
+_RATIONAL_TEXT = re.compile(r"(?P<sign>[+-]?)(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?")
 
 
 class ProjPointQ:
@@ -65,6 +68,13 @@ class ProjPointQ:
             s = x.strip().lower()
             if s in ("inf", "infinity", "oo"):
                 return cls.infinity()
+            plain = _RATIONAL_TEXT.fullmatch(s)
+            if plain:
+                # digits are read directly: Fraction(s) refuses more than 4,300
+                a = _int_of_digits(plain["num"])
+                b = _int_of_digits(plain["den"] or "1")
+                if b:
+                    return cls(-a if plain["sign"] == "-" else a, b)
             try:
                 x = Fraction(s)
             except (ValueError, ZeroDivisionError) as exc:
