@@ -81,6 +81,9 @@ CORPUS = [
     ["moduli", "z^2/p", "-p", "5", "--format", "json"],
     ["moduli", "(z^2+p*z)/p^2", "-p", "3"],
     ["moduli", "z^3+2/p", "-p", "5", "--format", "json"],
+    # basepoints of more than 4,300 digits
+    ["tower", "z^2", "-p", "5", "-x", "1" * 5000, "-n", "1"],
+    ["orbit", "z^2", "-p", "5", "-x", "1" * 5000 + "/3", "-N", "2", "-n", "0", "--format", "json"],
 ]
 
 
