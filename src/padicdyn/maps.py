@@ -1,11 +1,12 @@
 """Rational self-maps of P^1 over Q.
 
-A map phi = [F : G] is stored as a pair of degree-d binary forms with
-exact rational coefficients, written in ascending tuples: entry i of F
-is the coefficient of X^i Y^(d-i).  Models are canonicalized on
-construction (integer coefficients, joint content 1, first nonzero
-coefficient positive), so two constructions of the same projective map
-compare equal.
+A map phi = [F : G] is stored as a pair of degree-d binary forms,
+written in ascending tuples: entry i of F is the coefficient of
+X^i Y^(d-i).  Models are canonicalized on construction (integer
+coefficients, joint content 1, first nonzero coefficient of G positive),
+so two constructions of the same projective map compare equal.  Content
+1 means some coefficient is prime to p at every prime p, so a model is
+its own p-primitive integral model everywhere.
 
 The point at infinity is uniformly [1 : 0]; no code path dehomogenizes
 before it has to.
@@ -187,10 +188,11 @@ class Mobius:
         return f"Mobius({self.formula()})"
 
 
-# -- binary forms with Fraction coefficients (ascending, fixed formal degree)
+# -- binary forms with integer coefficients (ascending, fixed formal degree)
 
 
 def _qform_mul(A, B):
+    """Product of two integer binary forms."""
     out = [0] * (len(A) + len(B) - 1)
     for i, x in enumerate(A):
         if x:
@@ -200,37 +202,41 @@ def _qform_mul(A, B):
     return tuple(out)
 
 
-def _qform_compose_pair(coeffs, pair):
+def _qform_compose_pair(forms, pair):
+    """Each integer form F of degree d in ``forms`` at (X, Y) = (A, B).
+
+    A and B are integer forms of one formal degree e; the monomials
+    A^i B^(d-i) are built once and shared by all the forms.
+    """
     A, B = pair
-    d = len(coeffs) - 1
+    d = len(forms[0]) - 1
     pa, pb = [(1,)], [(1,)]
     for _ in range(d):
         pa.append(_qform_mul(pa[-1], A))
         pb.append(_qform_mul(pb[-1], B))
-    e = len(A) - 1
-    out = [0] * (d * e + 1)
-    for i, c in enumerate(coeffs):
-        if c:
-            term = _qform_mul(pa[i], pb[d - i])
-            for k, v in enumerate(term):
-                out[k] += c * v
-    return tuple(out)
+    monomials = [_qform_mul(pa[i], pb[d - i]) for i in range(d + 1)]
+    out = []
+    for coeffs in forms:
+        acc = [0] * (d * (len(A) - 1) + 1)
+        for c, term in zip(coeffs, monomials):
+            if c:
+                for k, v in enumerate(term):
+                    acc[k] += c * v
+        out.append(tuple(acc))
+    return out
 
 
 def _canonical_integer_pair(F, G):
     """Scale a rational form pair jointly: integer, content 1, fixed sign.
 
-    The sign is chosen so the first nonzero coefficient of G (or of F when
-    G vanishes) is positive, which keeps denominators positive in display.
+    Coefficients are ints or Fractions.  The sign is chosen so the first
+    nonzero coefficient of G (or of F when G vanishes) is positive, which
+    keeps denominators positive in display.
     """
-    allc = [Fraction(c) for c in F] + [Fraction(c) for c in G]
-    den = 1
-    for c in allc:
-        den = math.lcm(den, c.denominator)
-    ints = [int(c * den) for c in allc]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
+    allc = (*F, *G)
+    den = math.lcm(*(c.denominator for c in allc))
+    ints = [c.numerator * (den // c.denominator) for c in allc]
+    g = math.gcd(*ints)
     if g == 0:
         raise InputError("map forms are both identically zero")
     ints = [c // g for c in ints]
@@ -517,7 +523,10 @@ def parse_map(text: str, prime: int) -> RationalMapModel:
 
 @dataclass(frozen=True)
 class IntegralModel:
-    """A p-primitive integer model: all coefficients integers, min vp = 0."""
+    """A p-primitive integer model: all coefficients integers, min vp = 0.
+
+    It is the canonical model itself: content 1 is p-primitive at every p.
+    """
 
     d: int
     F: tuple
@@ -531,35 +540,9 @@ class IntegralModel:
         return binary_form_resultant(self.F, self.G, self.d)
 
 
-def p_primitive_pair(F_coeffs, G_coeffs, p: int):
-    """Jointly scale two rational coefficient tuples to a p-primitive integer pair.
-
-    Multiplies by the prime-to-p part of the common denominator (a p-adic
-    unit), then by the power of p that brings the minimum valuation to 0.
-    """
-    allc = [Fraction(c) for c in F_coeffs] + [Fraction(c) for c in G_coeffs]
-    if all(c == 0 for c in allc):
-        raise InputError("cannot scale the zero pair")
-    den = 1
-    for c in allc:
-        den = math.lcm(den, c.denominator)
-    while den % p == 0:
-        den //= p
-    allc = [c * den for c in allc]
-    minv = min(vp(p, c) for c in allc if c != 0)
-    scale = Fraction(p) ** (-minv)
-    ints = [c * scale for c in allc]
-    out = [int(c) for c in ints]
-    if any(Fraction(o) != c for o, c in zip(out, ints)):  # pragma: no cover
-        raise InputError("p-primitive scaling did not produce integers")
-    k = len(F_coeffs)
-    return tuple(out[:k]), tuple(out[k:])
-
-
 def normalize_integral(model: RationalMapModel, p: int) -> IntegralModel:
-    """The p-primitive integer model of a map; p is trusted to be prime."""
-    F, G = p_primitive_pair(model.F, model.G, p)
-    return IntegralModel(d=model.d, F=F, G=G, p=p)
+    """The p-primitive integer model of a map: its canonical forms at p."""
+    return IntegralModel(d=model.d, F=model.F, G=model.G, p=p)
 
 
 def compose_map(outer: RationalMapModel, inner: RationalMapModel) -> RationalMapModel:
@@ -569,10 +552,7 @@ def compose_map(outer: RationalMapModel, inner: RationalMapModel) -> RationalMap
     canonical models step by step gives the same model as composing the
     raw forms and canonicalizing once.
     """
-    pair = (inner.F, inner.G)
-    return RationalMapModel(
-        _qform_compose_pair(outer.F, pair), _qform_compose_pair(outer.G, pair)
-    )
+    return RationalMapModel(*_qform_compose_pair((outer.F, outer.G), (inner.F, inner.G)))
 
 
 def iterate_map(model: RationalMapModel, n: int, *, cap_degree: int = DEGREE_CAP):
@@ -590,16 +570,25 @@ def iterate_map(model: RationalMapModel, n: int, *, cap_degree: int = DEGREE_CAP
 
 
 def conjugate_map(model: RationalMapModel, M: Mobius) -> RationalMapModel:
-    """The model of M o phi o M^{-1}, content-normalized."""
-    a, b, c, d = M.alpha, M.beta, M.gamma, M.delta
-    # M^{-1} acts on [X : Y] by (X, Y) -> (delta X - beta Y, -gamma X + alpha Y)
-    U = (-b, d)
-    V = (a, -c)
-    FU = _qform_compose_pair(tuple(Fraction(x) for x in model.F), (U, V))
-    GU = _qform_compose_pair(tuple(Fraction(x) for x in model.G), (U, V))
-    newF = tuple(a * f + b * g for f, g in zip(FU, GU))
-    newG = tuple(c * f + d * g for f, g in zip(FU, GU))
-    return RationalMapModel(newF, newG)
+    """The model of M o phi o M^{-1}, content-normalized.
+
+    M's entries are cleared of denominators by their positive lcm first:
+    scaling M by lambda scales both new forms by lambda^(d+1), a factor
+    the canonical model divides out again, content and sign both.
+    """
+    entries = (M.alpha, M.beta, M.gamma, M.delta)
+    den = math.lcm(*(e.denominator for e in entries))
+    return conjugate_by_matrix(model, *(e.numerator * (den // e.denominator) for e in entries))
+
+
+def conjugate_by_matrix(model: RationalMapModel, a: int, b: int, c: int, d: int):
+    """The model of M o phi o M^{-1} for the integer matrix M = [[a, b], [c, d]]."""
+    # M^{-1} acts on [X : Y] by (X, Y) -> (d X - b Y, -c X + a Y), up to det M
+    FU, GU = _qform_compose_pair((model.F, model.G), ((-b, d), (a, -c)))
+    return RationalMapModel(
+        tuple(a * f + b * g for f, g in zip(FU, GU)),
+        tuple(c * f + d * g for f, g in zip(FU, GU)),
+    )
 
 
 def eval_map(model: RationalMapModel, point: ProjPointQ) -> ProjPointQ:

@@ -9,7 +9,7 @@ whether every integral basepoint reducing outside the postcritical set
 carried only UNRAMIFIED certificates.
 
 The moduli search is a bounded heuristic over conjugations
-z -> p^a z + b, optionally composed with inversion on either side.  It
+z -> p^a z + b and their composites with inversion on either side.  It
 can certify that the minimal resultant valuation is zero by exhibiting
 a witness; it never certifies a positive minimum.
 """
@@ -25,9 +25,8 @@ from .maps import (
     Mobius,
     ProjPointQ,
     RationalMapModel,
-    conjugate_map,
+    conjugate_by_matrix,
     eval_map,
-    normalize_integral,
 )
 from .padics import require_prime, vp
 from .reduction import MapAtPrime
@@ -204,57 +203,63 @@ class ModuliReport:
     tried: int
 
 
-def moduli_search(
-    model: RationalMapModel,
-    p: int,
-    *,
-    a_range=range(-3, 4),
-    b_set=None,
-    include_inversion: bool = True,
-) -> ModuliReport:
+# the exponents a of the search's conjugations z -> p^a z + b, b in range(p)
+MODULI_EXPONENTS = range(-3, 4)
+
+
+def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
     """Search z -> p^a z + b (and inversion composites) for a unit resultant.
 
-    Enumeration order is fixed: plain affine maps over the whole (a, b)
-    grid first (a ascending, then b), then the two inversion composites
-    grid by grid.  The first conjugate reaching valuation 0 stops the
-    search, and a zero witness is re-verified through the full reduction
-    report before being returned.  achieved_zero=False is inconclusive:
-    the family is a bounded heuristic, not a minimizer.
+    The grid is fixed: a in MODULI_EXPONENTS and b in range(p).  The
+    enumeration order is too: plain affine maps over the whole grid first
+    (a ascending, then b), then the affine maps composed with inversion
+    on the right, then on the left, each grid by grid.  Candidates are
+    integer matrices, p^a z + b scaled to (1, b p^-a, 0, p^-a) when a < 0,
+    and the conjugate's canonical model is its own p-primitive model, so
+    one resultant valuation rates each.  Ties keep the earlier candidate.
+    The first conjugate reaching valuation 0 stops the search, and a zero
+    witness is re-verified through the full reduction report before being
+    returned.  Only the reported candidate is built as a Mobius map.
+    achieved_zero=False is inconclusive: the family is a bounded
+    heuristic, not a minimizer.
     """
     require_prime(p)
-    if b_set is None:
-        b_set = range(p)
-    inv = Mobius.inversion()
+    affine = []
+    for a in MODULI_EXPONENTS:
+        for b in range(p):
+            s, t, u = (p**a, b, 1) if a >= 0 else (1, b * p**-a, p**-a)
+            affine.append((a, b, s, t, u))
 
     def candidates():
-        grid = [Mobius.affine(Fraction(p) ** a, b) for a in a_range for b in b_set]
-        yield from grid
-        if include_inversion:
-            for affine in grid:
-                yield affine.compose(inv)
-            for affine in grid:
-                yield inv.compose(affine)
+        # (kind, a, b, integer matrix): 0 for p^a z + b, 1 for it composed
+        # with inversion on the right, 2 for inversion composed with it
+        for a, b, s, t, u in affine:
+            yield 0, a, b, (s, t, 0, u)
+        for a, b, s, t, u in affine:
+            yield 1, a, b, (t, s, u, 0)
+        for a, b, s, t, u in affine:
+            yield 2, a, b, (0, u, s, t)
 
-    best_val = None
-    best_m = None
-    best_model = None
-    initial = None
+    best_val = best = best_model = initial = None
     tried = 0
-    for M in candidates():
-        conj = conjugate_map(model, M)
-        val = vp(p, normalize_integral(conj, p).resultant())
+    for kind, a, b, matrix in candidates():
+        conj = conjugate_by_matrix(model, *matrix)
+        val = vp(p, conj.resultant())
         tried += 1
-        if M == Mobius.identity():
+        if kind == a == b == 0:
             initial = val
         if best_val is None or val < best_val:
-            best_val, best_m, best_model = val, M, conj
+            best_val, best, best_model = val, (kind, a, b), conj
         if best_val == 0:
             break
     if initial is None:
-        initial = vp(p, normalize_integral(model, p).resultant())
+        initial = vp(p, model.resultant())
     achieved = best_val == 0
     if achieved and not MapAtPrime(best_model, p).sgr.is_strict_good_reduction:
         raise InternalError("zero witness failed re-verification")
+    kind, a, b = best
+    s = Fraction(p) ** a
+    best_m = Mobius(*[(s, b, 0, 1), (b, s, 1, 0), (0, 1, s, b)][kind])
     return ModuliReport(
         p=p,
         initial_valuation=initial,

@@ -345,26 +345,25 @@ def discriminant(f: QPoly) -> Fraction:
 def binary_form_resultant(f_coeffs, g_coeffs, d: int) -> Fraction:
     """Resultant of two binary forms of formal degree d.
 
-    Coefficient lists are ascending: entry i is the coefficient of
-    X^i Y^(d-i).  The result is the determinant of the 2d x 2d Sylvester
-    matrix built from the formal coefficient lists (F rows on top), which
-    scales by lambda^(2d) when both forms are scaled by lambda.  It is
-    read off the affine resultant: when F has full degree and G affine
-    degree e, the top d - e rows of G are zero and the determinant is
-    lc(F)^(d-e) * Res(F, G); when only G has full degree the two row
-    blocks swap first, with sign (-1)^(d*(d - deg F)); when neither has
-    full degree both forms vanish at infinity and the determinant is 0.
+    Coefficient lists are ascending: entry i, an int or a Fraction, is
+    the coefficient of X^i Y^(d-i).  The result is the determinant of the
+    2d x 2d Sylvester matrix built from the formal coefficient lists (F
+    rows on top), which scales by lambda^(2d) when both forms are scaled
+    by lambda.  It is read off the affine resultant: when F has full
+    degree and G affine degree e, the top d - e rows of G are zero and
+    the determinant is lc(F)^(d-e) * Res(F, G); when only G has full
+    degree the two row blocks swap first, with sign (-1)^(d*(d - deg F));
+    when neither has full degree both forms vanish at infinity and the
+    determinant is 0.
     """
     if d < 1:
         raise InputError("formal degree must be >= 1")
     if len(f_coeffs) != d + 1 or len(g_coeffs) != d + 1:
         raise InputError(f"coefficient lists must have length d+1 = {d + 1}")
-    fc = [Fraction(c) for c in f_coeffs]
-    gc = [Fraction(c) for c in g_coeffs]
-    den_f = lcm(*[c.denominator for c in fc])
-    den_g = lcm(*[c.denominator for c in gc])
-    fi = [int(c * den_f) for c in fc]
-    gi = [int(c * den_g) for c in gc]
+    den_f = lcm(*[c.denominator for c in f_coeffs])
+    den_g = lcm(*[c.denominator for c in g_coeffs])
+    fi = [c.numerator * (den_f // c.denominator) for c in f_coeffs]
+    gi = [c.numerator * (den_g // c.denominator) for c in g_coeffs]
     for form in (fi, gi):
         while form and form[-1] == 0:
             form.pop()

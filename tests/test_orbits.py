@@ -157,25 +157,10 @@ def test_moduli_search_frozen_witnesses():
     assert mr3.best_model.map_str() == "z^2+5"
 
 
-def test_moduli_search_respects_search_space():
-    # with the grid collapsed to the identity nothing can improve
-    mr = moduli_search(
-        parse_map("p*z^2 + z", 5),
-        5,
-        a_range=range(0, 1),
-        b_set=(0,),
-        include_inversion=False,
-    )
-    assert mr.tried == 1
-    assert not mr.achieved_zero
-    assert mr.best_valuation == mr.initial_valuation == 2
-    assert mr.best_mobius.formula() == "z"
-
-
 def test_moduli_search_never_worsens_and_is_sound():
     for p in (3, 5):
         for m in random_models(p, 12, seed=p + 19, degrees=(2,)):
-            mr = moduli_search(m, p, a_range=range(-2, 3))
+            mr = moduli_search(m, p)
             assert mr.best_valuation <= mr.initial_valuation
             assert mr.achieved_zero == (mr.best_valuation == 0)
             if mr.achieved_zero:
