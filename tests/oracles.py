@@ -1,5 +1,10 @@
 """Independent oracles that only the tests use."""
 
+from fractions import Fraction
+from math import gcd, lcm
+
+import sympy
+
 from padicdyn.errors import InputError
 from padicdyn.finitefield import FqField, form_degree
 
@@ -73,3 +78,99 @@ def map_table(field: FqField, F, G) -> dict:
             raise InputError("the forms share a zero mod p")
         table[z] = None if gz == 0 else field.mul(fz, field.inv(gz))
     return table
+
+
+def sylvester_det(f_asc, g_asc):
+    """Determinant of the textbook Sylvester matrix via sympy.Matrix.
+
+    Both lists are ascending; their lengths fix the degrees, so trailing
+    zeros give the formal-degree matrix of binary forms.
+    """
+    f_desc = [sympy.Rational(c) for c in reversed(f_asc)]
+    g_desc = [sympy.Rational(c) for c in reversed(g_asc)]
+    n, m = len(f_desc) - 1, len(g_desc) - 1
+    size = n + m
+    rows = [[0] * i + f_desc + [0] * (size - n - 1 - i) for i in range(m)]
+    rows += [[0] * i + g_desc + [0] * (size - m - 1 - i) for i in range(n)]
+    return Fraction(str(sympy.Matrix(rows).det()))
+
+
+# the rational function field Q(z): each quotient is cancelled on construction
+_QZ, _Z = sympy.field("z", sympy.QQ)
+
+
+def _rational(c):
+    return sympy.QQ(c.numerator, c.denominator)
+
+
+def _function(F, G, w=_Z):
+    """F(w) / G(w) in Q(z) for ascending coefficient lists F and G."""
+    num = den = _QZ(0)
+    for f, g in zip(reversed(F), reversed(G)):
+        num, den = num * w + _rational(f), den * w + _rational(g)
+    return num / den
+
+
+def _forms(f, d):
+    """The ascending degree-d forms (numerator, denominator) of f in Q(z)."""
+    F, G = (
+        [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(poly.to_dense())]
+        for poly in (f.numer, f.denom)
+    )
+    assert max(len(F), len(G)) == d + 1, "conjugation changed the degree"
+    return F + [Fraction(0)] * (d + 1 - len(F)), G + [Fraction(0)] * (d + 1 - len(G))
+
+
+def _valuation(p, c):
+    return sympy.multiplicity(p, c.numerator) - sympy.multiplicity(p, c.denominator)
+
+
+def _resultant_valuation(F, G, p):
+    """v_p of the Sylvester determinant of the p-primitive scaling of (F, G)."""
+    shift = min(_valuation(p, c) for c in F + G if c)
+    scale = Fraction(p) ** -shift
+    det = sylvester_det([c * scale for c in F], [c * scale for c in G])
+    return _valuation(p, det)
+
+
+def _canonical(F, G):
+    """Integer forms of content 1 with the first nonzero coefficient of G positive."""
+    den = lcm(*(c.denominator for c in F + G))
+    ints = [int(c * den) for c in F + G]
+    g = gcd(*ints)
+    sign = 1 if next(c for c in ints[len(F):] + ints if c) > 0 else -1
+    ints = [sign * c // g for c in ints]
+    return tuple(ints[: len(F)]), tuple(ints[len(F):])
+
+
+def moduli_walk(F, G, p):
+    """The moduli search's grid walked with sympy rational functions.
+
+    Candidates M are z -> p^a z + b for a in -3..3 and b in range(p), a
+    ascending then b; then each composed with 1/z on the right; then 1/z
+    composed with each.  Each conjugate M o phi o M^-1 is composed in
+    sympy's field Q(z), which cancels it, and rated by v_p of the
+    Sylvester determinant of its p-primitive forms.  The walk keeps the
+    first strictly smaller value and stops at 0.  Returns (tried,
+    initial, best, entries of the best M, its canonical conjugate forms).
+    """
+    d = len(F) - 1
+    phi = _function(F, G)
+    grid = [(Fraction(p) ** a, b) for a in range(-3, 4) for b in range(p)]
+    candidates = [(s, b, 0, 1) for s, b in grid]
+    candidates += [(b, s, 1, 0) for s, b in grid]
+    candidates += [(0, 1, s, b) for s, b in grid]
+    best = None
+    tried = 0
+    for M in candidates:
+        al, be, ga, de = (_rational(Fraction(e)) for e in M)
+        image = _function(F, G, (de * _Z - be) / (-ga * _Z + al))
+        forms = _forms((al * image + be) / (ga * image + de), d)
+        val = _resultant_valuation(*forms, p)
+        tried += 1
+        if best is None or val < best[0]:
+            best = (val, M, forms)
+        if best[0] == 0:
+            break
+    initial = _resultant_valuation(*_forms(phi, d), p)
+    return tried, initial, best[0], tuple(Fraction(e) for e in best[1]), _canonical(*best[2])

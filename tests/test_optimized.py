@@ -24,6 +24,7 @@ CASES = [
     ["tower", "z^2-1", "-p", "7", "-x", "inf", "-n", "2", "--format", "json"],
     ["orbit", "z^2-1", "-p", "5", "-x", "2", "-N", "4", "-n", "2", "--format", "json"],
     ["moduli", "p*z^2+z", "-p", "5"],
+    ["moduli", "z^2/p", "-p", "5", "--format", "json"],
     ["examples", "-p", "3"],
     ["analyze", "(z^2+1)/(z^2+1)", "-p", "5", "--format", "json"],
     ["tower", "z^2+1", "-p", "3", "-x", "0", "-n", "9", "--cap-degree", "64", "--format", "json"],

@@ -13,6 +13,7 @@ from padicdyn.reduction import MapAtPrime, strict_good_reduction
 from padicdyn.towers import NO_CERTIFICATE, UNRAMIFIED
 
 from corpus_util import random_models
+from oracles import moduli_walk
 
 
 def _pt(text):
@@ -165,3 +166,22 @@ def test_moduli_search_never_worsens_and_is_sound():
             assert mr.achieved_zero == (mr.best_valuation == 0)
             if mr.achieved_zero:
                 assert strict_good_reduction(MapAtPrime(mr.best_model, p)).is_strict_good_reduction
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_moduli_search_matches_a_sympy_walk_of_the_grid(p):
+    # random degree-2 and -3 models (p | d at 2 and 3, poles included),
+    # plus good maps moved off the identity by one candidate each: one
+    # with a < 0 and one of each inversion composite
+    models = random_models(p, 4, degrees=(2, 3), seed=7 * p)
+    movers = [Mobius(Fraction(1, p), 1, 0, 1), Mobius(1, p, 1, 0), Mobius(0, 1, p * p, p - 1)]
+    for text, M in zip(["z^2+1", "(z^3+2)/(z+1)", "z^3-z+1"], movers):
+        models.append(conjugate_map(parse_map(text, p), M.inverse()))
+    for m in models:
+        mr = moduli_search(m, p)
+        tried, initial, best, entries, forms = moduli_walk(m.F, m.G, p)
+        assert (mr.tried, mr.initial_valuation, mr.best_valuation) == (tried, initial, best)
+        M = mr.best_mobius
+        assert (M.alpha, M.beta, M.gamma, M.delta) == entries
+        assert M.formula() == Mobius(*entries).formula()
+        assert (mr.best_model.F, mr.best_model.G) == forms

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from oracles import sylvester_det
 from padicdyn.errors import InputError
 from padicdyn.qpolys import (
     QPoly,
@@ -23,17 +24,6 @@ def _sympy_poly(coeffs):
     return sympy.Poly(list(reversed([sympy.Rational(c) for c in coeffs])), T)
 
 
-def _sylvester_det(f_asc, g_asc):
-    """Determinant of the textbook Sylvester matrix via sympy.Matrix."""
-    f_desc = [sympy.Rational(c) for c in reversed(f_asc)]
-    g_desc = [sympy.Rational(c) for c in reversed(g_asc)]
-    n, m = len(f_desc) - 1, len(g_desc) - 1
-    size = n + m
-    rows = [[0] * i + f_desc + [0] * (size - n - 1 - i) for i in range(m)]
-    rows += [[0] * i + g_desc + [0] * (size - m - 1 - i) for i in range(n)]
-    return Fraction(str(sympy.Matrix(rows).det()))
-
-
 def _random_poly(rng, deg, bound=8):
     # nonzero leading coefficient so formal and true degree agree
     c = [Fraction(rng.randint(-bound, bound)) for _ in range(deg)]
@@ -49,7 +39,7 @@ def test_resultant_matches_sylvester_determinant():
         f = _random_poly(rng, rng.randint(1, 5))
         g = _random_poly(rng, rng.randint(1, 5))
         ours = resultant(QPoly(f), QPoly(g))
-        assert ours == _sylvester_det(f, g)
+        assert ours == sylvester_det(f, g)
 
 
 def test_resultant_edge_cases_match_sylvester_determinant():
@@ -72,7 +62,7 @@ def test_resultant_edge_cases_match_sylvester_determinant():
     for _ in range(15):
         cases.append((_random_poly(rng, rng.randint(6, 9)), _random_poly(rng, rng.randint(6, 9))))
     for f, g in cases:
-        want = _sylvester_det(f, g)
+        want = sylvester_det(f, g)
         assert resultant(QPoly(f), QPoly(g)) == want, (f, g)
     assert resultant(QPoly([-4, 1]), QPoly([0, 0, 0, 1])) == 64
 
@@ -86,7 +76,7 @@ def test_discriminant_matches_sylvester_determinant():
         n = len(f) - 1
         df = [i * c for i, c in enumerate(f)][1:]
         sign = -1 if n * (n - 1) // 2 % 2 else 1
-        assert discriminant(QPoly(f)) == sign * _sylvester_det(f, df) / f[-1]
+        assert discriminant(QPoly(f)) == sign * sylvester_det(f, df) / f[-1]
 
 
 def test_resultant_matches_sympy_up_to_antisymmetry():
@@ -151,7 +141,7 @@ def test_binary_form_resultant_matches_formal_sylvester_determinant():
         if rng.random() < 0.2:
             f = [0] + [c for c in f[:-1]]  # a root at X = 0
             g = [0] + [c for c in g[:-1]]
-        assert binary_form_resultant(f, g, d) == _sylvester_det(f, g), (f, g, d)
+        assert binary_form_resultant(f, g, d) == sylvester_det(f, g), (f, g, d)
     assert binary_form_resultant([0, 0, 0], [1, 2, 3], 2) == 0
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import random
 import sys
 
@@ -13,21 +14,24 @@ import padicdyn.reduction as reduction
 from corpus_util import random_models
 from padicdyn.errors import InputError
 from padicdyn.finitefield import FqPoly, iterate_forms, prime_field_of
-from padicdyn.maps import iterate_map, parse_map
+from padicdyn.maps import Mobius, iterate_map, parse_map
 from padicdyn.reduction import MapAtPrime
 
 
-def _count(monkeypatch, module, attr):
+def _count(monkeypatch, module, attr, *, hook=None):
     """Record the arguments of every call to padicdyn.<module>.<attr>.
 
     The function is replaced in every padicdyn module that imported it by
-    name, so calls through ``from .x import f`` are recorded too.
+    name, so calls through ``from .x import f`` are recorded too.  A hook,
+    when given, makes the call in its place: hook(original, *args).
     """
     original = getattr(sys.modules[f"padicdyn.{module}"], attr)
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
+        if hook:
+            return hook(original, *args, **kwargs)
         return original(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -90,6 +94,41 @@ def test_valuations_do_not_reprove_the_prime(monkeypatch):
         assert cli.main(["moduli", "p*z^2+z", "-p", "5"]) == 0
     assert len(valuations) > 20
     assert len(proofs) <= 4
+
+
+def test_moduli_query_works_on_integers(monkeypatch):
+    # one Mobius map for the answer, one valuation per candidate besides
+    # the zero witness's re-verification, and none in normalize_integral
+    built = []
+    original_init = Mobius.__init__
+
+    def init(self, *entries):
+        built.append(entries)
+        original_init(self, *entries)
+
+    monkeypatch.setattr(Mobius, "__init__", init)
+    valuations = _count(monkeypatch, "padics", "vp")
+    inside = []
+
+    def measure(original, *args):
+        before = len(valuations)
+        out = original(*args)
+        inside.append(len(valuations) - before)
+        return out
+
+    _count(monkeypatch, "maps", "normalize_integral", hook=measure)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["moduli", "p*z^2+z", "-p", "5", "--format", "json"]) == 0
+    report = json.loads(out.getvalue())["moduli"]
+    searched = len(valuations)
+
+    del valuations[:]
+    assert MapAtPrime(parse_map(report["conjugate"], 5), 5).sgr.is_strict_good_reduction
+    assert (report["tried"], report["mobius"]) == (21, "5*z")
+    assert len(built) == 1
+    assert searched <= report["tried"] + len(valuations)
+    assert inside and not any(inside)
 
 
 def test_session_iterates_match_the_free_functions():
