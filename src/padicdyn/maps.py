@@ -136,16 +136,8 @@ class Mobius:
         raise AttributeError("Mobius is immutable")
 
     @classmethod
-    def identity(cls) -> "Mobius":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
     def inversion(cls) -> "Mobius":
         return cls(0, 1, 1, 0)
-
-    @classmethod
-    def affine(cls, scale, shift) -> "Mobius":
-        return cls(scale, shift, 0, 1)
 
     @property
     def det(self) -> Fraction:
@@ -153,11 +145,6 @@ class Mobius:
 
     def inverse(self) -> "Mobius":
         return Mobius(self.delta, -self.beta, -self.gamma, self.alpha)
-
-    def compose(self, other: "Mobius") -> "Mobius":
-        a, b, c, d = self.alpha, self.beta, self.gamma, self.delta
-        e, f, g, h = other.alpha, other.beta, other.gamma, other.delta
-        return Mobius(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def apply(self, point: ProjPointQ) -> ProjPointQ:
         return ProjPointQ(
@@ -532,9 +519,6 @@ class IntegralModel:
     F: tuple
     G: tuple
     p: int
-
-    def model(self) -> RationalMapModel:
-        return RationalMapModel(self.F, self.G)
 
     def resultant(self) -> Fraction:
         return binary_form_resultant(self.F, self.G, self.d)
