@@ -565,7 +565,9 @@ def conjugate_map(model: RationalMapModel, M: Mobius) -> RationalMapModel:
     return conjugate_by_matrix(model, *(e.numerator * (den // e.denominator) for e in entries))
 
 
-def conjugate_by_matrix(model: RationalMapModel, a: int, b: int, c: int, d: int):
+def conjugate_by_matrix(
+    model: RationalMapModel, a: int, b: int, c: int, d: int
+) -> RationalMapModel:
     """The model of M o phi o M^{-1} for the integer matrix M = [[a, b], [c, d]]."""
     # M^{-1} acts on [X : Y] by (X, Y) -> (d X - b Y, -c X + a Y), up to det M
     FU, GU = _qform_compose_pair((model.F, model.G), ((-b, d), (a, -c)))

@@ -171,11 +171,17 @@ def test_moduli_search_never_worsens_and_is_sound():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_moduli_search_matches_a_sympy_walk_of_the_grid(p):
     # random degree-2 and -3 models (p | d at 2 and 3, poles included),
-    # plus good maps moved off the identity by one candidate each: one
-    # with a < 0 and one of each inversion composite
+    # plus good maps moved off the identity by one candidate each (one
+    # with a < 0 and one of each inversion composite) and by (z - 1)/p,
+    # which the grid does not reach
     models = random_models(p, 4, degrees=(2, 3), seed=7 * p)
-    movers = [Mobius(Fraction(1, p), 1, 0, 1), Mobius(1, p, 1, 0), Mobius(0, 1, p * p, p - 1)]
-    for text, M in zip(["z^2+1", "(z^3+2)/(z+1)", "z^3-z+1"], movers):
+    movers = [
+        Mobius(Fraction(1, p), 1, 0, 1),
+        Mobius(1, p, 1, 0),
+        Mobius(0, 1, p * p, p - 1),
+        Mobius(1, -1, 0, p),
+    ]
+    for text, M in zip(["z^2+1", "(z^3+2)/(z+1)", "z^3-z+1", "z^2"], movers):
         models.append(conjugate_map(parse_map(text, p), M.inverse()))
     for m in models:
         mr = moduli_search(m, p)
