@@ -84,6 +84,8 @@ CORPUS = [
     # basepoints of more than 4,300 digits
     ["tower", "z^2", "-p", "5", "-x", "1" * 5000, "-n", "1"],
     ["orbit", "z^2", "-p", "5", "-x", "1" * 5000 + "/3", "-N", "2", "-n", "0", "--format", "json"],
+    # a negative fraction reaches -x only as -x=-1/3: argparse reads "-1/3" as an option
+    ["tower", "z^2", "-p", "5", "-x=-1/3", "-n", "1"],
 ]
 
 
