@@ -6,7 +6,9 @@ over F_p, certifies unramifiedness of preimage towers through unit
 fiber discriminants, and reports Frobenius action on reduced preimage
 trees along forward orbits.  Analyses of one map at one prime share a
 ``MapAtPrime`` session, which derives each of these objects once.  All
-arithmetic is exact: Fractions over Q, digit-encoded F_{p^m} elements
+arithmetic is exact: integers inside the Q layer (every model, iterate
+and fiber polynomial has integer coefficients), rationals only where
+input is read and output printed, and digit-encoded F_{p^m} elements
 over residue fields.
 """
 

@@ -388,12 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("tower", help="fiber certificates and Frobenius data over one basepoint")
     _add_common(sub)
-    sub.add_argument("-x", required=True, help="basepoint in P^1(Q): rational number or 'inf'")
+    sub.add_argument("-x", required=True, help="basepoint in P^1(Q): rational number or 'inf' (-x=-2/3 for a negative fraction)")
     sub.add_argument("-n", type=int, default=2, help="tower depth")
 
     sub = subs.add_parser("orbit", help="forward orbit with per-basepoint tower reports")
     _add_common(sub)
-    sub.add_argument("-x", required=True, help="starting point: rational number or 'inf'")
+    sub.add_argument("-x", required=True, help="starting point: rational number or 'inf' (-x=-2/3 for a negative fraction)")
     sub.add_argument("-N", type=int, default=8, help="orbit length")
     sub.add_argument("-n", type=int, default=1, help="tower depth per basepoint (0 for none)")
 

@@ -578,17 +578,17 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random) -> list[FqPoly]:
     return _equal_degree(g.monic(), e, rng) + _equal_degree((f // g).monic(), e, rng)
 
 
-def fq_factor(f: FqPoly, seed: int = 0) -> list[tuple[FqPoly, int]]:
+def fq_factor(f: FqPoly) -> list[tuple[FqPoly, int]]:
     """Monic irreducible factors with multiplicities, canonically sorted.
 
     The product of the factors (with multiplicities) is f divided by its
-    leading coefficient.  Equal-degree splitting consumes a random stream
-    seeded with ``seed``; the canonical sort makes the output independent
-    of the stream, so results are reproducible run to run.
+    leading coefficient.  Equal-degree splitting consumes a fixed-seed
+    random stream; the canonical sort makes the output independent of
+    the stream, so results are reproducible run to run.
     """
     if f.degree < 1:
         raise InputError("factorization requires degree >= 1")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     out = []
     for sq, mult in squarefree_decomposition(f):
         for prod, e in distinct_degree(sq):

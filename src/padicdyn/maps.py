@@ -9,20 +9,24 @@ so two constructions of the same projective map compare equal.  Content
 its own p-primitive integral model everywhere.
 
 The point at infinity is uniformly [1 : 0]; no code path dehomogenizes
-before it has to.
+before it has to.  Points, forms and the parser's polynomials hold ints;
+rationals are read only at the edges (``ProjPointQ.from_value``, the
+canonicalization of a model, ``Mobius`` entries) and printed by
+``qpolys.rational_str``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import FqField, prime_field_of
-from .padics import require_prime, vp
-from .qpolys import QPoly, binary_form_resultant, int_str, poly_str, rational_str
+from .padics import require_prime
+from .qpolys import QPoly, binary_form_resultant, compose_forms, int_str, poly_str, rational_str
 
 DEGREE_CAP = 4096
 HEIGHT_CAP_BITS = 10**6
@@ -33,25 +37,24 @@ _RATIONAL_TEXT = re.compile(r"(?P<sign>[+-]?)(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))
 class ProjPointQ:
     """A point of P^1(Q) as a coprime integer pair [a : b], b >= 0.
 
-    Canonical form: gcd(|a|, |b|) = 1 and b > 0, except infinity which
-    is exactly [1 : 0].
+    Built from two ints (a Fraction raises TypeError; ``from_value``
+    reads rationals).  Canonical form: gcd(|a|, |b|) = 1 and b > 0,
+    except infinity which is exactly [1 : 0].
     """
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a, b):
-        fa, fb = Fraction(a), Fraction(b)
-        den = math.lcm(fa.denominator, fb.denominator)
-        ia, ib = int(fa * den), int(fb * den)
-        if ia == 0 and ib == 0:
+    def __init__(self, a: int, b: int):
+        a, b = operator.index(a), operator.index(b)
+        if a == 0 and b == 0:
             raise InputError("projective point needs a nonzero coordinate")
-        g = math.gcd(abs(ia), abs(ib))
-        ia //= g
-        ib //= g
-        if ib < 0 or (ib == 0 and ia < 0):
-            ia, ib = -ia, -ib
-        object.__setattr__(self, "a", ia)
-        object.__setattr__(self, "b", ib)
+        g = math.gcd(a, b)
+        a //= g
+        b //= g
+        if b < 0 or (b == 0 and a < 0):
+            a, b = -a, -b
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __setattr__(self, *args):
         raise AttributeError("ProjPointQ is immutable")
@@ -80,14 +83,12 @@ class ProjPointQ:
                 x = Fraction(s)
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"cannot read {x!r} as a point of P^1(Q)") from exc
-        return cls(Fraction(x), 1)
+        x = Fraction(x)
+        return cls(x.numerator, x.denominator)
 
     @property
     def is_infinity(self) -> bool:
         return self.b == 0
-
-    def value(self) -> Fraction | None:
-        return None if self.b == 0 else Fraction(self.a, self.b)
 
     def is_integral(self, p: int) -> bool:
         """True when the point lies in the affine p-integral locus (a/b with p∤b)."""
@@ -121,7 +122,11 @@ class ProjPointQ:
 
 
 class Mobius:
-    """A fractional-linear map z -> (alpha z + beta)/(gamma z + delta)."""
+    """A fractional-linear map z -> (alpha z + beta)/(gamma z + delta).
+
+    Entries are Fractions: a Mobius map names a conjugation in input and
+    output, and ``conjugate_map`` clears its denominators before use.
+    """
 
     __slots__ = ("alpha", "beta", "gamma", "delta")
 
@@ -139,24 +144,6 @@ class Mobius:
     def inversion(cls) -> "Mobius":
         return cls(0, 1, 1, 0)
 
-    @property
-    def det(self) -> Fraction:
-        return self.alpha * self.delta - self.beta * self.gamma
-
-    def inverse(self) -> "Mobius":
-        return Mobius(self.delta, -self.beta, -self.gamma, self.alpha)
-
-    def apply(self, point: ProjPointQ) -> ProjPointQ:
-        return ProjPointQ(
-            self.alpha * point.a + self.beta * point.b,
-            self.gamma * point.a + self.delta * point.b,
-        )
-
-    def is_p_unit(self, p: int) -> bool:
-        """Entries p-integral and determinant a p-adic unit."""
-        entries = (self.alpha, self.beta, self.gamma, self.delta)
-        return all(vp(p, e) >= 0 for e in entries) and vp(p, self.det) == 0
-
     def formula(self) -> str:
         num = poly_str((self.beta, self.alpha), var="z")
         den = poly_str((self.delta, self.gamma), var="z")
@@ -173,44 +160,6 @@ class Mobius:
 
     def __repr__(self):
         return f"Mobius({self.formula()})"
-
-
-# -- binary forms with integer coefficients (ascending, fixed formal degree)
-
-
-def _qform_mul(A, B):
-    """Product of two integer binary forms."""
-    out = [0] * (len(A) + len(B) - 1)
-    for i, x in enumerate(A):
-        if x:
-            for j, y in enumerate(B):
-                if y:
-                    out[i + j] += x * y
-    return tuple(out)
-
-
-def _qform_compose_pair(forms, pair):
-    """Each integer form F of degree d in ``forms`` at (X, Y) = (A, B).
-
-    A and B are integer forms of one formal degree e; the monomials
-    A^i B^(d-i) are built once and shared by all the forms.
-    """
-    A, B = pair
-    d = len(forms[0]) - 1
-    pa, pb = [(1,)], [(1,)]
-    for _ in range(d):
-        pa.append(_qform_mul(pa[-1], A))
-        pb.append(_qform_mul(pb[-1], B))
-    monomials = [_qform_mul(pa[i], pb[d - i]) for i in range(d + 1)]
-    out = []
-    for coeffs in forms:
-        acc = [0] * (d * (len(A) - 1) + 1)
-        for c, term in zip(coeffs, monomials):
-            if c:
-                for k, v in enumerate(term):
-                    acc[k] += c * v
-        out.append(tuple(acc))
-    return out
 
 
 def _canonical_integer_pair(F, G):
@@ -241,15 +190,13 @@ class RationalMapModel:
 
     __slots__ = ("d", "F", "G")
 
-    def __init__(self, F_coeffs, G_coeffs, *, validate: bool = False):
+    def __init__(self, F_coeffs, G_coeffs):
         if len(F_coeffs) != len(G_coeffs):
             raise InputError("F and G must share a formal degree")
         d = len(F_coeffs) - 1
         if d < 1:
             raise InputError("map must have degree >= 1")
         F, G = _canonical_integer_pair(F_coeffs, G_coeffs)
-        if validate and binary_form_resultant(F, G, d) == 0:
-            raise InputError("forms share a projective root (resultant is zero)")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "G", G)
@@ -257,17 +204,7 @@ class RationalMapModel:
     def __setattr__(self, *args):
         raise AttributeError("RationalMapModel is immutable")
 
-    @classmethod
-    def from_coeffs(cls, F_coeffs, G_coeffs) -> "RationalMapModel":
-        return cls(F_coeffs, G_coeffs, validate=True)
-
-    def numerator(self) -> QPoly:
-        return QPoly(self.F)
-
-    def denominator(self) -> QPoly:
-        return QPoly(self.G)
-
-    def resultant(self) -> Fraction:
+    def resultant(self) -> int:
         return binary_form_resultant(self.F, self.G, self.d)
 
     def map_str(self) -> str:
@@ -495,7 +432,7 @@ def parse_map(text: str, prime: int) -> RationalMapModel:
     if g.degree >= 1:
         raise InputError(
             "numerator and denominator share a common factor: "
-            + poly_str(g.coeffs, var="z")
+            + poly_str([Fraction(c, g.lc) for c in g.coeffs], var="z")
         )
     d = max(num.degree, den.degree)
     if d < 1:
@@ -520,7 +457,7 @@ class IntegralModel:
     G: tuple
     p: int
 
-    def resultant(self) -> Fraction:
+    def resultant(self) -> int:
         return binary_form_resultant(self.F, self.G, self.d)
 
 
@@ -536,7 +473,7 @@ def compose_map(outer: RationalMapModel, inner: RationalMapModel) -> RationalMap
     canonical models step by step gives the same model as composing the
     raw forms and canonicalizing once.
     """
-    return RationalMapModel(*_qform_compose_pair((outer.F, outer.G), (inner.F, inner.G)))
+    return RationalMapModel(*compose_forms((outer.F, outer.G), (inner.F, inner.G)))
 
 
 def iterate_map(model: RationalMapModel, n: int, *, cap_degree: int = DEGREE_CAP):
@@ -570,7 +507,7 @@ def conjugate_by_matrix(
 ) -> RationalMapModel:
     """The model of M o phi o M^{-1} for the integer matrix M = [[a, b], [c, d]]."""
     # M^{-1} acts on [X : Y] by (X, Y) -> (d X - b Y, -c X + a Y), up to det M
-    FU, GU = _qform_compose_pair((model.F, model.G), ((-b, d), (a, -c)))
+    FU, GU = compose_forms((model.F, model.G), ((-b, d), (a, -c)))
     return RationalMapModel(
         tuple(a * f + b * g for f, g in zip(FU, GU)),
         tuple(c * f + d * g for f, g in zip(FU, GU)),
@@ -610,10 +547,6 @@ class ReducedMap:
     F1: tuple
     G1: tuple
     reduced_degree: int
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.reduced_degree < self.d
 
     def canonical_pair(self):
         """(F1, G1) scaled so the first nonzero coefficient of G1 (or F1) is 1."""

@@ -45,10 +45,6 @@ class OrbitProfile:
     integral_flags: tuple | None
     in_pc_flags: tuple | None
 
-    @property
-    def has_cycle(self) -> bool:
-        return self.period is not None
-
 
 def forward_orbit(
     phi: RationalMapModel | MapAtPrime,

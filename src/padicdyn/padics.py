@@ -8,8 +8,6 @@ valuations without special cases.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InputError
 
 INFINITY = float("inf")
@@ -57,12 +55,11 @@ def _int_valuation(p: int, n: int) -> int:
 
 
 def vp(p: int, a) -> int | float:
-    """p-adic valuation of the rational ``a``; ``INFINITY`` for a = 0.
+    """p-adic valuation of the int or Fraction ``a``; ``INFINITY`` for a = 0.
 
     p is trusted to be prime: it is proved prime once, where it enters
     (``require_prime``), not on every valuation.
     """
-    a = Fraction(a)
     if a == 0:
         return INFINITY
     return _int_valuation(p, a.numerator) - _int_valuation(p, a.denominator)

@@ -1,48 +1,97 @@
-"""Dense univariate polynomials over Q and exact resultants.
+"""Dense univariate polynomials over Z, binary forms, and exact resultants.
 
-Coefficient lists are stored lowest degree first, as tuples of Fraction,
-with no trailing zeros; the zero polynomial is the empty tuple.  Resultants
+Every polynomial the package builds has integer coefficients: parsed
+numerators and denominators, iterates, conjugates and fiber forms.  So
+the arithmetic here is over Z, and rationals enter only at the edges of
+the package (reading input, rendering output); ``rational_str`` and
+``poly_str`` render ints and Fractions alike.
+
+Coefficient lists are stored lowest degree first, as tuples of int, with
+no trailing zeros; the zero polynomial is the empty tuple.  Binary forms
+of a fixed formal degree are plain int tuples whose entry i is the
+coefficient of X^i Y^(d-i); they share one product routine with
+``QPoly`` and keep their length where ``QPoly`` trims.
+
+``QPoly.gcd`` is the primitive polynomial remainder sequence (Cohen, GTM
+138, Ch. 3): pseudo-remainders, each divided by its content, so the gcd
+over Q comes out as a primitive integer polynomial.  Resultants
 are the Sylvester determinant with the rows of the first argument on top:
 
     resultant(f, g) = lc(f)^deg(g) * prod g(alpha_i)   over the roots of f.
 
-They are computed on the primitive integer parts by the subresultant
-polynomial remainder sequence over Z (Brown and Traub, J. ACM 18, 1971;
-Cohen, GTM 138, Alg. 3.3.7), whose exact divisions keep every
-coefficient the size of a minor of the Sylvester matrix.  Discriminants
-are Res(f, f') up to sign and lc(f).  ``binary_form_resultant`` gives the
-same determinant for homogeneous binary forms of a stated formal degree
-d, so vanishing top coefficients count (the determinant is then 0 exactly
-when the forms share a projective root, including the point at infinity);
-it is read off the affine resultant with a leading-coefficient factor for
-the roots at infinity.  ``det_bareiss`` (fraction-free elimination) is
-no longer called by the package; it stays because the layer tracer of
+They are computed by the subresultant polynomial remainder sequence
+over Z (Brown and Traub, J. ACM 18, 1971; Cohen, GTM 138, Alg. 3.3.7),
+whose exact divisions keep every coefficient the size of a minor of the
+Sylvester matrix.  Discriminants are Res(f, f') up to sign, divided
+exactly by lc(f).  ``binary_form_resultant`` gives the same determinant
+for homogeneous binary forms of a stated formal degree d, so vanishing
+top coefficients count (the determinant is then 0 exactly when the forms
+share a projective root, including the point at infinity); it is read
+off the affine resultant with a leading-coefficient factor for the roots
+at infinity.  ``det_bareiss`` (fraction-free elimination) is no longer
+called by the package; it stays because the layer tracer of
 ``perfbench`` wraps it by name.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
+from operator import index
 
 from .errors import InputError
 
 
-def _to_fraction_tuple(coeffs) -> tuple[Fraction, ...]:
-    cs = [Fraction(c) for c in coeffs]
+def _int_tuple(coeffs) -> tuple[int, ...]:
+    """Coefficients as ints without trailing zeros; a non-integer raises TypeError."""
+    cs = [index(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
 
+def _form_mul(A, B) -> tuple[int, ...]:
+    """Product of two nonempty integer coefficient lists, length len(A) + len(B) - 1."""
+    out = [0] * (len(A) + len(B) - 1)
+    for i, x in enumerate(A):
+        if x:
+            for j, y in enumerate(B):
+                if y:
+                    out[i + j] += x * y
+    return tuple(out)
+
+
+def compose_forms(forms, pair) -> list[tuple[int, ...]]:
+    """Each integer form F of degree d in ``forms`` at (X, Y) = (A, B).
+
+    A and B are integer forms of one formal degree e; the monomials
+    A^i B^(d-i) are built once and shared by all the forms.
+    """
+    A, B = pair
+    d = len(forms[0]) - 1
+    pa, pb = [(1,)], [(1,)]
+    for _ in range(d):
+        pa.append(_form_mul(pa[-1], A))
+        pb.append(_form_mul(pb[-1], B))
+    monomials = [_form_mul(pa[i], pb[d - i]) for i in range(d + 1)]
+    out = []
+    for coeffs in forms:
+        acc = [0] * (d * (len(A) - 1) + 1)
+        for c, term in zip(coeffs, monomials):
+            if c:
+                for k, v in enumerate(term):
+                    acc[k] += c * v
+        out.append(tuple(acc))
+    return out
+
+
 class QPoly:
-    """Polynomial over Q, coefficients ascending by degree."""
+    """Polynomial over Z (read as a polynomial over Q), ascending by degree."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _to_fraction_tuple(coeffs))
+        object.__setattr__(self, "coeffs", _int_tuple(coeffs))
 
     def __setattr__(self, *args):
         raise AttributeError("QPoly is immutable")
@@ -57,13 +106,13 @@ class QPoly:
         return not self.coeffs
 
     @property
-    def lc(self) -> Fraction:
+    def lc(self) -> int:
         if not self.coeffs:
             raise InputError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def __getitem__(self, i: int) -> int:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
@@ -92,20 +141,9 @@ class QPoly:
         return self + (-other)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return QPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return QPoly(out)
-
-    def scale(self, c) -> "QPoly":
-        c = Fraction(c)
-        return QPoly([ci * c for ci in self.coeffs])
+        return QPoly(_form_mul(self.coeffs, other.coeffs))
 
     def __pow__(self, e: int) -> "QPoly":
         if e < 0:
@@ -119,62 +157,27 @@ class QPoly:
             e >>= 1
         return out
 
-    def __divmod__(self, other: "QPoly"):
-        if other.is_zero():
-            raise InputError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, other.degree
-        if dn < dd:
-            return QPoly(), self
-        inv = 1 / other.lc
-        quot = [Fraction(0)] * (dn - dd + 1)
-        for i in range(dn - dd, -1, -1):
-            c = rem[i + dd] * inv
-            if c:
-                quot[i] = c
-                for j, oc in enumerate(other.coeffs):
-                    rem[i + j] -= c * oc
-        return QPoly(quot), QPoly(rem)
-
-    def __floordiv__(self, other: "QPoly") -> "QPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "QPoly") -> "QPoly":
-        return divmod(self, other)[1]
-
-    # -- calculus and evaluation --------------------------------------------
-
     def derivative(self) -> "QPoly":
         return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def monic(self) -> "QPoly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.lc)
-
     def gcd(self, other: "QPoly") -> "QPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """gcd over Q as a primitive integer polynomial with lc > 0 (0 for two zeros)."""
+        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _primitive(_pseudo_remainder(a, b))
+        return QPoly(a)
 
-    def integer_primitive(self) -> tuple[Fraction, tuple[int, ...]]:
-        """Write self = scale * prim with prim integral, content 1, lc > 0."""
-        if self.is_zero():
-            return Fraction(0), ()
-        den = lcm(*[c.denominator for c in self.coeffs])
-        ints = [int(c * den) for c in self.coeffs]
-        g = gcd(*ints)
-        if ints[-1] < 0:
-            g = -g
-        return Fraction(g, den), tuple(c // g for c in ints)
+
+def _primitive(cs) -> list[int]:
+    """cs divided by its content, signed so the leading coefficient is positive."""
+    if not cs:
+        return []
+    g = gcd(*cs)
+    if cs[-1] < 0:
+        g = -g
+    return [c // g for c in cs]
 
 
 # str() is exact below 640 digits, the lowest digit limit an interpreter
@@ -207,16 +210,17 @@ def int_str(n: int) -> str:
 
 
 def rational_str(c) -> str:
-    """"num/den", or "num" for an integer, exact at any size."""
-    c = Fraction(c)
+    """"num/den", or "num" for an integer, exact at any size (int or Fraction)."""
     if c.denominator == 1:
         return int_str(c.numerator)
     return f"{int_str(c.numerator)}/{int_str(c.denominator)}"
 
 
 def poly_str(coeffs, var: str = "T") -> str:
-    """Readable rendering, highest degree first."""
-    cs = _to_fraction_tuple(coeffs)
+    """Readable rendering, highest degree first; coefficients are ints or Fractions."""
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
     if not cs:
         return "0"
     parts = []
@@ -324,56 +328,49 @@ def _integer_resultant(a: list[int], b: list[int]) -> int:
     return s * (b[0] ** da // h ** (da - 1))
 
 
-def resultant(f: QPoly, g: QPoly) -> Fraction:
+def resultant(f: QPoly, g: QPoly) -> int:
     """Res(f, g) with true degrees: the Sylvester determinant, f's rows first."""
     if f.is_zero() or g.is_zero():
         raise InputError("resultant of the zero polynomial is undefined")
-    sf, fi = f.integer_primitive()
-    sg, gi = g.integer_primitive()
-    return _integer_resultant(list(fi), list(gi)) * sf**g.degree * sg**f.degree
+    return _integer_resultant(list(f.coeffs), list(g.coeffs))
 
 
-def discriminant(f: QPoly) -> Fraction:
-    """Disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), for deg f >= 1."""
+def discriminant(f: QPoly) -> int:
+    """Disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), for deg f >= 1.
+
+    lc(f) divides Res(f, f') exactly: the first column of the Sylvester
+    matrix holds lc(f) and n*lc(f) and nothing else.
+    """
     n = f.degree
     if n < 1:
         raise InputError("discriminant requires degree >= 1")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.lc
+    return sign * (resultant(f, f.derivative()) // f.lc)
 
 
-def binary_form_resultant(f_coeffs, g_coeffs, d: int) -> Fraction:
-    """Resultant of two binary forms of formal degree d.
+def binary_form_resultant(f_coeffs, g_coeffs, d: int) -> int:
+    """Resultant of two integer binary forms of formal degree d.
 
-    Coefficient lists are ascending: entry i, an int or a Fraction, is
-    the coefficient of X^i Y^(d-i).  The result is the determinant of the
-    2d x 2d Sylvester matrix built from the formal coefficient lists (F
-    rows on top), which scales by lambda^(2d) when both forms are scaled
-    by lambda.  It is read off the affine resultant: when F has full
-    degree and G affine degree e, the top d - e rows of G are zero and
-    the determinant is lc(F)^(d-e) * Res(F, G); when only G has full
-    degree the two row blocks swap first, with sign (-1)^(d*(d - deg F));
-    when neither has full degree both forms vanish at infinity and the
-    determinant is 0.
+    Coefficient lists are ascending: entry i is the coefficient of
+    X^i Y^(d-i).  The result is the determinant of the 2d x 2d Sylvester
+    matrix built from the formal coefficient lists (F rows on top), which
+    scales by lambda^(2d) when both forms are scaled by lambda.  It is
+    read off the affine resultant: when F has full degree and G affine
+    degree e, the top d - e rows of G are zero and the determinant is
+    lc(F)^(d-e) * Res(F, G); when only G has full degree the two row
+    blocks swap first, with sign (-1)^(d*(d - deg F)); when neither has
+    full degree both forms vanish at infinity and the determinant is 0.
     """
     if d < 1:
         raise InputError("formal degree must be >= 1")
     if len(f_coeffs) != d + 1 or len(g_coeffs) != d + 1:
         raise InputError(f"coefficient lists must have length d+1 = {d + 1}")
-    den_f = lcm(*[c.denominator for c in f_coeffs])
-    den_g = lcm(*[c.denominator for c in g_coeffs])
-    fi = [c.numerator * (den_f // c.denominator) for c in f_coeffs]
-    gi = [c.numerator * (den_g // c.denominator) for c in g_coeffs]
-    for form in (fi, gi):
-        while form and form[-1] == 0:
-            form.pop()
+    fi, gi = list(_int_tuple(f_coeffs)), list(_int_tuple(g_coeffs))
     if not fi or not gi:
-        det = 0
-    elif len(fi) == d + 1:
-        det = fi[-1] ** (d + 1 - len(gi)) * _integer_resultant(fi, gi)
-    elif len(gi) == d + 1:
+        return 0
+    if len(fi) == d + 1:
+        return fi[-1] ** (d + 1 - len(gi)) * _integer_resultant(fi, gi)
+    if len(gi) == d + 1:
         sign = -1 if d * (d + 1 - len(fi)) % 2 else 1
-        det = sign * gi[-1] ** (d + 1 - len(fi)) * _integer_resultant(fi, gi)
-    else:
-        det = 0
-    return Fraction(det, den_f**d * den_g**d)
+        return sign * gi[-1] ** (d + 1 - len(fi)) * _integer_resultant(fi, gi)
+    return 0

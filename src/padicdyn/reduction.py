@@ -31,7 +31,6 @@ exactly one closed point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError, InternalError, ResourceLimitError
@@ -45,7 +44,6 @@ from .finitefield import (
     form_is_squarefree,
     form_is_zero,
     fq_factor,
-    iterate_forms,
     squarefree_decomposition,
 )
 from .maps import (
@@ -362,7 +360,7 @@ def good_locus(rmap: ReducedMap, pc: PostcriticalSet) -> tuple:
 class SGRReport:
     p: int
     d: int
-    resultant: Fraction
+    resultant: int
     res_valuation: int
     reduced_degree: int
     is_strict_good_reduction: bool
@@ -467,29 +465,10 @@ def _consistency_alarm(report: Condition2Report, mp: MapAtPrime) -> None:
         )
 
 
-def etale_fiber_oracle(rmap: ReducedMap, xbar: int | None, n: int) -> bool:
-    """Brute force: does the fiber of the n-th reduced iterate over xbar
-    consist of deg^n distinct points?
-
-    Returns False for every input when the reduced map is inseparable or
-    constant (no fiber of an iterate is ever etale there).
-    """
-    if n < 1:
-        raise InputError("iteration depth must be >= 1")
-    if rmap.reduced_degree < 1:
-        return False
-    if form_is_zero(critical_divisor(rmap)):
-        return False
-    Fn, Gn = iterate_forms(rmap.field, rmap.F1, rmap.G1, n)
-    a, b = (1, 0) if xbar is None else (xbar, 1)
-    fib = fiber_form(rmap.field, Fn, Gn, a, b)
-    return form_is_squarefree(rmap.field, fib)
-
-
 @dataclass(frozen=True)
 class Degree1Report:
     p: int
-    det: Fraction
+    det: int
     det_valuation: int
     is_strict_good_reduction: bool
     towers_trivial: bool
@@ -502,7 +481,7 @@ def degree_one_check(mp: MapAtPrime) -> Degree1Report:
         raise InputError(f"degree_one_check needs a degree-1 map, got degree {mp.d}")
     prim = mp.integral
     # F = a X + b Y, G = c X + e Y stored ascending: F = (b, a), G = (e, c)
-    det = Fraction(prim.F[1] * prim.G[0] - prim.F[0] * prim.G[1])
+    det = prim.F[1] * prim.G[0] - prim.F[0] * prim.G[1]
     val = vp(mp.p, det)
     return Degree1Report(
         p=mp.p,

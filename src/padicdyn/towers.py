@@ -119,9 +119,9 @@ class FiberReport:
     n: int
     x: ProjPointQ
     p: int
-    lc: Fraction
+    lc: int
     lc_valuation: int
-    disc: Fraction | None
+    disc: int | None
     disc_valuation: int | float
     degree_full: bool
     certificate: str
@@ -166,7 +166,7 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
     factor_degrees = None
     newton = None
     if unramified:
-        reduced = FqPoly.of_integers(prime_field_of(p), [int(c) for c in poly.coeffs])
+        reduced = FqPoly.of_integers(prime_field_of(p), poly.coeffs)
         degs = mp.factor_degrees(reduced)
         if any(mult != 1 for _, mult in degs):
             raise InternalError("unit discriminant forces a squarefree reduction")
@@ -377,7 +377,7 @@ def shift_divisibility_check(mp: MapAtPrime, n: int, x: ProjPointQ) -> bool:
     """Does the level-n fiber over x embed into the level-(n+1) fiber over phi(x)?
 
     True iff F_{n,x} divides F_{n+1,phi(x)} up to scalars, checked by a
-    monic gcd over Q.
+    primitive gcd over Z.
     """
     if n < 1:
         raise InputError("fiber level must be >= 1")

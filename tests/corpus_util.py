@@ -9,8 +9,8 @@ random.Random(seed) so test runs are reproducible.
 
 import random
 
-from padicdyn.errors import InputError
 from padicdyn.maps import RationalMapModel
+from padicdyn.qpolys import binary_form_resultant
 
 
 def _coeffs(rng, d, bound):
@@ -52,10 +52,8 @@ def random_models(p, count, *, degrees=(2, 3), seed=0, bound=9):
             ]
         elif style < 0.65:
             F[d] *= p
-        try:
-            out.append(RationalMapModel.from_coeffs(F, G))
-        except InputError:
-            continue
+        if binary_form_resultant(F, G, d) != 0:
+            out.append(RationalMapModel(F, G))
     return out
 
 
@@ -66,8 +64,6 @@ def random_mobius_models(p, count, *, seed=0, bound=9):
         a, b, c, d = (rng.randint(-bound, bound) for _ in range(4))
         if rng.random() < 0.4:
             a *= p ** rng.choice((1, 2))
-        try:
-            out.append(RationalMapModel.from_coeffs([b, a], [d, c]))
-        except InputError:
-            continue
+        if binary_form_resultant([b, a], [d, c], 1) != 0:
+            out.append(RationalMapModel([b, a], [d, c]))
     return out

@@ -6,7 +6,16 @@ from math import gcd, lcm
 import sympy
 
 from padicdyn.errors import InputError
-from padicdyn.finitefield import FqField, form_degree
+from padicdyn.finitefield import (
+    FqField,
+    fiber_form,
+    form_degree,
+    form_is_squarefree,
+    form_is_zero,
+    iterate_forms,
+)
+from padicdyn.maps import Mobius, ProjPointQ, ReducedMap
+from padicdyn.reduction import critical_divisor
 
 
 def form_resultant(field: FqField, F, G) -> int:
@@ -111,6 +120,14 @@ def _function(F, G, w=_Z):
     return num / den
 
 
+def fiber_numerator(F, G, n, a, b):
+    """The numerator of b*phi^n(z) - a in Q[z], phi^n composed in Q(z)."""
+    w = _Z
+    for _ in range(n):
+        w = _function(F, G, w)
+    return (b * w - a).numer
+
+
 def _forms(f, d):
     """The ascending degree-d forms (numerator, denominator) of f in Q(z)."""
     F, G = (
@@ -174,3 +191,46 @@ def moduli_walk(F, G, p):
             break
     initial = _resultant_valuation(*_forms(phi, d), p)
     return tried, initial, best[0], tuple(Fraction(e) for e in best[1]), _canonical(*best[2])
+
+
+def etale_fiber_oracle(rmap: ReducedMap, xbar: int | None, n: int) -> bool:
+    """Brute force: does the fiber of the n-th reduced iterate over xbar
+    consist of deg^n distinct points?
+
+    Returns False for every input when the reduced map is inseparable or
+    constant (no fiber of an iterate is ever etale there).
+    """
+    if n < 1:
+        raise InputError("iteration depth must be >= 1")
+    if rmap.reduced_degree < 1:
+        return False
+    if form_is_zero(critical_divisor(rmap)):
+        return False
+    Fn, Gn = iterate_forms(rmap.field, rmap.F1, rmap.G1, n)
+    a, b = (1, 0) if xbar is None else (xbar, 1)
+    fib = fiber_form(rmap.field, Fn, Gn, a, b)
+    return form_is_squarefree(rmap.field, fib)
+
+
+# -- Mobius maps z -> (alpha z + beta)/(gamma z + delta) with rational entries
+
+
+def mobius_det(M: Mobius) -> Fraction:
+    return M.alpha * M.delta - M.beta * M.gamma
+
+
+def mobius_inverse(M: Mobius) -> Mobius:
+    return Mobius(M.delta, -M.beta, -M.gamma, M.alpha)
+
+
+def mobius_apply(M: Mobius, point: ProjPointQ) -> ProjPointQ:
+    a = M.alpha * point.a + M.beta * point.b
+    b = M.gamma * point.a + M.delta * point.b
+    den = lcm(a.denominator, b.denominator)
+    return ProjPointQ(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+
+
+def mobius_is_p_unit(M: Mobius, p: int) -> bool:
+    """Entries p-integral and determinant a p-adic unit."""
+    entries = (M.alpha, M.beta, M.gamma, M.delta)
+    return all(e.denominator % p for e in entries) and mobius_det(M).numerator % p != 0

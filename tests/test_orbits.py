@@ -13,7 +13,7 @@ from padicdyn.reduction import MapAtPrime, strict_good_reduction
 from padicdyn.towers import NO_CERTIFICATE, UNRAMIFIED
 
 from corpus_util import random_models
-from oracles import moduli_walk
+from oracles import mobius_apply, mobius_inverse, mobius_is_p_unit, moduli_walk
 
 
 def _pt(text):
@@ -24,7 +24,6 @@ def test_forward_orbit_cycle_detection():
     prof = forward_orbit(MapAtPrime(parse_map("z^2 - 1", 5), 5), _pt("0"), 6)
     assert [str(q) for q in prof.points] == ["0", "-1", "0", "-1", "0", "-1", "0"]
     assert (prof.preperiod, prof.period) == (0, 2)
-    assert prof.has_cycle
     assert prof.reductions == (0, 4, 0, 4, 0, 4, 0)
     assert all(prof.integral_flags)
     assert all(prof.in_pc_flags)
@@ -35,7 +34,6 @@ def test_forward_orbit_cycle_detection():
 
     # generic rational orbits never close up
     prof3 = forward_orbit(MapAtPrime(parse_map("z^2 + p", 5), 5), _pt("1"), 3)
-    assert not prof3.has_cycle
     assert (prof3.preperiod, prof3.period) == (None, None)
 
 
@@ -102,7 +100,7 @@ def test_sgr_is_invariant_under_unit_conjugation():
     rng = random.Random(9)
     for m in random_models(p, 14, seed=71, degrees=(2,)):
         M = rng.choice(mats)
-        assert M.is_p_unit(p)
+        assert mobius_is_p_unit(M, p)
         assert (
             strict_good_reduction(MapAtPrime(m, p)).is_strict_good_reduction
             == strict_good_reduction(MapAtPrime(conjugate_map(m, M), p)).is_strict_good_reduction
@@ -119,17 +117,17 @@ def test_orbit_report_is_invariant_under_affine_unit_conjugation():
     checked = 0
     for m in random_models(p, 14, seed=71, degrees=(2,)):
         M = rng.choice(mats)
-        assert M.is_p_unit(p)
+        assert mobius_is_p_unit(M, p)
         twisted = conjugate_map(m, M)
         x = ProjPointQ(rng.randint(-3, 3), 1)
         try:
             a = orbital_report(MapAtPrime(m, p), x, 2, 1)
-            b = orbital_report(MapAtPrime(twisted, p), M.apply(x), 2, 1)
+            b = orbital_report(MapAtPrime(twisted, p), mobius_apply(M, x), 2, 1)
         except ResourceLimitError:
             continue
         assert a.all_unramified_on_locus == b.all_unramified_on_locus
         for bpa, bpb in zip(a.basepoints, b.basepoints):
-            assert bpb.point == M.apply(bpa.point)
+            assert bpb.point == mobius_apply(M, bpa.point)
             assert [fr.certificate for fr in bpa.fiber_reports] == [
                 fr.certificate for fr in bpb.fiber_reports
             ]
@@ -182,7 +180,7 @@ def test_moduli_search_matches_a_sympy_walk_of_the_grid(p):
         Mobius(1, -1, 0, p),
     ]
     for text, M in zip(["z^2+1", "(z^3+2)/(z+1)", "z^3-z+1", "z^2"], movers):
-        models.append(conjugate_map(parse_map(text, p), M.inverse()))
+        models.append(conjugate_map(parse_map(text, p), mobius_inverse(M)))
     for m in models:
         mr = moduli_search(m, p)
         tried, initial, best, entries, forms = moduli_walk(m.F, m.G, p)

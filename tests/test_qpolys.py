@@ -1,7 +1,8 @@
-"""Exact polynomial arithmetic against sympy oracles."""
+"""Exact integer polynomial arithmetic against sympy oracles."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -18,6 +19,7 @@ from padicdyn.qpolys import (
 )
 
 T = sympy.Symbol("T")
+ZT, _ = sympy.ring("T", sympy.ZZ)
 
 
 def _sympy_poly(coeffs):
@@ -26,8 +28,8 @@ def _sympy_poly(coeffs):
 
 def _random_poly(rng, deg, bound=8):
     # nonzero leading coefficient so formal and true degree agree
-    c = [Fraction(rng.randint(-bound, bound)) for _ in range(deg)]
-    c.append(Fraction(rng.choice([v for v in range(-3, 4) if v])))
+    c = [rng.randint(-bound, bound) for _ in range(deg)]
+    c.append(rng.choice([v for v in range(-3, 4) if v]))
     return c
 
 
@@ -43,8 +45,8 @@ def test_resultant_matches_sylvester_determinant():
 
 
 def test_resultant_edge_cases_match_sylvester_determinant():
-    # shared factors (resultant 0), constants, non-monic and rational inputs,
-    # and degrees past the random test's
+    # shared factors (resultant 0), constants, non-monic inputs with
+    # content, and degrees past the random test's
     rng = random.Random(43)
     cases = [
         ([3], [1, 2, 5]),
@@ -52,7 +54,7 @@ def test_resultant_edge_cases_match_sylvester_determinant():
         ([4], [7]),
         ([-4, 1], [0, 0, 0, 1]),
         ([0, 0, 0, 1], [-4, 1]),
-        ([Fraction(1, 2), 3], [Fraction(-2, 3), 0, Fraction(5, 4)]),
+        ([6, 36], [-8, 0, 15]),
     ]
     for _ in range(30):
         common = _random_poly(rng, rng.randint(1, 2))
@@ -90,18 +92,30 @@ def test_resultant_matches_sympy_up_to_antisymmetry():
 
 
 def test_discriminant_matches_sympy():
+    # non-monic, and also scaled by a content with either sign, so the
+    # exact division by lc(f) meets composite and negative divisors
     rng = random.Random(13)
     for _ in range(60):
         f = _random_poly(rng, rng.randint(1, 5))
-        ours = discriminant(QPoly(f))
-        theirs = sympy.discriminant(_sympy_poly(f).as_expr(), T)
-        assert ours == Fraction(str(theirs))
+        for k in (1, rng.choice([2, 3, 6, -4, -15])):
+            fk = [k * c for c in f]
+            ours = discriminant(QPoly(fk))
+            theirs = sympy.discriminant(_sympy_poly(fk).as_expr(), T)
+            assert ours == int(theirs), fk
 
 
 def test_discriminant_rational_coefficients():
-    f = QPoly([Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)])
+    # a rational f is (1/den) * an integer polynomial g of degree n, and
+    # Disc(lambda g) = lambda^(2n-2) Disc(g)
     expr = sympy.Rational(5, 6) * T**2 - sympy.Rational(3, 4) * T + sympy.Rational(1, 2)
-    assert discriminant(f) == Fraction(str(sympy.discriminant(expr, T)))
+    g = [6, -9, 10]  # 12 * expr, ascending
+    assert Fraction(discriminant(QPoly(g)), 12**2) == Fraction(str(sympy.discriminant(expr, T)))
+    rng = random.Random(59)
+    for _ in range(20):
+        g = _random_poly(rng, rng.randint(1, 6))
+        lam = rng.choice([2, -3, 5, 12])
+        n = len(g) - 1
+        assert discriminant(QPoly([lam * c for c in g])) == lam ** (2 * n - 2) * discriminant(QPoly(g))
 
 
 def test_det_bareiss_matches_sympy():
@@ -133,8 +147,8 @@ def test_binary_form_resultant_matches_formal_sylvester_determinant():
     rng = random.Random(53)
     for _ in range(120):
         d = rng.randint(1, 5)
-        f = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(d + 1)]
-        g = [Fraction(rng.randint(-6, 6)) for _ in range(d + 1)]
+        f = [rng.randint(-6, 6) * rng.choice([1, 1, 2, 3]) for _ in range(d + 1)]
+        g = [rng.randint(-6, 6) for _ in range(d + 1)]
         for form in (f, g):
             for k in range(rng.choice([0, 0, 1, 2])):
                 form[d - k] = 0
@@ -167,23 +181,56 @@ def test_resultant_of_known_pair():
     assert binary_form_resultant([5, 0, 1], [1, 0, 0], 2) == 1
 
 
-def test_qpoly_divmod_roundtrip():
-    rng = random.Random(23)
-    for _ in range(30):
-        f = QPoly(_random_poly(rng, rng.randint(2, 6)))
-        g = QPoly(_random_poly(rng, rng.randint(1, 3)))
-        q, r = divmod(f, g)
-        assert q * g + r == f
-        assert r.is_zero() or r.degree < g.degree
-
-
 def test_qpoly_gcd_of_engineered_pair():
     common = QPoly([1, 1])
     f = common * QPoly([2, 0, 1])
     g = common * QPoly([-3, 1])
-    got = f.gcd(g)
-    assert got.degree == 1
-    assert got(-1) == 0
+    assert f.gcd(g) == common
+    assert QPoly([-6, -6]).gcd(QPoly([4, 0, -4])) == common
+
+
+def _sympy_primitive_gcd(f, g):
+    # sympy's gcd over Z keeps the content and a positive lc
+    h = ZT.from_list(list(reversed(f))).gcd(ZT.from_list(list(reversed(g))))
+    if not h:
+        return ()
+    cs = [int(c) for c in reversed(h.to_dense())]
+    content = gcd(*cs)
+    return tuple(c // content for c in cs)
+
+
+def test_qpoly_gcd_matches_sympy():
+    # a planted common factor, content on either side, negative leading
+    # coefficients, constants and zero; the gcd over Q is returned as a
+    # primitive integer polynomial with positive leading coefficient
+    rng = random.Random(61)
+    cases = [([], []), ([], [0, 2, -4]), ([-6], []), ([6], [4]), ([-5], [1, 1]), ([3, 3], [-3])]
+    for _ in range(200):
+        common = _random_poly(rng, rng.randint(0, 3))
+        f = (QPoly(common) * QPoly(_random_poly(rng, rng.randint(0, 4)))).coeffs
+        g = (QPoly(common) * QPoly(_random_poly(rng, rng.randint(0, 4)))).coeffs
+        f = [rng.choice([1, 1, 2, -3, 6]) * c for c in f]
+        g = [rng.choice([1, 1, 4, -9]) * c for c in g]
+        cases.append((f, g))
+    for f, g in cases:
+        got = QPoly(f).gcd(QPoly(g))
+        assert got.coeffs == _sympy_primitive_gcd(f, g), (f, g)
+        assert got.is_zero() or got.lc > 0
+        assert got == QPoly(g).gcd(QPoly(f))
+
+
+def test_integer_kernel_refuses_fractions():
+    # a Fraction would otherwise be floor-divided by the exact integer steps
+    with pytest.raises(TypeError):
+        QPoly((Fraction(1, 2),))
+    with pytest.raises(TypeError):
+        QPoly((1, Fraction(3, 1)))
+    with pytest.raises(TypeError):
+        binary_form_resultant([Fraction(1, 2), 1], [1, 0], 1)
+    assert QPoly((2, 0, 0)).coeffs == (2,)
+    assert all(type(c) is int for c in (QPoly([3, -1]) ** 3).coeffs)
+    assert type(resultant(QPoly([1, 2]), QPoly([3, 4, 5]))) is int
+    assert type(discriminant(QPoly([1, 2, 3]))) is int
 
 
 def test_error_paths():

@@ -8,7 +8,7 @@ import pytest
 
 from padicdyn.errors import InputError, ResourceLimitError
 from padicdyn.finitefield import fq_extension
-from padicdyn.maps import ProjPointQ, eval_reduced, parse_map
+from padicdyn.maps import ProjPointQ, eval_map, eval_reduced, parse_map
 from padicdyn.padics import vp
 from padicdyn.qpolys import QPoly
 from padicdyn.reduction import MapAtPrime, postcritical_set
@@ -24,7 +24,7 @@ from padicdyn.towers import (
 )
 
 from corpus_util import random_models
-from oracles import map_table
+from oracles import fiber_numerator, map_table
 
 
 def _pt(text):
@@ -268,12 +268,29 @@ def test_shift_divisibility_examples():
 
 
 def test_shift_divisibility_on_corpus():
+    # sympy divides the level-(n+1) fiber over phi(x) by the level-n fiber
+    # over x, both composed in Q(z); the same gcd test against the fiber
+    # over phi(x) + 1 must fail wherever sympy leaves a remainder
     rng = random.Random(17)
+    checked = refused = 0
     for m in random_models(5, 15, seed=29):
         for _ in range(3):
             x = ProjPointQ(rng.randint(-6, 6), rng.randint(1, 4))
-            try:
-                ok = shift_divisibility_check(MapAtPrime(m, 5), 1, x)
-            except InputError:
-                continue
-            assert ok
+            for n in (1, 2):
+                mp = MapAtPrime(m, 5)
+                try:
+                    ok = shift_divisibility_check(mp, n, x)
+                except InputError:
+                    continue
+                y = eval_map(m, x)
+                f = fiber_numerator(m.F, m.G, n, x.a, x.b)
+                g = fiber_numerator(m.F, m.G, n + 1, y.a, y.b)
+                assert ok and g.rem(f) == 0
+                f_ours = QPoly(mp.fiber_form(n, x))
+                g_off = fiber_numerator(m.F, m.G, n + 1, y.a + y.b, y.b)
+                off = QPoly(mp.fiber_form(n + 1, ProjPointQ(y.a + y.b, y.b)))
+                divides = f_ours.gcd(off).degree == f_ours.degree
+                assert divides == (not g_off.rem(f))
+                checked += 1
+                refused += not divides
+    assert checked >= 40 and refused >= 20
