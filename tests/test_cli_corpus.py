@@ -86,6 +86,10 @@ CORPUS = [
     ["orbit", "z^2", "-p", "5", "-x", "1" * 5000 + "/3", "-N", "2", "-n", "0", "--format", "json"],
     # a negative fraction reaches -x only as -x=-1/3: argparse reads "-1/3" as an option
     ["tower", "z^2", "-p", "5", "-x=-1/3", "-n", "1"],
+    # p = 101, degrees 3 and 4: infinity in the locus, and the fiber over
+    # phi(inf) = 2, resp. 1, loses affine degree
+    ["analyze", "(2*z^3+1)/(z^3+z^2+5)", "-p", "101", "--format", "json"],
+    ["analyze", "(z^4+2)/(z^4+z^3+1)", "-p", "101", "--format", "json"],
 ]
 
 
