@@ -23,7 +23,9 @@ They are computed by the subresultant polynomial remainder sequence
 over Z (Brown and Traub, J. ACM 18, 1971; Cohen, GTM 138, Alg. 3.3.7),
 whose exact divisions keep every coefficient the size of a minor of the
 Sylvester matrix.  Discriminants are Res(f, f') up to sign, divided
-exactly by lc(f).  ``binary_form_resultant`` gives the same determinant
+exactly by lc(f); ``form_discriminant`` extends them to binary forms of
+a stated formal degree, where a vanishing top coefficient puts a root at
+infinity.  ``binary_form_resultant`` gives the same determinant
 for homogeneous binary forms of a stated formal degree d, so vanishing
 top coefficients count (the determinant is then 0 exactly when the forms
 share a projective root, including the point at infinity); it is read
@@ -346,6 +348,26 @@ def discriminant(f: QPoly) -> int:
         raise InputError("discriminant requires degree >= 1")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * (resultant(f, f.derivative()) // f.lc)
+
+
+def form_discriminant(coeffs) -> int:
+    """Disc_d of an integer binary form of formal degree d = len(coeffs) - 1.
+
+    The universal discriminant: a polynomial over Z in the coefficients,
+    homogeneous of degree 2d - 2, equal to Disc(f) when the top
+    coefficient a_d is nonzero.  When a_d = 0 it is a_(d-1)^2 times
+    Disc_(d-1) of the rest, so it is 0 exactly when the form has a
+    repeated projective root (infinity counts when a_d = a_(d-1) = 0).
+    Disc_1 is the constant 1.
+    """
+    d = len(coeffs) - 1
+    if d < 1:
+        raise InputError("formal degree must be >= 1")
+    if d == 1:
+        return 1
+    if coeffs[-1]:
+        return discriminant(QPoly(coeffs))
+    return coeffs[-2] ** 2 * discriminant(QPoly(coeffs[:-1])) if coeffs[-2] else 0
 
 
 def binary_form_resultant(f_coeffs, g_coeffs, d: int) -> int:

@@ -17,8 +17,8 @@ On top of the session this module decides strict good reduction (unit
 resultant of the p-primitive model, equivalently full reduced degree),
 accumulates the postcritical set as closed points of P^1 over F_p,
 lists the residual good locus, and checks the fiber criterion point by
-point with an internal alarm that cross-checks it against the resultant
-criterion.
+point, by one discriminant polynomial of the pencil of fibers, with an
+internal alarm that cross-checks it against the resultant criterion.
 
 Closed points are Galois orbits over the algebraic closure: a monic
 irreducible polynomial over F_p, or the point at infinity.  Forward
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 
 from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import (
@@ -58,7 +59,7 @@ from .maps import (
     reduce_map,
 )
 from .padics import require_prime, vp
-from .qpolys import poly_str
+from .qpolys import QPoly, form_discriminant, poly_str
 
 PC_CAP = 100_000
 
@@ -350,8 +351,10 @@ def good_locus(rmap: ReducedMap, pc: PostcriticalSet) -> tuple:
     """Rational points of P^1(F_p) off the postcritical set (None = infinity)."""
     if pc.everything:
         return ()
-    out = [c for c in range(rmap.p) if not pc.contains_residue(c)]
-    if not pc.contains_residue(None):
+    p = rmap.p
+    rational = {None if q.is_infinity else -q.poly[0] % p for q in pc.points if q.degree == 1}
+    out = [c for c in range(p) if c not in rational]
+    if None not in rational:
         out.append(None)
     return tuple(out)
 
@@ -397,11 +400,12 @@ class Condition2Report:
     """Point-by-point fiber criterion on the residual good locus.
 
     A residue point passes when the level-1 fiber of the reduced map over
-    it consists of d distinct points of P^1 (fiber form squarefree of full
-    formal degree d).  `holds` is the geometric statement: full reduced
-    degree, separable reduction, and no rational violations; an empty
-    rational locus is vacuous, since the criterion concerns a Zariski-open
-    set over the algebraic closure and rational points may all be missing.
+    it consists of d distinct points of P^1: the fiber form is squarefree
+    of full formal degree d, equivalently its discriminant Disc_d is a
+    unit.  `holds` is the geometric statement: full reduced degree,
+    separable reduction, and no rational violations; an empty rational
+    locus is vacuous, since the criterion concerns a Zariski-open set over
+    the algebraic closure and rational points may all be missing.
     """
 
     holds: bool
@@ -414,7 +418,38 @@ class Condition2Report:
     pc: PostcriticalSet | None
 
 
+def pencil_discriminant(F, G) -> tuple:
+    """Ascending coefficients over Z of D(t) = Disc_d(F - t*G).
+
+    F and G are integer forms of formal degree d >= 1.  Disc_d is
+    homogeneous of degree 2d - 2 in the coefficients, which are linear in
+    t, so D has degree at most 2d - 2: it is read off its values at
+    t = 0..2d-2 by Newton forward differences, and the k-th difference at
+    0 of an integer polynomial is divisible by k!.
+    """
+    d = len(F) - 1
+    values = [form_discriminant([f - t * g for f, g in zip(F, G)]) for t in range(2 * d - 1)]
+    D, falling = QPoly(), QPoly([1])  # falling = t(t-1)...(t-k+1)
+    for k in range(len(values)):
+        D = D + QPoly([values[0] // factorial(k)]) * falling
+        values = [b - a for a, b in zip(values, values[1:])]
+        falling = falling * QPoly([-k, 1])
+    return D.coeffs
+
+
 def condition2_check(mp: MapAtPrime) -> Condition2Report:
+    """Decide the fiber criterion at every point of the good locus.
+
+    The fiber over a residue a is cut out by F1 - a*G1, and it is etale
+    exactly when Disc_d(F1 - a*G1) != 0 in F_p.  Disc_d is one polynomial
+    over Z in the coefficients of the form, so it commutes with reduction
+    mod p: Disc_d over F_p of the reduced form is Disc_d of any integer
+    lift, reduced.  Hence one D(t) = Disc_d(F1 - t*G1) over Z, computed
+    from the integer lifts of F1 and G1, decides every affine residue by
+    one evaluation D(a) mod p, in every characteristic (p = 2 and p | d
+    included).  The verdict at each point is exact and reads neither the
+    critical divisor nor PC; infinity, the fiber G1, is tested directly.
+    """
     sgr, rmap = mp.sgr, mp.rmap
     full = rmap.reduced_degree == mp.d
 
@@ -435,12 +470,19 @@ def condition2_check(mp: MapAtPrime) -> Condition2Report:
     pc = mp.pc
     locus = good_locus(rmap, pc)
     separable = not pc.everything
-    field = rmap.field
+    p = mp.p
+    disc = [c % p for c in reversed(pencil_discriminant(rmap.F1, rmap.G1))] if full else ()
     witnesses, violations = [], []
     for xbar in locus:
-        a, b = (1, 0) if xbar is None else (xbar, 1)
-        fib = fiber_form(field, rmap.F1, rmap.G1, a, b)
-        ok = full and form_is_squarefree(field, fib)
+        if not full:
+            ok = False
+        elif xbar is None:
+            ok = form_is_squarefree(rmap.field, rmap.G1)
+        else:
+            value = 0
+            for c in disc:
+                value = (value * xbar + c) % p
+            ok = value != 0
         (witnesses if ok else violations).append(xbar)
     report = Condition2Report(
         holds=full and separable and not violations,

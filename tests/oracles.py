@@ -1,6 +1,7 @@
 """Independent oracles that only the tests use."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import sympy
@@ -11,11 +12,10 @@ from padicdyn.finitefield import (
     fiber_form,
     form_degree,
     form_is_squarefree,
-    form_is_zero,
+    fq_extension,
     iterate_forms,
 )
 from padicdyn.maps import Mobius, ProjPointQ, ReducedMap
-from padicdyn.reduction import critical_divisor
 
 
 def form_resultant(field: FqField, F, G) -> int:
@@ -193,6 +193,52 @@ def moduli_walk(F, G, p):
     return tried, initial, best[0], tuple(Fraction(e) for e in best[1]), _canonical(*best[2])
 
 
+def fiber_sweep(rmap: ReducedMap, locus) -> tuple:
+    """The fiber criterion point by point: (witnesses, violations).
+
+    A point of the locus passes when the reduced map has full degree d and
+    its fiber form over the point is squarefree, decided by one gcd over
+    F_p per point.
+    """
+    full = rmap.reduced_degree == rmap.d
+    witnesses, violations = [], []
+    for xbar in locus:
+        a, b = (1, 0) if xbar is None else (xbar, 1)
+        fib = fiber_form(rmap.field, rmap.F1, rmap.G1, a, b)
+        ok = full and form_is_squarefree(rmap.field, fib)
+        (witnesses if ok else violations).append(xbar)
+    return tuple(witnesses), tuple(violations)
+
+
+@lru_cache(maxsize=None)
+def universal_discriminant(d: int):
+    """Disc_d as a sympy Poly in the coefficients a0..ad of a0 + ... + ad*x^d."""
+    x = sympy.Symbol("x")
+    a = sympy.symbols(f"a0:{d + 1}")
+    generic = sum(c * x**i for i, c in enumerate(a))
+    return sympy.Poly(sympy.expand(sympy.discriminant(generic, x)), *a)
+
+
+def separable_oracle(rmap: ReducedMap) -> bool:
+    """Brute force: is some fiber of the reduced map e distinct points?
+
+    The fiber forms of an inseparable map are p-th powers, so none is
+    squarefree.  A separable map of degree e has a ramification divisor of
+    degree 2e - 2, hence at most 2e - 2 branch points, and its fiber over
+    any other point is etale: P^1(F_{p^k}) holds such a point once
+    p^k + 1 > 2e - 2, which for e <= 3 means k <= 2.
+    """
+    e = rmap.reduced_degree
+    k = 1
+    while rmap.p**k + 1 <= 2 * e - 2:
+        k += 1
+    field = fq_extension(rmap.p, k)
+    for a, b in [(a, 1) for a in field.elements()] + [(1, 0)]:
+        if form_is_squarefree(field, fiber_form(field, rmap.F1, rmap.G1, a, b)):
+            return True
+    return False
+
+
 def etale_fiber_oracle(rmap: ReducedMap, xbar: int | None, n: int) -> bool:
     """Brute force: does the fiber of the n-th reduced iterate over xbar
     consist of deg^n distinct points?
@@ -204,7 +250,7 @@ def etale_fiber_oracle(rmap: ReducedMap, xbar: int | None, n: int) -> bool:
         raise InputError("iteration depth must be >= 1")
     if rmap.reduced_degree < 1:
         return False
-    if form_is_zero(critical_divisor(rmap)):
+    if not separable_oracle(rmap):
         return False
     Fn, Gn = iterate_forms(rmap.field, rmap.F1, rmap.G1, n)
     a, b = (1, 0) if xbar is None else (xbar, 1)

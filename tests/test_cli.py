@@ -131,8 +131,8 @@ def test_internal_alarms_exit_4(monkeypatch, capsys):
     import padicdyn.reduction as reduction
     import padicdyn.towers as towers
 
-    # a fiber criterion that rejects every fiber contradicts the resultant
-    monkeypatch.setattr(reduction, "form_is_squarefree", lambda field, form: False)
+    # a zero pencil discriminant rejects every fiber and contradicts the resultant
+    monkeypatch.setattr(reduction, "pencil_discriminant", lambda F, G: ())
     assert cli.main(["analyze", "z^2+p", "-p", "5"]) == 4
     assert "consistency alarm" in capsys.readouterr().err
     monkeypatch.undo()

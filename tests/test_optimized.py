@@ -32,8 +32,8 @@ CASES = [
 
 # (argv, module, attribute, fault): each fault trips an internal alarm
 ALARMS = [
-    # a fiber criterion that rejects every fiber contradicts the resultant
-    (["analyze", "z^2+p", "-p", "5"], reduction, "form_is_squarefree", lambda f: lambda field, form: False),
+    # a zero pencil discriminant rejects every fiber and contradicts the resultant
+    (["analyze", "z^2+p", "-p", "5"], reduction, "pencil_discriminant", lambda f: lambda F, G: ()),
     # a climb that loses a root leaves a tree level short of d^n points
     (["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "2"], towers, "split_roots", lambda f: lambda g: f(g)[1:]),
 ]

@@ -7,13 +7,14 @@ from math import gcd
 import pytest
 import sympy
 
-from oracles import sylvester_det
+from oracles import sylvester_det, universal_discriminant
 from padicdyn.errors import InputError
 from padicdyn.qpolys import (
     QPoly,
     binary_form_resultant,
     det_bareiss,
     discriminant,
+    form_discriminant,
     poly_str,
     resultant,
 )
@@ -102,6 +103,19 @@ def test_discriminant_matches_sympy():
             ours = discriminant(QPoly(fk))
             theirs = sympy.discriminant(_sympy_poly(fk).as_expr(), T)
             assert ours == int(theirs), fk
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_form_discriminant_matches_the_universal_polynomial(d):
+    # sympy's generic Disc_d evaluated at the coefficients, with the top one,
+    # the top two, or every coefficient zero
+    universal = universal_discriminant(d)
+    rng = random.Random(17 + d)
+    for zeros in [0, 1, 2, d + 1] * 6:
+        form = [rng.randint(-9, 9) for _ in range(d + 1)]
+        form[d + 1 - zeros:] = [0] * zeros
+        assert form_discriminant(form) == universal(*form), form
+    assert form_discriminant([0] * d + [1]) == (d == 1)  # X^d: 0 is a d-fold root
 
 
 def test_discriminant_rational_coefficients():
@@ -238,6 +252,8 @@ def test_error_paths():
         resultant(QPoly([0]), QPoly([1, 1]))
     with pytest.raises(InputError):
         discriminant(QPoly([5]))
+    with pytest.raises(InputError):
+        form_discriminant([5])
     with pytest.raises(InputError):
         binary_form_resultant([1, 2], [1, 2, 3], 2)
     with pytest.raises(InputError):

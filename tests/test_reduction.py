@@ -2,6 +2,7 @@
 reduction criteria, and the brute-force etale fiber oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,13 +21,14 @@ from padicdyn.reduction import (
     critical_divisor,
     degree_one_check,
     good_locus,
+    pencil_discriminant,
     postcritical_set,
     pushforward,
     strict_good_reduction,
 )
 
 from corpus_util import random_mobius_models, random_models
-from oracles import etale_fiber_oracle
+from oracles import etale_fiber_oracle, fiber_sweep, separable_oracle, universal_discriminant
 
 
 def _rmap(text, p):
@@ -288,6 +290,74 @@ def test_condition2_agrees_with_resultant_criterion_on_corpus():
         for m in random_models(p, 40, seed=p):
             c2 = condition2_check(MapAtPrime(m, p))
             assert c2.holds == (c2.sgr.is_strict_good_reduction and c2.separable)
+
+
+def test_condition2_matches_the_per_point_sweep():
+    # one gcd over F_p per locus point against one pencil discriminant
+    seen = Counter()
+    cases = [(2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2, 3, 4)), (7, (2, 3)), (13, (2, 3)), (47, (2,))]
+    for p, degrees in cases:
+        for m in random_models(p, 30, degrees=degrees, seed=900 + p):
+            mp = MapAtPrime(m, p)
+            c2 = condition2_check(mp)
+            F1, G1 = mp.rmap.F1, mp.rmap.G1
+            swept = fiber_sweep(mp.rmap, c2.locus)
+            assert (c2.witnesses, c2.violations) == swept, (m.map_str(), p)
+            seen["p | d"] += mp.d % p == 0 and bool(c2.locus)
+            seen["not full"] += bool(c2.violations)
+            seen["infinity"] += None in c2.locus
+            seen["affine degree lost"] += c2.reduced_degree_full and any(
+                (F1[-1] - x * G1[-1]) % p == 0 for x in c2.locus if x is not None
+            )
+    assert min(seen.values()) >= 5, seen
+
+
+def _sympy_squarefree(form, p):
+    """Squarefree over GF(p) with infinity of multiplicity d - deg counted."""
+    affine = [c % p for c in form]
+    while affine and affine[-1] == 0:
+        affine.pop()
+    if not affine or len(form) - len(affine) > 1:
+        return False
+    # sqf_list, not is_sqf: sympy calls x^2 over GF(2) squarefree
+    _, parts = sympy.Poly(list(reversed(affine)), sympy.Symbol("x"), modulus=p).sqf_list()
+    return all(mult == 1 for _, mult in parts)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_pencil_discriminant_decides_squarefree_fibers(d):
+    rng = random.Random(70 + d)
+    universal = universal_discriminant(d)
+    for _ in range(12):
+        F = [rng.randint(-9, 9) for _ in range(d + 1)]
+        G = [rng.randint(-9, 9) for _ in range(d + 1)]
+        for form in rng.sample([F, G], rng.randint(0, 2)):
+            k = rng.randint(1, 2)
+            form[-k:] = [0] * k  # roots at infinity, simple or double
+        D = pencil_discriminant(F, G)
+        assert len(D) <= 2 * d - 1
+        # 2d - 1 points off the interpolation nodes 0..2d-2 pin a degree-(2d-2) polynomial
+        for t in range(-1, -2 * d, -1):
+            want = universal(*(f - t * g for f, g in zip(F, G)))
+            assert sum(c * t**i for i, c in enumerate(D)) == want, (F, G, t)
+        for p in (2, 3, 5, 7, 11):
+            for a in range(p):
+                form = [f - a * g for f, g in zip(F, G)]
+                if d == 1 and all(c % p == 0 for c in form):
+                    continue  # Disc_1 = 1 cannot see the zero form; a coprime pair never gives it
+                value = sum(c * a**i for i, c in enumerate(D)) % p
+                assert (value != 0) == _sympy_squarefree(form, p), (F, G, p, a)
+
+
+def test_separable_oracle_matches_the_critical_divisor():
+    for p in (2, 3, 5):
+        maps = random_models(p, 40, degrees=(2, 3), seed=950 + p)
+        maps += [parse_map(f"z^{p}+z^{2 * p}", p), parse_map(f"(z^{p}+1)/(z^{p}+2*z^{2 * p})", p)]
+        for m in maps:
+            rmap = MapAtPrime(m, p).rmap
+            if rmap.reduced_degree >= 1:
+                separable = not form_is_zero(critical_divisor(rmap))
+                assert separable_oracle(rmap) == separable, m.map_str()
 
 
 def test_etale_fiber_oracle_spot_checks():

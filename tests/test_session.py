@@ -82,6 +82,23 @@ def test_tower_factors_nothing_but_the_critical_divisor(monkeypatch):
     assert [args[0] for args in factored] == [FqPoly(prime_field_of(5), (0, 2))]
 
 
+@pytest.mark.parametrize(
+    "argv", [["z^2+1", "-p", "1009"], ["(2*z^3+1)/(z^3+z^2+5)", "-p", "101"]]
+)
+def test_locus_check_evaluates_one_pencil_discriminant(monkeypatch, argv):
+    # D(t) once for the map, one evaluation per affine residue, and the
+    # fiber over infinity as the only squarefree test
+    squarefree = _count(monkeypatch, "finitefield", "form_is_squarefree")
+    pencils = _count(monkeypatch, "reduction", "pencil_discriminant")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["analyze", *argv, "--format", "json"]) == 0
+    locus = json.loads(out.getvalue())["locus"]
+    assert len(locus) > 50
+    assert len(squarefree) == ("inf" in locus)
+    assert len(pencils) == 1
+
+
 def test_session_checks_the_prime():
     with pytest.raises(InputError, match="prime"):
         MapAtPrime(parse_map("z^2", 5), 6)
