@@ -26,7 +26,12 @@ factor degrees stop after the distinct-degree step.
 
 Binary forms of a fixed formal degree D are ascending tuples of length
 D + 1 (entry i is the coefficient of X^i Y^(D-i)); they are never trimmed,
-since vanishing top coefficients encode roots at infinity.
+since vanishing top coefficients encode roots at infinity.  They are the
+F_q twin of the integer forms of ``qpolys``: forms and ``FqPoly`` share
+one product routine, and ``compose_forms`` substitutes one pair (A, B)
+into several forms at once, building the monomials A^i B^(D-i) once.
+The multiplicity of infinity, D minus the affine degree, is read in one
+place, ``form_dehomogenize``.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from functools import lru_cache
 
 from .errors import InputError, ResourceLimitError
 from .padics import require_prime
+from .qpolys import poly_str
 
 FIELD_SIZE_CAP = 1 << 20
 TABLE_Q = 1 << 12
@@ -86,8 +92,6 @@ class FqField:
         return hash((self.p, self.m, self.modulus))
 
     def __repr__(self):
-        from .qpolys import poly_str
-
         return f"GF({self.p}^{self.m}; {poly_str(self.modulus)})"
 
     # -- element arithmetic on int encodings --------------------------------
@@ -169,9 +173,6 @@ class FqField:
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
-
-    def elements(self):
-        return range(self.q)
 
 
 class _LogField(FqField):
@@ -296,6 +297,17 @@ def _extension(p: int, m: int) -> FqField:
     raise InputError(f"no irreducible modulus of degree {m} over F_{p}")  # pragma: no cover
 
 
+def _mul(field: FqField, A, B) -> tuple:
+    """Product of two nonempty coefficient lists, length len(A) + len(B) - 1."""
+    out = [0] * (len(A) + len(B) - 1)
+    for i, x in enumerate(A):
+        if x:
+            for j, y in enumerate(B):
+                if y:
+                    out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return tuple(out)
+
+
 class FqPoly:
     """Univariate polynomial over an FqField, ascending coefficients."""
 
@@ -343,8 +355,6 @@ class FqPoly:
         return hash((self.field, self.coeffs))
 
     def __repr__(self):
-        from .qpolys import poly_str
-
         return f"FqPoly[{self.field!r}]({poly_str(self.coeffs)})"
 
     def __add__(self, other: "FqPoly") -> "FqPoly":
@@ -365,17 +375,8 @@ class FqPoly:
         return self + (-other)
 
     def __mul__(self, other: "FqPoly") -> "FqPoly":
-        F = self.field
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return FqPoly(F)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return FqPoly(F, out)
+        return FqPoly(self.field, _mul(self.field, a, b) if a and b else ())
 
     def scale(self, c: int) -> "FqPoly":
         F = self.field
@@ -618,72 +619,39 @@ def split_roots(f: FqPoly) -> list[int]:
 # -- binary forms of fixed formal degree -------------------------------------
 
 
-def form_degree(coeffs) -> int:
-    return len(coeffs) - 1
-
-
 def form_is_zero(coeffs) -> bool:
     return all(c == 0 for c in coeffs)
 
 
-def form_scale(field: FqField, coeffs, c: int):
-    return tuple(field.mul(c, x) for x in coeffs)
+def compose_forms(field: FqField, forms, pair) -> list[tuple]:
+    """Each form F of degree d in ``forms`` at (X, Y) = (A, B).
 
-
-def form_sub(field: FqField, A, B):
-    return tuple(field.sub(x, y) for x, y in zip(A, B))
-
-
-def form_mul(field: FqField, A, B):
-    out = [0] * (len(A) + len(B) - 1)
-    for i, x in enumerate(A):
-        if x:
-            for j, y in enumerate(B):
-                if y:
-                    out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return tuple(out)
-
-
-def form_compose_pair(field: FqField, coeffs, pair):
-    """Substitute (X, Y) -> (A, B) into a form; A and B share a formal degree."""
+    A and B are forms of one formal degree e; the monomials A^i B^(d-i)
+    are built once and shared by all the forms.
+    """
     A, B = pair
-    d = form_degree(coeffs)
-    pa = [(1,)]
-    pb = [(1,)]
+    d = len(forms[0]) - 1
+    pa, pb = [(1,)], [(1,)]
     for _ in range(d):
-        pa.append(form_mul(field, pa[-1], A))
-        pb.append(form_mul(field, pb[-1], B))
-    e = form_degree(A)
-    out = [0] * (d * e + 1)
-    for i, c in enumerate(coeffs):
-        if c:
-            term = form_scale(field, form_mul(field, pa[i], pb[d - i]), c)
-            for k, v in enumerate(term):
-                out[k] = field.add(out[k], v)
-    return tuple(out)
-
-
-def form_eval(field: FqField, coeffs, a: int, b: int) -> int:
-    d = form_degree(coeffs)
-    acc = 0
-    pa = field.of_int(1)
-    pows_a = []
-    for _ in range(d + 1):
-        pows_a.append(pa)
-        pa = field.mul(pa, a)
-    pb = field.of_int(1)
-    for i in range(d, -1, -1):
-        c = coeffs[i]
-        if c:
-            acc = field.add(acc, field.mul(field.mul(c, pows_a[i]), pb))
-        pb = field.mul(pb, b)
-    return acc
+        pa.append(_mul(field, pa[-1], A))
+        pb.append(_mul(field, pb[-1], B))
+    monomials = [_mul(field, pa[i], pb[d - i]) for i in range(d + 1)]
+    out = []
+    for coeffs in forms:
+        acc = [0] * (d * (len(A) - 1) + 1)
+        for c, term in zip(coeffs, monomials):
+            if c:
+                for k, v in enumerate(term):
+                    if v:
+                        acc[k] = field.add(acc[k], field.mul(c, v))
+        out.append(tuple(acc))
+    return out
 
 
 def form_dehomogenize(field: FqField, coeffs) -> tuple[FqPoly, int]:
     """(polynomial in t = X/Y, multiplicity of the root at infinity)."""
     poly = FqPoly(field, coeffs)
-    return poly, form_degree(coeffs) - poly.degree
+    return poly, len(coeffs) - 1 - poly.degree
 
 
 def form_from_poly(field: FqField, poly: FqPoly, formal_degree: int):
@@ -706,17 +674,18 @@ def form_gcd_split(field: FqField, F, G):
 
     Returns (common, F1, G1) with F = common * F1 and G = common * G1 as
     forms; the split tracks shared powers of Y (roots at infinity) as well
-    as the polynomial gcd of the dehomogenizations.
+    as the polynomial gcd of the dehomogenizations.  One of the forms may
+    be zero: gcd(0, G) = G, so the zero form's part is (0,) and the other
+    part is the constant that makes the common factor monic.
     """
-    d = form_degree(F)
-    if form_degree(G) != d:
+    if len(G) != len(F):
         raise InputError("forms must share a formal degree")
-    if form_is_zero(F) or form_is_zero(G):
-        raise InputError("form gcd of the zero form is undefined")
+    if form_is_zero(F) and form_is_zero(G):
+        raise InputError("form gcd of two zero forms is undefined")
     fp, fi = form_dehomogenize(field, F)
     gp, gi = form_dehomogenize(field, G)
     core = fp.gcd(gp)
-    y_shared = min(fi, gi)
+    y_shared = min(fi, gi)  # the zero form's fi = d + 1 exceeds any nonzero gi
     common = form_from_poly(field, core, core.degree + y_shared)
     F1 = form_from_poly(field, fp // core, (fp.degree - core.degree) + (fi - y_shared))
     G1 = form_from_poly(field, gp // core, (gp.degree - core.degree) + (gi - y_shared))
@@ -725,7 +694,7 @@ def form_gcd_split(field: FqField, F, G):
 
 def fiber_form(field: FqField, F, G, a: int, b: int):
     """The form b*F - a*G cutting out the fiber of [F : G] over [a : b]."""
-    return form_sub(field, form_scale(field, F, b), form_scale(field, G, a))
+    return tuple(field.sub(field.mul(b, f), field.mul(a, g)) for f, g in zip(F, G))
 
 
 def iterate_forms(field: FqField, F, G, n: int):
@@ -734,8 +703,5 @@ def iterate_forms(field: FqField, F, G, n: int):
         raise InputError("iteration depth must be >= 1")
     Fn, Gn = F, G
     for _ in range(n - 1):
-        Fn, Gn = (
-            form_compose_pair(field, F, (Fn, Gn)),
-            form_compose_pair(field, G, (Fn, Gn)),
-        )
+        Fn, Gn = compose_forms(field, (F, G), (Fn, Gn))
     return Fn, Gn

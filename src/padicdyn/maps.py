@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError, ResourceLimitError
-from .finitefield import FqField, prime_field_of
+from .finitefield import FqField, FqPoly, form_gcd_split, form_is_zero, prime_field_of
 from .padics import require_prime
 from .qpolys import QPoly, binary_form_resultant, compose_forms, int_str, poly_str, rational_str
 
@@ -574,16 +574,13 @@ def eval_reduced(field: FqField, F1, G1, point: int | None) -> int | None:
 
     Points are encoded as field elements (affine) or None (infinity); the
     coefficient encodings of F1, G1 embed into every extension of F_p
-    unchanged.
+    unchanged.  An affine point is evaluated by Horner's rule on the
+    dehomogenized forms; at infinity the forms read their top coefficients.
     """
-    from .finitefield import form_eval
-
     if point is None:
-        a, b = field.of_int(1), 0
+        fa, ga = F1[-1], G1[-1]
     else:
-        a, b = point, field.of_int(1)
-    fa = form_eval(field, F1, a, b)
-    ga = form_eval(field, G1, a, b)
+        fa, ga = FqPoly(field, F1)(point), FqPoly(field, G1)(point)
     if fa == 0 and ga == 0:
         raise InternalError("coprime reduced forms cannot vanish together")
     if ga == 0:
@@ -592,21 +589,18 @@ def eval_reduced(field: FqField, F1, G1, point: int | None) -> int | None:
 
 
 def reduce_map(integral: IntegralModel) -> ReducedMap:
-    """Reduce a p-primitive model mod p and split off the common form factor."""
-    from .finitefield import form_gcd_split, form_is_zero
+    """Reduce a p-primitive model mod p and split off the common form factor.
 
+    When one raw form vanishes the common factor is the other one, and the
+    reduced map is constant.
+    """
     p = integral.p
     field = prime_field_of(p)
     rawF = tuple(c % p for c in integral.F)
     rawG = tuple(c % p for c in integral.G)
     if form_is_zero(rawF) and form_is_zero(rawG):
         raise InternalError("a p-primitive model cannot reduce to the zero pair")
-    if form_is_zero(rawF):
-        common, F1, G1 = _degenerate_split(field, rawG)
-    elif form_is_zero(rawG):
-        common, G1, F1 = _degenerate_split(field, rawF)
-    else:
-        common, F1, G1 = form_gcd_split(field, rawF, rawG)
+    common, F1, G1 = form_gcd_split(field, rawF, rawG)
     return ReducedMap(
         field=field,
         p=p,
@@ -618,18 +612,3 @@ def reduce_map(integral: IntegralModel) -> ReducedMap:
         G1=G1,
         reduced_degree=integral.d - (len(common) - 1),
     )
-
-
-def _degenerate_split(field, nonzero_form):
-    """Split when one raw form vanishes: the common factor is the whole form.
-
-    Returns (common, zero_part, unit_part) with common scaled so its
-    dehomogenization is monic; zero_part * common = 0 and
-    unit_part * common = nonzero_form.
-    """
-    from .finitefield import FqPoly
-
-    lc = FqPoly(field, nonzero_form).lc
-    inv = field.inv(lc)
-    common = tuple(field.mul(inv, c) for c in nonzero_form)
-    return common, (0,), (lc,)

@@ -35,19 +35,19 @@ from .towers import fiber_report, frobenius_cycle_type, shift_divisibility_check
 
 @dataclass(frozen=True)
 class OrbitProfile:
-    """x_0..x_N with cycle data; residue columns filled when p is known."""
+    """x_0..x_N with cycle data and the residue columns at the session's prime."""
 
     points: tuple
     preperiod: int | None
     period: int | None
-    p: int | None
-    reductions: tuple | None
-    integral_flags: tuple | None
-    in_pc_flags: tuple | None
+    p: int
+    reductions: tuple
+    integral_flags: tuple
+    in_pc_flags: tuple
 
 
 def forward_orbit(
-    phi: RationalMapModel | MapAtPrime,
+    mp: MapAtPrime,
     x: ProjPointQ,
     N: int,
     *,
@@ -55,18 +55,17 @@ def forward_orbit(
 ) -> OrbitProfile:
     """Exact orbit x_0..x_N; the first revisited point fixes (preperiod, period).
 
-    Given a MapAtPrime session, the residue columns are filled in at its
-    prime; given a bare model, they stay None.
+    The residue columns are filled in at the session's prime; membership
+    in the postcritical set is None throughout when the reduction is
+    constant.
     """
-    mp = phi if isinstance(phi, MapAtPrime) else None
-    model = phi.model if mp else phi
     if N < 1:
         raise InputError("orbit length must be >= 1")
     points = [x]
     seen = {x: 0}
     preperiod = period = None
     for j in range(1, N + 1):
-        nxt = eval_map(model, points[-1])
+        nxt = eval_map(mp.model, points[-1])
         if nxt.height_bits() > cap_height_bits:
             raise ResourceLimitError(
                 f"orbit coordinate exceeded {cap_height_bits} bits at step {j}"
@@ -78,22 +77,19 @@ def forward_orbit(
                 period = j - seen[nxt]
             else:
                 seen[nxt] = j
-    p = reductions = integral_flags = in_pc_flags = None
-    if mp:
-        p = mp.p
-        reductions = tuple(pt.reduce(p) for pt in points)
-        integral_flags = tuple(pt.is_integral(p) for pt in points)
-        if mp.pc is None:
-            in_pc_flags = tuple(None for _ in points)
-        else:
-            in_pc_flags = tuple(mp.pc.contains_residue(r) for r in reductions)
+    p = mp.p
+    reductions = tuple(pt.reduce(p) for pt in points)
+    if mp.pc is None:
+        in_pc_flags = tuple(None for _ in points)
+    else:
+        in_pc_flags = tuple(mp.pc.contains_residue(r) for r in reductions)
     return OrbitProfile(
         points=tuple(points),
         preperiod=preperiod,
         period=period,
         p=p,
         reductions=reductions,
-        integral_flags=integral_flags,
+        integral_flags=tuple(pt.is_integral(p) for pt in points),
         in_pc_flags=in_pc_flags,
     )
 

@@ -38,9 +38,10 @@ from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import (
     FqField,
     FqPoly,
+    compose_forms,
     distinct_degree,
     fiber_form,
-    form_compose_pair,
+    form_dehomogenize,
     form_from_poly,
     form_is_squarefree,
     form_is_zero,
@@ -126,11 +127,9 @@ class MapAtPrime:
 
     def reduced_iterate(self, n: int) -> tuple:
         """Forms (F_n, G_n) over F_p of the n-th iterate of the reduced map."""
-        field, F1, G1 = self.rmap.field, self.rmap.F1, self.rmap.G1
-        its = self._reduced_iterates
+        rmap, its = self.rmap, self._reduced_iterates
         while len(its) < n:
-            pair = its[-1]
-            its.append((form_compose_pair(field, F1, pair), form_compose_pair(field, G1, pair)))
+            its.append(tuple(compose_forms(rmap.field, (rmap.F1, rmap.G1), its[-1])))
         return its[n - 1]
 
     def fiber_form(self, n: int, x: ProjPointQ) -> tuple:
@@ -170,6 +169,20 @@ class MapAtPrime:
                     out.extend([(e, mult)] * (prod.degree // e))
             self._factor_degrees[key] = tuple(sorted(out))
         return self._factor_degrees[key]
+
+    def fiber_pattern(self, n: int, xbar: int | None) -> tuple:
+        """Sorted (degree, multiplicity) of each closed point of the reduced
+        level-n fiber over xbar, infinity included as a point of degree 1.
+
+        The fiber is separable exactly when every multiplicity is 1;
+        squarefree decomposition sees p-th powers, so this holds for p = 2
+        and for p | d too.
+        """
+        poly, inf_mult = form_dehomogenize(self.rmap.field, self.reduced_fiber(n, xbar))
+        out = list(self.factor_degrees(poly)) if poly.degree >= 1 else []
+        if inf_mult:
+            out.append((1, inf_mult))
+        return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -224,8 +237,7 @@ def closed_points_of_form(field: FqField, coeffs) -> list:
     if form_is_zero(coeffs):
         raise InputError("the zero form does not cut out a point set")
     p = field.p
-    poly = FqPoly(field, coeffs)
-    inf_mult = (len(coeffs) - 1) - poly.degree
+    poly, inf_mult = form_dehomogenize(field, coeffs)
     out = []
     if poly.degree >= 1:
         for fac, mult in fq_factor(poly):

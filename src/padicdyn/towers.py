@@ -24,7 +24,10 @@ Every function here takes a ``MapAtPrime`` session and reads its
 iterates, fiber forms and factor degrees from it, so the certificate,
 the Frobenius cycle type and the preimage tree of one level share one
 iterate and, whenever they read the same polynomial over F_p, one
-distinct-degree factorization.
+distinct-degree factorization.  Separability of a reduced fiber is read
+from the same factorization: the session's fiber pattern lists the
+(degree, multiplicity) of each closed point, infinity included, and the
+fiber is separable exactly when every multiplicity is 1.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .finitefield import (
     FIELD_SIZE_CAP,
     FqPoly,
     fiber_form,
-    form_is_squarefree,
+    form_dehomogenize,
     fq_extension,
     prime_field_of,
     split_roots,
@@ -194,7 +197,8 @@ def frobenius_cycle_type(mp: MapAtPrime, n: int, xbar: int | None) -> tuple:
 
     Equals the sorted multiset of irreducible-factor degrees of the affine
     fiber polynomial over F_p, plus a 1-cycle for infinity when infinity
-    is a (simple) fiber point; the entries sum to d^n.
+    is a (simple) fiber point; the entries sum to d^n.  All of it is read
+    off the session's fiber pattern, which also decides separability.
     """
     if n < 1:
         raise InputError("fiber level must be >= 1")
@@ -206,20 +210,14 @@ def frobenius_cycle_type(mp: MapAtPrime, n: int, xbar: int | None) -> tuple:
             f"reduction has degree {rmap.reduced_degree} < {mp.d}; "
             "every reduced fiber is degree-deficient"
         )
-    fib = mp.reduced_fiber(n, xbar)
-    if not form_is_squarefree(rmap.field, fib):
+    pattern = mp.fiber_pattern(n, xbar)
+    if any(mult != 1 for _, mult in pattern):
         raise InputError(
             f"reduced fiber over {render_residue(xbar)} at level {n} is not "
             "separable; the point lies in the reduced postcritical set "
             "(or maps into it)"
         )
-    poly = FqPoly(rmap.field, fib)
-    inf_mult = (len(fib) - 1) - poly.degree
-    degs = []
-    if poly.degree >= 1:
-        degs = [e for e, _ in mp.factor_degrees(poly)]
-    degs.extend([1] * inf_mult)
-    out = tuple(sorted(degs))
+    out = tuple(e for e, _ in pattern)
     if sum(out) != mp.d**n:
         raise InternalError(f"level-{n} cycle type {out} does not sum to {mp.d}^{n}")
     return out
@@ -286,20 +284,17 @@ def preimage_tree(
     p, rmap = mp.p, mp.rmap
     if rmap.reduced_degree < 1:
         raise InputError("reduced map is constant; no preimage tree")
-    field = rmap.field
     xbar = None if xbar is None else xbar % p
 
     degrees = set()
     for n in range(1, N + 1):
-        fib = mp.reduced_fiber(n, xbar)
-        if not form_is_squarefree(field, fib):
+        pattern = mp.fiber_pattern(n, xbar)
+        if any(mult != 1 for _, mult in pattern):
             raise InputError(
                 f"separability failure at level {n} over {render_residue(xbar)}: "
                 "the basepoint meets the reduced postcritical set"
             )
-        poly = FqPoly(field, fib)
-        if poly.degree >= 1:
-            degrees.update(e for e, _ in mp.factor_degrees(poly))
+        degrees.update(e for e, _ in pattern)
 
     m = 1
     for deg in degrees:
@@ -346,10 +341,9 @@ def _climb(ext, rmap, level: tuple, frob_row: tuple) -> dict:
         if done[i]:
             continue
         a, b = (1, 0) if y is None else (y, 1)
-        form = fiber_form(ext, rmap.F1, rmap.G1, a, b)
-        poly = FqPoly(ext, form)
+        poly, inf_mult = form_dehomogenize(ext, fiber_form(ext, rmap.F1, rmap.G1, a, b))
         kids = split_roots(poly)
-        if poly.degree < len(form) - 1:
+        if inf_mult:
             kids.append(None)
         j = i
         while not done[j]:

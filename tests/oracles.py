@@ -10,7 +10,6 @@ from padicdyn.errors import InputError
 from padicdyn.finitefield import (
     FqField,
     fiber_form,
-    form_degree,
     form_is_squarefree,
     fq_extension,
     iterate_forms,
@@ -20,8 +19,8 @@ from padicdyn.maps import Mobius, ProjPointQ, ReducedMap
 
 def form_resultant(field: FqField, F, G) -> int:
     """Determinant of the formal-degree Sylvester matrix over the field."""
-    d = form_degree(F)
-    if form_degree(G) != d:
+    d = len(F) - 1
+    if len(G) != len(F):
         raise InputError("forms must share a formal degree")
     size = 2 * d
     rows = []
@@ -63,6 +62,24 @@ def form_resultant(field: FqField, F, G) -> int:
     return det
 
 
+def form_eval(field: FqField, coeffs, a: int, b: int) -> int:
+    """A form at (X, Y) = (a, b): the sum of c_i a^i b^(D-i) over its terms."""
+    d = len(coeffs) - 1
+    acc = 0
+    pa = field.of_int(1)
+    pows_a = []
+    for _ in range(d + 1):
+        pows_a.append(pa)
+        pa = field.mul(pa, a)
+    pb = field.of_int(1)
+    for i in range(d, -1, -1):
+        c = coeffs[i]
+        if c:
+            acc = field.add(acc, field.mul(field.mul(c, pows_a[i]), pb))
+        pb = field.mul(pb, b)
+    return acc
+
+
 def map_table(field: FqField, F, G) -> dict:
     """[F : G] at every point of P^1(field), with None for infinity.
 
@@ -78,7 +95,7 @@ def map_table(field: FqField, F, G) -> dict:
         return acc
 
     table = {}
-    for z in [*field.elements(), None]:
+    for z in [*range(field.q), None]:
         if z is None:
             fz, gz = field.of_int(F[-1]), field.of_int(G[-1])
         else:
@@ -233,7 +250,7 @@ def separable_oracle(rmap: ReducedMap) -> bool:
     while rmap.p**k + 1 <= 2 * e - 2:
         k += 1
     field = fq_extension(rmap.p, k)
-    for a, b in [(a, 1) for a in field.elements()] + [(1, 0)]:
+    for a, b in [(a, 1) for a in range(field.q)] + [(1, 0)]:
         if form_is_squarefree(field, fiber_form(field, rmap.F1, rmap.G1, a, b)):
             return True
     return False

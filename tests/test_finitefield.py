@@ -13,13 +13,11 @@ from padicdyn.finitefield import (
     FqField,
     _LogField,
     FqPoly,
+    compose_forms,
     fiber_form,
-    form_compose_pair,
     form_dehomogenize,
-    form_eval,
     form_gcd_split,
     form_is_squarefree,
-    form_mul,
     fq_extension,
     fq_factor,
     iterate_forms,
@@ -27,9 +25,10 @@ from padicdyn.finitefield import (
     split_roots,
     squarefree_decomposition,
 )
+from padicdyn.maps import eval_reduced
 from padicdyn.qpolys import binary_form_resultant
 
-from oracles import form_resultant
+from oracles import form_eval, form_resultant
 
 
 def test_canonical_moduli_are_frozen():
@@ -43,7 +42,7 @@ def test_canonical_moduli_are_frozen():
 def test_field_axioms_sampled():
     for field in (fq_extension(3, 2), fq_extension(2, 3), fq_extension(5, 2)):
         rng = random.Random(field.q)
-        els = field.elements()
+        els = range(field.q)
         assert len(els) == field.q
         for _ in range(60):
             a, b, c = rng.choice(els), rng.choice(els), rng.choice(els)
@@ -58,7 +57,7 @@ def test_field_axioms_sampled():
 
 def test_frobenius_is_additive_and_fixes_prime_field():
     field = fq_extension(3, 3)
-    els = field.elements()
+    els = range(field.q)
     rng = random.Random(9)
     for _ in range(50):
         a, b = rng.choice(els), rng.choice(els)
@@ -93,11 +92,11 @@ def test_log_tables_match_digit_arithmetic_exhaustively(p, m):
     dig = FqField(p, m, tab.modulus)  # a field as pushforward builds it
     assert isinstance(tab, _LogField) and not isinstance(dig, _LogField)
     assert fq_extension(p, m) is tab
-    for a in tab.elements():
-        for b in tab.elements():
+    for a in range(tab.q):
+        for b in range(tab.q):
             _agree(tab, dig, a, b)
     if p == 2:
-        assert all(tab.neg(a) == a for a in tab.elements())
+        assert all(tab.neg(a) == a for a in range(tab.q))
 
 
 @pytest.mark.parametrize("p,m", [(3, 4), (5, 4)])
@@ -154,7 +153,7 @@ def test_prime_field_factor_matches_sympy():
 def test_extension_factorization_multiplies_back():
     rng = random.Random(37)
     for field in (fq_extension(2, 2), fq_extension(3, 2), fq_extension(5, 2), fq_extension(2, 3)):
-        els = field.elements()
+        els = range(field.q)
         for _ in range(15):
             deg = rng.randint(1, 6)
             coeffs = [rng.choice(els) for _ in range(deg)]
@@ -200,48 +199,82 @@ def test_roots_against_brute_force():
     rng = random.Random(41)
     for field in (prime_field_of(7), fq_extension(3, 2)):
         for _ in range(20):
-            roots = rng.sample(field.elements(), rng.randint(0, 5))
+            roots = rng.sample(range(field.q), rng.randint(0, 5))
             f = FqPoly(field, (rng.randrange(1, field.q),))
             for r in roots:
                 f = f * FqPoly(field, (field.neg(r), 1))
-            brute = [a for a in field.elements() if f(a) == 0]
+            brute = [a for a in range(field.q) if f(a) == 0]
             assert split_roots(f) == brute == sorted(roots)
 
 
+def _form_of_roots(field, c, roots, inf_mult):
+    """c * prod (X - r Y) * Y^inf_mult as an ascending form."""
+    f = FqPoly(field, (c,))
+    for r in roots:
+        f = f * FqPoly(field, (field.neg(r), 1))
+    return tuple(f.coeffs) + (0,) * inf_mult
+
+
 def test_form_eval_vs_compose():
-    field = prime_field_of(5)
-    rng = random.Random(43)
-    F = tuple(rng.randrange(5) for _ in range(3))
-    G = (1, 0, 3)
-    F2, G2 = iterate_forms(field, F, G, 2)
-    for a in range(5):
-        for b in range(5):
-            if a == 0 and b == 0:
-                continue
-            inner = (form_eval(field, F, a, b), form_eval(field, G, a, b))
-            if inner == (0, 0):
-                continue
-            assert form_eval(field, F2, a, b) == form_eval(field, F, *inner)
-            assert form_eval(field, G2, a, b) == form_eval(field, G, *inner)
+    # F_5 computes mod 5, F_4 and F_9 on log tables and F_{3^8} (above
+    # TABLE_Q) on digits; each map has forms whose top coefficients
+    # vanish, so infinity is a root of F or a double root of G
+    for p, m in [(5, 1), (2, 2), (3, 2), (3, 8)]:
+        field = fq_extension(p, m)
+        assert isinstance(field, _LogField) == (1 < m and field.q <= TABLE_Q)
+        rng = random.Random(43 + field.q)
+        r, s, t = rng.sample(range(1, field.q), 3)
+        c = rng.randrange(1, field.q)
+        maps = [
+            (_form_of_roots(field, 1, [r], 1), _form_of_roots(field, c, [s, t], 0)),
+            (_form_of_roots(field, c, [s, t], 0), _form_of_roots(field, 1, [], 2)),
+        ]
+        points = [*range(field.q), None]
+        if field.q > TABLE_Q:
+            # digit arithmetic costs about 1 ms a point here: the special
+            # points and a seeded sample stand in for all of P^1
+            points = [None, 0, 1, r, s, t] + rng.sample(range(2, field.q), 120)
+        for F, G in maps:
+            forms = [(F, G)] + [iterate_forms(field, F, G, n) for n in (2, 3)]
+            assert [len(Fn) for Fn, _ in forms] == [3, 5, 9]
+            for z in points:
+                a, b = (1, 0) if z is None else (z, 1)
+                prev = (a, b)
+                for Fn, Gn in forms:
+                    value = (form_eval(field, Fn, a, b), form_eval(field, Gn, a, b))
+                    assert value == (form_eval(field, F, *prev), form_eval(field, G, *prev))
+                    assert value != (0, 0)
+                    want = None if value[1] == 0 else field.mul(value[0], field.inv(value[1]))
+                    assert eval_reduced(field, Fn, Gn, z) == want
+                    prev = value
 
 
-def test_form_compose_pair_degree():
+def test_compose_forms_degree():
     field = prime_field_of(3)
     F, G = (1, 2, 1), (0, 1, 0)
-    FF, GG = form_compose_pair(field, F, (F, G)), form_compose_pair(field, G, (F, G))
+    FF, GG = compose_forms(field, (F, G), (F, G))
     assert len(FF) == 5 and len(GG) == 5
+    assert (FF, GG) == iterate_forms(field, F, G, 2)
 
 
 def test_form_gcd_split_extracts_common_factor():
     field = prime_field_of(5)
     # F = (X - 2Y) * (X + Y), G = (X - 2Y) * (X - Y)
-    F = form_mul(field, (3, 1), (1, 1))
-    G = form_mul(field, (3, 1), (4, 1))
+    F = _form_of_roots(field, 1, [2, 4], 0)
+    G = _form_of_roots(field, 1, [2, 1], 0)
     common, F1, G1 = form_gcd_split(field, F, G)
     assert common == (3, 1)
     c, a, b = form_gcd_split(field, F1, G1)
     assert len(c) == 1  # coprime parts share nothing
-    assert form_mul(field, common, F1) == F
+    assert (FqPoly(field, common) * FqPoly(field, F1)).coeffs == F
+    # gcd(0, g) = g: the common factor is g made monic, the rest (0,) and (lc,)
+    g = (1, 3, 2)  # 2X^2 + 3XY + Y^2
+    assert form_gcd_split(field, (0, 0, 0), g) == ((3, 4, 1), (0,), (2,))
+    assert form_gcd_split(field, g, (0, 0, 0)) == ((3, 4, 1), (2,), (0,))
+    h = (0, 4, 0)  # 4XY: its affine part is monic only after scaling by 4^-1
+    assert form_gcd_split(field, (0, 0, 0), h) == ((0, 1, 0), (0,), (4,))
+    with pytest.raises(InputError):
+        form_gcd_split(field, (0, 0, 0), (0, 0, 0))
 
 
 def test_form_is_squarefree_counts_infinity():

@@ -37,16 +37,13 @@ def test_forward_orbit_cycle_detection():
     assert (prof3.preperiod, prof3.period) == (None, None)
 
 
-def test_forward_orbit_without_prime_and_nonintegral():
-    prof = forward_orbit(parse_map("z^2 + 1", 7), _pt("1"), 3)
-    assert prof.p is None
-    assert prof.reductions is None and prof.in_pc_flags is None
-
+def test_forward_orbit_nonintegral():
     # 1/p stays non-integral and reduces to infinity, which is postcritical
-    prof2 = forward_orbit(MapAtPrime(parse_map("z^2 + p", 5), 5), _pt("1/5"), 2)
-    assert prof2.integral_flags == (False, False, False)
-    assert prof2.reductions == (None, None, None)
-    assert prof2.in_pc_flags == (True, True, True)
+    prof = forward_orbit(MapAtPrime(parse_map("z^2 + p", 5), 5), _pt("1/5"), 2)
+    assert prof.p == 5
+    assert prof.integral_flags == (False, False, False)
+    assert prof.reductions == (None, None, None)
+    assert prof.in_pc_flags == (True, True, True)
 
 
 def test_forward_orbit_height_cap():

@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 from padicdyn.errors import InputError, ResourceLimitError
-from padicdyn.finitefield import FqField, form_degree, form_eval, form_is_zero
+from padicdyn.finitefield import FqField, form_is_zero
 from padicdyn.maps import normalize_integral, parse_map, reduce_map
 from padicdyn.padics import vp
 from padicdyn.reduction import (
@@ -28,7 +28,13 @@ from padicdyn.reduction import (
 )
 
 from corpus_util import random_mobius_models, random_models
-from oracles import etale_fiber_oracle, fiber_sweep, separable_oracle, universal_discriminant
+from oracles import (
+    etale_fiber_oracle,
+    fiber_sweep,
+    form_eval,
+    separable_oracle,
+    universal_discriminant,
+)
 
 
 def _rmap(text, p):
@@ -73,7 +79,7 @@ def test_closed_points_of_form_matches_brute_evaluation():
         if form_is_zero(coeffs):
             continue
         pts = closed_points_of_form(field, coeffs)
-        assert sum(m * q.degree for q, m in pts) == form_degree(coeffs)
+        assert sum(m * q.degree for q, m in pts) == len(coeffs) - 1
         rational = {q for q, _ in pts if q.degree == 1}
         brute = {
             ClosedPoint.of_residue(p, c)
@@ -93,7 +99,7 @@ def test_critical_divisor_examples():
     assert form_is_zero(critical_divisor(_rmap("z^3", 3)))
     # degree 1 maps have no critical points, the form is a unit constant
     r1 = _rmap("z + 1", 5)
-    assert form_degree(critical_divisor(r1)) == 0
+    assert len(critical_divisor(r1)) == 1
     assert not form_is_zero(critical_divisor(r1))
     with pytest.raises(InputError):
         critical_divisor(_rmap("p^2*z^2", 5))  # constant reduction

@@ -51,7 +51,9 @@ def test_each_query_derives_its_artifacts_once(monkeypatch, argv, n_max):
     normalized = _count(monkeypatch, "maps", "normalize_integral")
     reduced = _count(monkeypatch, "maps", "reduce_map")
     composed_q = _count(monkeypatch, "maps", "compose_map")
-    composed_fp = _count(monkeypatch, "finitefield", "form_compose_pair")
+    composed_fp = _count(monkeypatch, "finitefield", "compose_forms")
+    # separability is read from the factor multiplicities, never by a gcd
+    squarefree = _count(monkeypatch, "finitefield", "form_is_squarefree")
     # squarefree decompositions the session runs, not those inside fq_factor
     decomposed = []
     original = reduction.squarefree_decomposition
@@ -68,7 +70,8 @@ def test_each_query_derives_its_artifacts_once(monkeypatch, argv, n_max):
     assert len(reduced) == 1
     assert len(composed_q) <= n_max - 1
     # one composition of the reduced map substitutes into both of its forms
-    assert len(composed_fp) <= 2 * (n_max - 1)
+    assert len(composed_fp) <= n_max - 1
+    assert squarefree == []
     keys = [(f.field, f.monic().coeffs) for f in decomposed]
     assert len(keys) == len(set(keys)) > 0
 
