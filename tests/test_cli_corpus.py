@@ -90,6 +90,8 @@ CORPUS = [
     # phi(inf) = 2, resp. 1, loses affine degree
     ["analyze", "(2*z^3+1)/(z^3+z^2+5)", "-p", "101", "--format", "json"],
     ["analyze", "(z^4+2)/(z^4+z^3+1)", "-p", "101", "--format", "json"],
+    # a tree in F_{3^8}, above TABLE_Q: polynomial rows on digit arithmetic
+    ["tower", "z^2+1", "-p", "3", "-x", "0", "-n", "3", "--format", "json"],
 ]
 
 
