@@ -2,12 +2,12 @@
 
 Every subcommand is a thin shell over the library: it parses the map,
 opens one MapAtPrime session for it, runs one analysis on that session,
-and prints either a text summary or JSON.  JSON is deterministic (sorted
-keys, fixed indentation, canonically ordered factorizations) so runs
-with the same arguments are byte-identical.  Integers that can
-exceed native JSON precision (resultants, discriminants, determinants)
-are emitted as strings, rationals as "num/den", and infinite valuations
-as "inf".
+and prints either JSON or a text summary, rendering only what it prints.
+JSON is deterministic (sorted keys, fixed indentation, canonically
+ordered factorizations) so runs with the same arguments are
+byte-identical.  Integers that can exceed native JSON precision
+(resultants, discriminants, determinants) are emitted as strings,
+rationals as "num/den", and infinite valuations as "inf".
 
 Exit codes: 0 success, 1 failed example battery, 2 input error,
 3 resource cap exceeded.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 
 from .errors import InputError, InternalError, PadicDynError, ResourceLimitError
@@ -105,7 +106,7 @@ def _fiber_json(rep) -> dict:
 
 # -- subcommand payloads --------------------------------------------------------
 
-def _cmd_analyze(args) -> tuple[dict, str, int]:
+def _cmd_analyze(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     model = parse_map(args.map, args.prime)
     mp = MapAtPrime(model, args.prime)
     rep = analyze_map(mp)
@@ -137,30 +138,29 @@ def _cmd_analyze(args) -> tuple[dict, str, int]:
         payload["sgr"]["det"] = _big(d1.det)
         payload["sgr"]["det_valuation"] = d1.det_valuation
 
-    lines = [
-        f"map: {model.map_str()}",
-        f"prime: {args.prime}",
-        f"degree: {sgr.d}   reduced degree: {sgr.reduced_degree}",
-        f"resultant: {_big(sgr.resultant)} (valuation {sgr.res_valuation})",
-        f"strict good reduction: {'yes' if sgr.is_strict_good_reduction else 'no'}",
-        f"reduced map: {rep.rmap.map_str()}",
-    ]
-    if sgr.inseparable_reduction:
-        lines.append("inseparable reduction (the reduced map is a p-th power composite)")
-    if rep.pc is None:
-        lines.append("postcritical set: undefined (constant reduction)")
-    elif rep.pc.everything:
-        lines.append("postcritical set: all of P^1")
-    else:
-        pts = " ".join(_point_label(q) for q in rep.pc.sorted_points()) or "(empty)"
-        lines.append(f"postcritical set: {pts} (stable depth {rep.pc.stable_depth})")
-    locus = " ".join(str(_residue(r)) for r in rep.locus) or "(empty)"
-    lines.append(f"good residue locus: {locus}")
-    lines.append(f"degree-d etale fibers over the locus: {'yes' if rep.condition2.holds else 'no'}")
-    if rep.condition2.violations:
-        bad = " ".join(str(_residue(r)) for r in rep.condition2.violations)
-        lines.append(f"violating residues: {bad}")
-    return payload, "\n".join(lines), 0
+    def text():
+        yield f"map: {model.map_str()}"
+        yield f"prime: {args.prime}"
+        yield f"degree: {sgr.d}   reduced degree: {sgr.reduced_degree}"
+        yield f"resultant: {_big(sgr.resultant)} (valuation {sgr.res_valuation})"
+        yield f"strict good reduction: {'yes' if sgr.is_strict_good_reduction else 'no'}"
+        yield f"reduced map: {rep.rmap.map_str()}"
+        if sgr.inseparable_reduction:
+            yield "inseparable reduction (the reduced map is a p-th power composite)"
+        if rep.pc is None:
+            yield "postcritical set: undefined (constant reduction)"
+        elif rep.pc.everything:
+            yield "postcritical set: all of P^1"
+        else:
+            pts = " ".join(_point_label(q) for q in rep.pc.sorted_points()) or "(empty)"
+            yield f"postcritical set: {pts} (stable depth {rep.pc.stable_depth})"
+        locus = " ".join(str(_residue(r)) for r in rep.locus) or "(empty)"
+        yield f"good residue locus: {locus}"
+        yield f"degree-d etale fibers over the locus: {'yes' if rep.condition2.holds else 'no'}"
+        if rep.condition2.violations:
+            bad = " ".join(str(_residue(r)) for r in rep.condition2.violations)
+            yield f"violating residues: {bad}"
+    return payload, text, 0
 
 
 def _tree_json(tree) -> dict:
@@ -176,7 +176,7 @@ def _tree_json(tree) -> dict:
     }
 
 
-def _cmd_tower(args) -> tuple[dict, str, int]:
+def _cmd_tower(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     model = parse_map(args.map, args.prime)
     mp = MapAtPrime(model, args.prime, cap_degree=args.cap_degree)
     x = ProjPointQ.from_value(args.x)
@@ -220,40 +220,39 @@ def _cmd_tower(args) -> tuple[dict, str, int]:
         },
     }
 
-    lines = [
-        f"map: {model.map_str()}",
-        f"prime: {args.prime}",
-        f"x: {x} (reduction {_residue(xbar)}, {'integral' if x.is_integral(args.prime) else 'not integral'})",
-        " n | lc_val | disc_val | certificate    | cycle type | factor degrees",
-    ]
-    for entry in levels:
-        cyc = (
-            ",".join(str(c) for c in entry["cycle_type"])
-            if entry["cycle_type"]
-            else "-"
-        )
-        fac = (
-            ",".join(str(c) for c in entry["reduced_factor_degrees"])
-            if entry["reduced_factor_degrees"]
-            else "-"
-        )
-        lines.append(
-            f" {entry['n']} | {entry['lc_valuation']:>6} | {entry['disc_valuation']!s:>8} "
-            f"| {entry['certificate']:<14} | {cyc:<10} | {fac}"
-        )
-    for w in warnings:
-        lines.append(f"warning: {w}")
-    if tree_payload is not None:
-        lines.append(
-            f"reduced preimage tree over F_{args.prime}^{tree_payload['field_degree']}: "
-            f"level sizes {','.join(str(s) for s in tree_payload['level_sizes'])}"
-        )
-    elif tree_note is not None:
-        lines.append(f"no reduced preimage tree: {tree_note}")
-    return payload, "\n".join(lines), 0
+    def text():
+        yield f"map: {model.map_str()}"
+        yield f"prime: {args.prime}"
+        yield f"x: {x} (reduction {_residue(xbar)}, {'integral' if x.is_integral(args.prime) else 'not integral'})"
+        yield " n | lc_val | disc_val | certificate    | cycle type | factor degrees"
+        for entry in levels:
+            cyc = (
+                ",".join(str(c) for c in entry["cycle_type"])
+                if entry["cycle_type"]
+                else "-"
+            )
+            fac = (
+                ",".join(str(c) for c in entry["reduced_factor_degrees"])
+                if entry["reduced_factor_degrees"]
+                else "-"
+            )
+            yield (
+                f" {entry['n']} | {entry['lc_valuation']:>6} | {entry['disc_valuation']!s:>8} "
+                f"| {entry['certificate']:<14} | {cyc:<10} | {fac}"
+            )
+        for w in warnings:
+            yield f"warning: {w}"
+        if tree_payload is not None:
+            yield (
+                f"reduced preimage tree over F_{args.prime}^{tree_payload['field_degree']}: "
+                f"level sizes {','.join(str(s) for s in tree_payload['level_sizes'])}"
+            )
+        elif tree_note is not None:
+            yield f"no reduced preimage tree: {tree_note}"
+    return payload, text, 0
 
 
-def _cmd_orbit(args) -> tuple[dict, str, int]:
+def _cmd_orbit(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     model = parse_map(args.map, args.prime)
     mp = MapAtPrime(model, args.prime, cap_degree=args.cap_degree)
     x = ProjPointQ.from_value(args.x)
@@ -293,27 +292,27 @@ def _cmd_orbit(args) -> tuple[dict, str, int]:
 
     payload = {"map": model.map_str(), "prime": args.prime, "orbit": orbit_payload}
 
-    lines = [f"map: {model.map_str()}", f"prime: {args.prime}"]
-    lines.append("orbit: " + " -> ".join(str(pt) for pt in profile.points))
-    if profile.period is not None:
-        lines.append(f"cycle: preperiod {profile.preperiod}, period {profile.period}")
-    else:
-        lines.append(f"cycle: none within {args.N} steps")
-    lines.append(
-        "reductions: " + " ".join(str(_residue(r)) for r in profile.reductions)
-    )
-    if rep is not None:
-        for bp in rep.basepoints:
-            certs = " ".join(r.certificate for r in bp.fiber_reports)
-            lines.append(f"x_{bp.index} = {bp.point}: {certs}")
-        lines.append(
-            "all basepoints off the postcritical set certified unramified: "
-            + ("yes" if rep.all_unramified_on_locus else "no")
-        )
-    return payload, "\n".join(lines), 0
+    def text():
+        yield f"map: {model.map_str()}"
+        yield f"prime: {args.prime}"
+        yield "orbit: " + " -> ".join(str(pt) for pt in profile.points)
+        if profile.period is not None:
+            yield f"cycle: preperiod {profile.preperiod}, period {profile.period}"
+        else:
+            yield f"cycle: none within {args.N} steps"
+        yield "reductions: " + " ".join(str(_residue(r)) for r in profile.reductions)
+        if rep is not None:
+            for bp in rep.basepoints:
+                certs = " ".join(r.certificate for r in bp.fiber_reports)
+                yield f"x_{bp.index} = {bp.point}: {certs}"
+            yield (
+                "all basepoints off the postcritical set certified unramified: "
+                + ("yes" if rep.all_unramified_on_locus else "no")
+            )
+    return payload, text, 0
 
 
-def _cmd_moduli(args) -> tuple[dict, str, int]:
+def _cmd_moduli(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     model = parse_map(args.map, args.prime)
     rep = moduli_search(model, args.prime)
     payload = {
@@ -328,18 +327,18 @@ def _cmd_moduli(args) -> tuple[dict, str, int]:
             "tried": rep.tried,
         },
     }
-    lines = [
-        f"map: {model.map_str()}",
-        f"prime: {args.prime}",
-        f"resultant valuation of the given model: {rep.initial_valuation}",
-        f"best conjugate: M(z) = {rep.best_mobius.formula()} giving {rep.best_model.map_str()}",
-        f"best resultant valuation: {rep.best_valuation}"
-        + (" (good reduction witness)" if rep.achieved_zero else " (inconclusive)"),
-    ]
-    return payload, "\n".join(lines), 0
+    def text():
+        yield f"map: {model.map_str()}"
+        yield f"prime: {args.prime}"
+        yield f"resultant valuation of the given model: {rep.initial_valuation}"
+        yield f"best conjugate: M(z) = {rep.best_mobius.formula()} giving {rep.best_model.map_str()}"
+        yield f"best resultant valuation: {rep.best_valuation}" + (
+            " (good reduction witness)" if rep.achieved_zero else " (inconclusive)"
+        )
+    return payload, text, 0
 
 
-def _cmd_examples(args) -> tuple[dict, str, int]:
+def _cmd_examples(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     checks = run_battery(args.prime)
     passed = battery_passed(checks)
     payload = {
@@ -350,16 +349,14 @@ def _cmd_examples(args) -> tuple[dict, str, int]:
         ],
         "passed": passed,
     }
-    lines = []
-    for c in checks:
-        if c.ok:
-            lines.append(f"PASS {c.name}")
-        else:
-            lines.append(f"FAIL {c.name} (expected {c.expected}, got {c.got})")
-    lines.append(
-        f"{sum(c.ok for c in checks)}/{len(checks)} worked-example checks passed"
-    )
-    return payload, "\n".join(lines), 0 if passed else 1
+    def text():
+        for c in checks:
+            if c.ok:
+                yield f"PASS {c.name}"
+            else:
+                yield f"FAIL {c.name} (expected {c.expected}, got {c.got})"
+        yield f"{sum(c.ok for c in checks)}/{len(checks)} worked-example checks passed"
+    return payload, text, 0 if passed else 1
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -432,5 +429,5 @@ def main(argv=None) -> int:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print(text)
+        print("\n".join(text()))
     return code

@@ -17,12 +17,18 @@ built directly, as the postcritical pushforward builds one per closed
 point, stay on digits.
 
 Polynomials (FqPoly) store ascending coefficient tuples of encoded
-elements, trailing zeros trimmed.  Factorization runs squarefree
-decomposition, then distinct-degree splitting, then Cantor-Zassenhaus
-equal-degree splitting driven by a seeded random stream; the returned
-factor list is sorted by (degree, coefficient tuple) so the output is
-reproducible independently of the stream.  Callers that need only the
-factor degrees stop after the distinct-degree step.
+elements, trailing zeros trimmed.  Products, division, composition and
+sums are sequences of one row operation, ``addmul(acc, k, c, row)``,
+which each field class runs on its own encoding: mod p inline over F_p,
+table lookups inline in a log field, element calls on digits.
+``divmod``, ``gcd`` and ``pow_mod`` share one division on int lists,
+``_divmod``, so a modular power builds an FqPoly only for its result.
+Factorization runs squarefree decomposition, then distinct-degree
+splitting, then Cantor-Zassenhaus equal-degree splitting driven by a
+seeded random stream; the returned factor list is sorted by (degree,
+coefficient tuple) so the output is reproducible independently of the
+stream.  Callers that need only the factor degrees stop after the
+distinct-degree step.
 
 Binary forms of a fixed formal degree D are ascending tuples of length
 D + 1 (entry i is the coefficient of X^i Y^(D-i)); they are never trimmed,
@@ -125,9 +131,6 @@ class FqField:
             return (-a) % self.p
         return self.encode([-x for x in self.decode(a)])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         p, m = self.p, self.m
         if m == 1:
@@ -148,10 +151,6 @@ class FqField:
                 for i in range(m):
                     out[i] = (out[i] + c * row[i]) % p
         return self.encode(out)
-
-    def smul(self, k: int, a: int) -> int:
-        """Multiply by the integer k (through the prime subfield)."""
-        return self.mul(self.of_int(k), a)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -174,16 +173,31 @@ class FqField:
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
 
+    def addmul(self, acc: list, k: int, c: int, row) -> None:
+        """acc[k + j] += c * row[j] for every j, the one row operation of the
+        polynomial loops: mod p inline over F_p, add and mul calls on digits."""
+        if self.m == 1:
+            p = self.p
+            for j, r in enumerate(row, k):
+                acc[j] = (acc[j] + c * r) % p
+            return
+        add, mul = self.add, self.mul
+        for j, r in enumerate(row, k):
+            if r:
+                acc[j] = add(acc[j], mul(c, r))
+
 
 class _LogField(FqField):
     """F_{p^m} as FqField, with every operation a lookup in log tables.
 
-    For a generator g, exp[k] encodes g^k (the list is doubled, so a sum
-    of two logs needs no reduction), log inverts it on the nonzero
-    elements, zech[k] = log(1 + g^k) (None where 1 + g^k = 0) and neg
-    negates.  The encoding is FqField's, so results are the same ints.
-    Building costs q - 1 multiplications by g; a Zech entry is O(1),
-    since 1 + a changes only the lowest base-p digit of a.
+    For a generator g, exp[k] encodes g^k, log inverts it on the nonzero
+    elements, zech[k] = log(1 + g^k) and neg negates.  exp and zech are
+    doubled, so a sum of two logs, or its difference with a log (negative
+    ones count from the end), indexes them with no reduction mod q - 1;
+    where 1 + g^k = 0, zech[k] = 2q - 2 points into zeros appended to exp.
+    The encoding is FqField's, so results are the same ints.  Building
+    costs q - 1 multiplications by g; a Zech entry is O(1), since 1 + a
+    changes only the lowest base-p digit of a.
     """
 
     __slots__ = ("_exp", "_log", "_zech", "_neg")
@@ -207,9 +221,10 @@ class _LogField(FqField):
         zech = []
         for a in exp:
             one_plus = a - a % p + (a + 1) % p
-            zech.append(log[one_plus] if one_plus else None)
+            zech.append(log[one_plus] if one_plus else 2 * q - 2)
         half = 0 if p == 2 else (q - 1) // 2  # -1 = g^half
-        exp += exp
+        exp += exp + [0] * (q - 1)
+        zech += zech
         neg = [0] * q
         for k in range(q - 1):
             neg[exp[k]] = exp[k + half]
@@ -224,14 +239,10 @@ class _LogField(FqField):
         if not b:
             return a
         la = self._log[a]
-        z = self._zech[self._log[b] - la]  # a negative index wraps mod q - 1
-        return 0 if z is None else self._exp[la + z]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a: int) -> int:
         return self._neg[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self._neg[b])
 
     def mul(self, a: int, b: int) -> int:
         if not a or not b:
@@ -252,6 +263,22 @@ class _LogField(FqField):
 
     def frobenius(self, a: int) -> int:
         return self._exp[self._log[a] * self.p % (self.q - 1)] if a else 0
+
+    def addmul(self, acc: list, k: int, c: int, row) -> None:
+        """acc[k + j] += c * row[j] for every j, by table lookups inline."""
+        if not c:
+            return
+        exp, log, zech = self._exp, self._log, self._zech
+        lc = log[c]
+        for j, r in enumerate(row, k):
+            if r:
+                lt = lc + log[r]  # log of c * r, at most 2q - 4
+                a = acc[j]
+                if a:  # a + c*r = g^la * (1 + g^(lt - la))
+                    la = log[a]
+                    acc[j] = exp[la + zech[lt - la]]
+                else:
+                    acc[j] = exp[lt]
 
 
 def _modulus_irreducible(p: int, modulus: tuple[int, ...]) -> bool:
@@ -297,15 +324,38 @@ def _extension(p: int, m: int) -> FqField:
     raise InputError(f"no irreducible modulus of degree {m} over F_{p}")  # pragma: no cover
 
 
-def _mul(field: FqField, A, B) -> tuple:
-    """Product of two nonempty coefficient lists, length len(A) + len(B) - 1."""
+def _mul(field: FqField, A, B) -> list:
+    """Product of two coefficient lists; forms keep their formal degree."""
+    if not A or not B:
+        return []
     out = [0] * (len(A) + len(B) - 1)
     for i, x in enumerate(A):
         if x:
-            for j, y in enumerate(B):
-                if y:
-                    out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return tuple(out)
+            field.addmul(out, i, x, B)
+    return out
+
+
+def _divmod(field: FqField, a, b) -> tuple[list, list]:
+    """Quotient and trimmed remainder of the list a by the trimmed list b:
+    each step adds a multiple of the row -b/lc(b), and rem[deg b:] keeps
+    lc(b) times the quotient."""
+    if not b:
+        raise InputError("polynomial division by zero")
+    db, rem, addmul = len(b) - 1, list(a), field.addmul
+    inv = 1 if b[-1] == 1 else field.inv(b[-1])
+    row = [0] * db
+    addmul(row, 0, field.neg(inv), b[:-1])
+    for i in range(len(rem) - 1 - db, -1, -1):
+        if rem[i + db]:
+            addmul(rem, i, rem[i + db], row)
+    quot = rem[db:]
+    if inv != 1:
+        quot = [0] * len(quot)
+        addmul(quot, 0, inv, rem[db:])
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
 
 
 class FqPoly:
@@ -358,48 +408,27 @@ class FqPoly:
         return f"FqPoly[{self.field!r}]({poly_str(self.coeffs)})"
 
     def __add__(self, other: "FqPoly") -> "FqPoly":
-        F = self.field
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return FqPoly(F, out)
-
-    def __neg__(self) -> "FqPoly":
-        F = self.field
-        return FqPoly(F, [F.neg(c) for c in self.coeffs])
+        self.field.addmul(out, 0, 1, b)
+        return FqPoly(self.field, out)
 
     def __sub__(self, other: "FqPoly") -> "FqPoly":
-        return self + (-other)
+        return self + other.scale(self.field.neg(1))
 
     def __mul__(self, other: "FqPoly") -> "FqPoly":
-        a, b = self.coeffs, other.coeffs
-        return FqPoly(self.field, _mul(self.field, a, b) if a and b else ())
+        return FqPoly(self.field, _mul(self.field, self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "FqPoly":
-        F = self.field
-        return FqPoly(F, [F.mul(c, x) for x in self.coeffs])
+        out = [0] * len(self.coeffs)
+        self.field.addmul(out, 0, c, self.coeffs)
+        return FqPoly(self.field, out)
 
     def __divmod__(self, other: "FqPoly"):
-        if other.is_zero():
-            raise InputError("polynomial division by zero")
-        F = self.field
-        rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, other.degree
-        if dn < dd:
-            return FqPoly(F), self
-        inv = 1 if other.lc == 1 else F.inv(other.lc)
-        quot = [0] * (dn - dd + 1)
-        oc = other.coeffs
-        for i in range(dn - dd, -1, -1):
-            c = rem[i + dd] if inv == 1 else F.mul(rem[i + dd], inv)
-            if c:
-                quot[i] = c
-                for j, o in enumerate(oc):
-                    rem[i + j] = F.sub(rem[i + j], F.mul(c, o))
-        return FqPoly(F, quot), FqPoly(F, rem)
+        quot, rem = _divmod(self.field, self.coeffs, other.coeffs)
+        return FqPoly(self.field, quot), FqPoly(self.field, rem)
 
     def __floordiv__(self, other: "FqPoly") -> "FqPoly":
         return divmod(self, other)[0]
@@ -413,14 +442,14 @@ class FqPoly:
         return self.scale(self.field.inv(self.lc))
 
     def gcd(self, other: "FqPoly") -> "FqPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        F, a, b = self.field, self.coeffs, other.coeffs
+        while b:
+            a, b = b, _divmod(F, a, b)[1]
+        return FqPoly(F, a).monic()
 
     def derivative(self) -> "FqPoly":
         F = self.field
-        return FqPoly(F, [F.smul(i, c) for i, c in enumerate(self.coeffs)][1:])
+        return FqPoly(F, [F.mul(i % F.p, c) for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, a: int) -> int:
         F = self.field
@@ -429,20 +458,18 @@ class FqPoly:
             acc = F.add(F.mul(acc, a), c)
         return acc
 
-    def mul_mod(self, other: "FqPoly", mod: "FqPoly") -> "FqPoly":
-        return (self * other) % mod
-
     def pow_mod(self, e: int, mod: "FqPoly") -> "FqPoly":
+        """self^e mod mod, square-and-multiply from the top bit of e."""
         if e < 0:
             raise InputError("negative exponent in pow_mod")
-        out = FqPoly(self.field, (1,)) % mod
-        base = self % mod
-        while e:
-            if e & 1:
-                out = out.mul_mod(base, mod)
-            base = base.mul_mod(base, mod)
-            e >>= 1
-        return out
+        F, m = self.field, mod.coeffs
+        base = _divmod(F, self.coeffs, m)[1]
+        out = base if e else _divmod(F, [1], m)[1]
+        for bit in bin(e)[3:]:
+            out = _divmod(F, _mul(F, out, out), m)[1]
+            if bit == "1":
+                out = _divmod(F, _mul(F, out, base), m)[1]
+        return FqPoly(F, out)
 
     def is_squarefree(self) -> bool:
         if self.degree < 1:
@@ -568,8 +595,8 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random) -> list[FqPoly]:
             s = FqPoly(F)
             t = r % f
             for _ in range(e * F.m):
-                s = (s + t) % f
-                t = t.mul_mod(t, f)
+                s = s + t
+                t = t * t % f
             g = s.gcd(f)
         else:
             s = r.pow_mod((q**e - 1) // 2, f)
@@ -641,9 +668,7 @@ def compose_forms(field: FqField, forms, pair) -> list[tuple]:
         acc = [0] * (d * (len(A) - 1) + 1)
         for c, term in zip(coeffs, monomials):
             if c:
-                for k, v in enumerate(term):
-                    if v:
-                        acc[k] = field.add(acc[k], field.mul(c, v))
+                field.addmul(acc, 0, c, term)
         out.append(tuple(acc))
     return out
 
@@ -694,7 +719,10 @@ def form_gcd_split(field: FqField, F, G):
 
 def fiber_form(field: FqField, F, G, a: int, b: int):
     """The form b*F - a*G cutting out the fiber of [F : G] over [a : b]."""
-    return tuple(field.sub(field.mul(b, f), field.mul(a, g)) for f, g in zip(F, G))
+    out = [0] * len(F)
+    field.addmul(out, 0, b, F)
+    field.addmul(out, 0, field.neg(a), G)
+    return tuple(out)
 
 
 def iterate_forms(field: FqField, F, G, n: int):

@@ -54,9 +54,9 @@ def form_resultant(field: FqField, F, G) -> int:
         for i in range(k + 1, size):
             factor = rows[i][k]
             if factor:
-                scale = field.mul(factor, inv)
+                scale = field.neg(field.mul(factor, inv))
                 rows[i] = [
-                    field.sub(rows[i][j], field.mul(scale, rows[k][j]))
+                    field.add(rows[i][j], field.mul(scale, rows[k][j]))
                     for j in range(size)
                 ]
     return det

@@ -144,6 +144,29 @@ def test_internal_alarms_exit_4(monkeypatch, capsys):
     assert "not 2^1" in capsys.readouterr().err
 
 
+def test_text_report_is_rendered_only_when_printed(monkeypatch, capsys):
+    rendered = []
+    for name, command in list(cli._DISPATCH.items()):
+
+        def recording(args, _command=command):
+            payload, text, code = _command(args)
+
+            def render():
+                rendered.append(args.command)
+                return text()
+
+            return payload, render, code
+
+        monkeypatch.setitem(cli._DISPATCH, name, recording)
+    for argv in (["analyze", "z^2+1", "-p", "101"], ["moduli", "p*z^2+z", "-p", "5"]):
+        assert cli.main(argv + ["--format", "json"]) == 0
+        assert rendered == []
+        assert cli.main(argv) == 0
+        assert rendered == [argv[0]]
+        del rendered[:]
+    assert "good residue locus: 0 3 4 6 7 " in capsys.readouterr().out
+
+
 def test_module_entry_point_smoke():
     res = _run("--help")
     assert res.returncode == 0

@@ -71,7 +71,6 @@ def test_frobenius_is_additive_and_fixes_prime_field():
 def _agree(tab, dig, a, b):
     q = tab.q
     assert tab.add(a, b) == dig.add(a, b)
-    assert tab.sub(a, b) == dig.sub(a, b)
     assert tab.mul(a, b) == dig.mul(a, b)
     assert tab.neg(a) == dig.neg(a)
     assert tab.frobenius(a) == dig.frobenius(a)
@@ -315,3 +314,124 @@ def test_form_resultant_matches_integer_resultant_mod_p():
                 tuple(c % p for c in G),
             )
             assert got == int(over_q) % p
+
+
+# -- the row kernel against a schoolbook reference ----------------------------
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _school_mul(field, a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return _trim(out)
+
+
+def _school_add(field, a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trim(field.add(x, y) for x, y in zip(a, b))
+
+
+def _school_divmod(field, a, b):
+    rem, inv = list(a), field.inv(b[-1])
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = field.mul(rem[i + len(b) - 1], inv)
+        quot[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] = field.add(rem[i + j], field.neg(field.mul(c, y)))
+    return _trim(quot), _trim(rem)
+
+
+def _school_pow_mod(field, a, e, m):
+    # right to left, where pow_mod runs from the top bit
+    out, base = _school_divmod(field, [1], m)[1], _school_divmod(field, a, m)[1]
+    while e:
+        if e & 1:
+            out = _school_divmod(field, _school_mul(field, out, base), m)[1]
+        base = _school_divmod(field, _school_mul(field, base, base), m)[1]
+        e >>= 1
+    return out
+
+
+def _random_poly(field, rng, deg, monic=False):
+    lead = 1 if monic else rng.randrange(1, field.q)
+    return FqPoly(field, [rng.randrange(field.q) for _ in range(deg)] + [lead])
+
+
+# F_2 and F_5 reduce mod p inline, F_4, F_9 and F_{5^4} look up log
+# tables, and F_{3^8} (above TABLE_Q) calls its digit arithmetic
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 2), (3, 2), (5, 4), (3, 8)])
+def test_row_kernel_matches_schoolbook_arithmetic(p, m):
+    field = fq_extension(p, m)
+    assert isinstance(field, _LogField) == (1 < m and field.q <= TABLE_Q)
+    rng = random.Random(field.q)
+    zero = FqPoly(field)
+    top = 4 if m == 8 else 9
+    for trial in range(12 if m == 8 else 40):
+        a = _random_poly(field, rng, rng.randint(0, top)) if trial % 5 else zero
+        # constant, monic and non-monic divisors
+        b = _random_poly(field, rng, rng.choice([0, 1, 2, top // 2]), monic=trial % 2 == 0)
+        A, B = list(a.coeffs), list(b.coeffs)
+        assert (a * b).coeffs == tuple(_school_mul(field, A, B))
+        assert (a + b).coeffs == tuple(_school_add(field, A, B))
+        minus_b = [field.neg(y) for y in B]
+        assert (a - b).coeffs == tuple(_school_add(field, A, minus_b))
+        quot, rem = divmod(a, b)
+        assert (list(quot.coeffs), list(rem.coeffs)) == _school_divmod(field, A, B)
+        assert rem.degree < b.degree
+        assert quot * b + rem == a
+        for poly in (quot, rem, a * b, a + b, a - b):
+            assert not poly.coeffs or poly.coeffs[-1] != 0
+        g = a.gcd(b)
+        u, v = A, B
+        while v:
+            u, v = v, _school_divmod(field, u, v)[1]
+        assert g.coeffs == tuple(_school_mul(field, u, [field.inv(u[-1])]))
+        e = rng.choice([0, 1, 2, 3, field.q, field.q**2 - 1])
+        assert list(a.pow_mod(e, b).coeffs) == _school_pow_mod(field, A, e, B)
+    with pytest.raises(InputError):
+        divmod(a, zero)
+    with pytest.raises(InputError):
+        a.pow_mod(2, zero)
+
+
+def _count_element_calls(monkeypatch):
+    """Count add, mul and neg calls on FqField and _LogField elements."""
+    calls = []
+    for cls in (FqField, _LogField):
+        for name in ("add", "mul", "neg"):
+            original = vars(cls)[name]
+
+            def counting(self, *args, _original=original):
+                calls.append(None)
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def test_polynomial_loops_make_no_call_per_coefficient(monkeypatch):
+    # rows run inline over F_p and on log tables: a factorization or a
+    # root split calls the field per row and per division, not per term
+    rng = random.Random(32)
+    f = _random_poly(prime_field_of(5), rng, 32, monic=True)
+    field = fq_extension(5, 4)
+    split = FqPoly(field, (1,))
+    for r in rng.sample(range(field.q), 16):
+        split = split * FqPoly(field, (field.neg(r), 1))
+    calls = _count_element_calls(monkeypatch)
+    factors = fq_factor(f)
+    assert sum(fac.degree * mult for fac, mult in factors) == 32
+    assert len(calls) < 3000
+    del calls[:]
+    assert len(split_roots(split)) == 16
+    assert len(calls) < 3000

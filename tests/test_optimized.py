@@ -30,6 +30,8 @@ CASES = [
     ["tower", "z^2+1", "-p", "3", "-x", "0", "-n", "9", "--cap-degree", "64", "--format", "json"],
     # a separability failure read from the factor multiplicities: no tree, no cycle types
     ["tower", "z^2+p", "-p", "5", "-x", "5", "-n", "2", "--format", "json"],
+    # a tree in F_{3^8}: polynomial rows on digit arithmetic
+    ["tower", "z^2+1", "-p", "3", "-x", "0", "-n", "3", "--format", "json"],
 ]
 
 # (argv, module, attribute, fault): each fault trips an internal alarm

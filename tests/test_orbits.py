@@ -7,8 +7,16 @@ from fractions import Fraction
 import pytest
 
 from padicdyn.errors import ResourceLimitError
-from padicdyn.maps import Mobius, ProjPointQ, conjugate_map, eval_map, parse_map
-from padicdyn.orbits import forward_orbit, moduli_search, orbital_report
+from padicdyn.maps import (
+    Mobius,
+    ProjPointQ,
+    conjugate_by_matrix,
+    conjugate_map,
+    eval_map,
+    parse_map,
+)
+from padicdyn.orbits import MODULI_EXPONENTS, forward_orbit, moduli_search, orbital_report
+from padicdyn.padics import vp
 from padicdyn.reduction import MapAtPrime, strict_good_reduction
 from padicdyn.towers import NO_CERTIFICATE, UNRAMIFIED
 
@@ -186,3 +194,30 @@ def test_moduli_search_matches_a_sympy_walk_of_the_grid(p):
         assert (M.alpha, M.beta, M.gamma, M.delta) == entries
         assert M.formula() == Mobius(*entries).formula()
         assert (mr.best_model.F, mr.best_model.G) == forms
+
+
+def test_grid_candidates_rate_as_their_vertex():
+    # The valuation of a conjugate's resultant depends only on the vertex
+    # of the Bruhat-Tits tree that M^-1 sends the Gauss point to.  For
+    # every b in range(p), z -> p^a z + b reaches the disk about 0 of
+    # radius |p^-a|; inversion on the right reflects it to a' = -a, and
+    # inversion on the left does not move it.  So the 21p candidates of
+    # moduli_search rate as the seven plain affine maps with b = 0.
+    divides = 0
+    for p in (2, 3, 5, 7):
+        for m in random_models(p, 6, degrees=(2, 3), seed=11 * p):
+            divides += m.d % p == 0
+
+            def rate(matrix):
+                return vp(p, conjugate_by_matrix(m, *matrix).resultant())
+
+            vertex = {}
+            for a in MODULI_EXPONENTS:
+                vertex[a] = rate((p**a, 0, 0, 1) if a >= 0 else (1, 0, 0, p**-a))
+            for a in MODULI_EXPONENTS:
+                for b in range(p):
+                    s, t, u = (p**a, b, 1) if a >= 0 else (1, b * p**-a, p**-a)
+                    assert rate((s, t, 0, u)) == vertex[a]
+                    assert rate((t, s, u, 0)) == vertex[-a]
+                    assert rate((0, u, s, t)) == vertex[a]
+    assert divides >= 4
