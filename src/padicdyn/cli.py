@@ -108,7 +108,7 @@ def _fiber_json(rep) -> dict:
 
 def _cmd_analyze(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     model = parse_map(args.map, args.prime)
-    mp = MapAtPrime(model, args.prime)
+    mp = MapAtPrime(model, args.prime, cap_field=args.cap_field)
     rep = analyze_map(mp)
     sgr = rep.sgr
     payload = {
@@ -178,7 +178,7 @@ def _tree_json(tree) -> dict:
 
 def _cmd_tower(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     model = parse_map(args.map, args.prime)
-    mp = MapAtPrime(model, args.prime, cap_degree=args.cap_degree)
+    mp = MapAtPrime(model, args.prime, cap_degree=args.cap_degree, cap_field=args.cap_field)
     x = ProjPointQ.from_value(args.x)
     xbar = x.reduce(args.prime)
     levels = []
@@ -200,7 +200,7 @@ def _cmd_tower(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     tree_payload = None
     tree_note = None
     try:
-        tree = preimage_tree(mp, args.n, xbar, cap_field=args.cap_field)
+        tree = preimage_tree(mp, args.n, xbar)
     except (InputError, ResourceLimitError) as exc:
         tree_note = str(exc)
     else:
@@ -254,7 +254,7 @@ def _cmd_tower(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
 
 def _cmd_orbit(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     model = parse_map(args.map, args.prime)
-    mp = MapAtPrime(model, args.prime, cap_degree=args.cap_degree)
+    mp = MapAtPrime(model, args.prime, cap_degree=args.cap_degree, cap_field=args.cap_field)
     x = ProjPointQ.from_value(args.x)
     if args.n >= 1:
         rep = orbital_report(mp, x, args.N, args.n, cap_height_bits=args.cap_height)
@@ -361,14 +361,21 @@ def _cmd_examples(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
 
 # -- argument parsing -----------------------------------------------------------
 
-def _add_common(sub, *, needs_map=True):
+_CAPS = {  # each subcommand offers only the caps that bound its work
+    "degree": ("--cap-degree", DEGREE_CAP, "max polynomial degree"),
+    "field": ("--cap-field", FIELD_SIZE_CAP, "max residue field size p^m"),
+    "height": ("--cap-height", HEIGHT_CAP_BITS, "max orbit coordinate size in bits"),
+}
+
+
+def _add_common(sub, *caps, needs_map=True):
     if needs_map:
         sub.add_argument("map", help="rational map in z, e.g. 'z^2+p' (p is the prime)")
     sub.add_argument("-p", "--prime", type=int, required=True, help="prime of the base field Q_p")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--cap-degree", type=int, default=DEGREE_CAP, help="max polynomial degree")
-    sub.add_argument("--cap-field", type=int, default=FIELD_SIZE_CAP, help="max residue field size p^m")
-    sub.add_argument("--cap-height", type=int, default=HEIGHT_CAP_BITS, help="max orbit coordinate size in bits")
+    for cap in caps:
+        flag, default, help_text = _CAPS[cap]
+        sub.add_argument(flag, type=int, default=default, help=help_text)
 
 
 @lru_cache(maxsize=1)
@@ -381,15 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("analyze", help="strict good reduction, postcritical set, fiber criterion")
-    _add_common(sub)
+    _add_common(sub, "field")
 
     sub = subs.add_parser("tower", help="fiber certificates and Frobenius data over one basepoint")
-    _add_common(sub)
+    _add_common(sub, "degree", "field")
     sub.add_argument("-x", required=True, help="basepoint in P^1(Q): rational number or 'inf' (-x=-2/3 for a negative fraction)")
     sub.add_argument("-n", type=int, default=2, help="tower depth")
 
     sub = subs.add_parser("orbit", help="forward orbit with per-basepoint tower reports")
-    _add_common(sub)
+    _add_common(sub, "degree", "field", "height")
     sub.add_argument("-x", required=True, help="starting point: rational number or 'inf' (-x=-2/3 for a negative fraction)")
     sub.add_argument("-N", type=int, default=8, help="orbit length")
     sub.add_argument("-n", type=int, default=1, help="tower depth per basepoint (0 for none)")

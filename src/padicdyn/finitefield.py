@@ -6,15 +6,15 @@ generator, lowest degree first.  The prime subfield is therefore encoded
 by the ints 0..p-1 in every extension, which makes lifting coefficient
 lists between F_p and F_{p^m} a no-op.
 
-An FqField computes on the digits.  ``fq_extension`` caches the
-splitting fields it hands out per (p, m), so each modulus is searched and
-proved irreducible once per process; those of at most TABLE_Q = 2^12
-elements carry exp/log/Zech tables that make every operation a list
-lookup on the same encoding.  The tables cost q - 1 digit
-multiplications to build (about 0.07 s at 2^12 and 1.4 s at 2^16 on a
-2-core VM), which a tree in a larger field would seldom repay.  Fields
-built directly, as the postcritical pushforward builds one per closed
-point, stay on digits.
+An FqField computes on the digits.  Fields are built in two places:
+``prime_field_of``, and ``fq_extension``, which refuses one above its
+size cap and caches per (p, m) the fields that the preimage trees and
+postcritical walks share, so each modulus is searched and proved
+irreducible once per process.  Those of at most TABLE_Q = 2^12 elements
+carry exp/log/Zech tables that make every operation a list lookup on the
+same encoding.  The tables cost q - 1 digit multiplications to build
+(about 0.07 s at 2^12 and 1.4 s at 2^16 on a 2-core VM), which a tree
+in a larger field would seldom repay.
 
 Polynomials (FqPoly) store ascending coefficient tuples of encoded
 elements, trailing zeros trimmed.  Products, division, composition and

@@ -15,17 +15,17 @@ all of it; the memo lives on the session and is dropped with it.
 
 On top of the session this module decides strict good reduction (unit
 resultant of the p-primitive model, equivalently full reduced degree),
-accumulates the postcritical set as closed points of P^1 over F_p,
-lists the residual good locus, and checks the fiber criterion point by
-point, by one discriminant polynomial of the pencil of fibers, with an
-internal alarm that cross-checks it against the resultant criterion.
+walks the postcritical set as closed points of P^1 over F_p, lists the
+residual good locus, and checks the fiber criterion point by point, by
+one discriminant polynomial of the pencil of fibers, with an internal
+alarm that cross-checks it against the resultant criterion.
 
 Closed points are Galois orbits over the algebraic closure: a monic
-irreducible polynomial over F_p, or the point at infinity.  Forward
-images are computed by evaluating the reduced map on one root inside
-F_p[t]/(m) and taking the minimal polynomial of the image over F_p via
-its Frobenius orbit; a closed point therefore always pushes forward to
-exactly one closed point.
+irreducible polynomial over F_p, or the point at infinity.  The
+postcritical set walks each critical closed point of degree k from one
+root in the F_{p^k} that ``fq_extension`` caches under the session's
+field cap, and names each image by its Frobenius orbit, so a closed
+point always pushes forward to exactly one closed point.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from math import factorial
 
 from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import (
+    FIELD_SIZE_CAP,
     FqField,
     FqPoly,
     compose_forms,
@@ -45,7 +46,9 @@ from .finitefield import (
     form_from_poly,
     form_is_squarefree,
     form_is_zero,
+    fq_extension,
     fq_factor,
+    split_roots,
     squarefree_decomposition,
 )
 from .maps import (
@@ -70,14 +73,16 @@ class MapAtPrime:
 
     Properties are computed on first access and kept; iterates grow one
     composition at a time; fiber forms and factor degrees are kept by
-    key.  cap_degree bounds the degree d^n of every iterate asked for.
+    key.  cap_degree bounds the degree d^n of every iterate asked for, and
+    cap_field every field F_{p^k} the PC walk or a preimage tree needs.
     """
 
-    def __init__(self, model: RationalMapModel, p: int, *, cap_degree: int = DEGREE_CAP):
+    def __init__(self, model: RationalMapModel, p: int, *, cap_degree=DEGREE_CAP, cap_field=FIELD_SIZE_CAP):
         require_prime(p)
         self.model = model
         self.p = p
         self.cap_degree = cap_degree
+        self.cap_field = cap_field
         self._iterates = [model]
         self._fiber_forms = {}
         self._reduced_fibers = {}
@@ -268,35 +273,25 @@ def critical_divisor(rmap: ReducedMap):
     return form_from_poly(field, w, 2 * rmap.reduced_degree - 2)
 
 
-def pushforward(point: ClosedPoint, rmap: ReducedMap) -> frozenset:
-    """Forward image of a closed point under the reduced map.
-
-    A Galois orbit maps onto a Galois orbit, so the image is a single
-    closed point (returned as a one-element set for union-accumulation).
-    """
+def pushforward(ext: FqField, rmap: ReducedMap, z: int | None) -> tuple:
+    """One step of a critical orbit: the image w of z in P^1(ext) under the
+    reduced map, and w's closed point over F_p, whose minimal polynomial
+    is the product of T - w^(p^i) over the Frobenius orbit of w."""
     p = rmap.p
-    k = point.degree
-    if k == 1:
-        c = None if point.is_infinity else (-point.poly[0]) % p
-        image = eval_reduced(rmap.field, rmap.F1, rmap.G1, c)
-        return frozenset({ClosedPoint.of_residue(p, image)})
-    ext = FqField(p, k, point.poly)
-    alpha = p  # encoding of the residue class of t, a root of point.poly
-    beta = eval_reduced(ext, rmap.F1, rmap.G1, alpha)
-    if beta is None:
-        return frozenset({ClosedPoint.infinity(p)})
-    orbit = [beta]
-    g = ext.frobenius(beta)
-    while g != beta:
+    w = eval_reduced(ext, rmap.F1, rmap.G1, z)
+    if w is None or w < p:  # infinity, or an element of F_p
+        return w, ClosedPoint.of_residue(p, w)
+    orbit = [w]
+    g = ext.frobenius(w)
+    while g != w:
         orbit.append(g)
         g = ext.frobenius(g)
     minpoly = FqPoly(ext, (1,))
     for root in orbit:
         minpoly = minpoly * FqPoly(ext, (ext.neg(root), 1))
-    coeffs = tuple(int(c) for c in minpoly.coeffs)
-    if any(c >= p for c in coeffs):
+    if any(c >= p for c in minpoly.coeffs):
         raise InternalError("orbit product must have F_p coefficients")
-    return frozenset({ClosedPoint(p, coeffs)})
+    return w, ClosedPoint(p, minpoly.coeffs)
 
 
 @dataclass(frozen=True)
@@ -319,44 +314,39 @@ class PostcriticalSet:
 
 
 def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
-    """Union of forward images of the critical divisor until stabilization.
+    """All forward images phi^m(c), m >= 1, of the critical closed points c.
 
-    Critical points themselves belong to the set only when some forward
-    image hits them.  Pushforward never increases the degree of the field
-    of definition, so only finitely many closed points can ever appear.
+    Each critical point of degree k is walked from one root in the cached
+    F_{p^k} (F_p for k = 1).  A walk stops at a closed point that an
+    earlier step or walk reached in as few steps; stable_depth, the least
+    t with phi^(t+1)(C) in the union of phi^s(C) for s <= t, is the
+    largest least step count.  A critical point is in the set only when
+    some forward image hits it.
     """
-    rmap, crit = mp.rmap, mp.critical
+    rmap, crit, p = mp.rmap, mp.critical, mp.p
     if form_is_zero(crit):
-        return PostcriticalSet(
-            p=rmap.p,
-            points=frozenset(),
-            everything=True,
-            stable_depth=0,
-            crit=frozenset(),
-        )
-    critpts = frozenset(pt for pt, _ in closed_points_of_form(rmap.field, crit))
-    pc: set = set()
-    frontier = critpts
-    depth = 0
-    while frontier:
-        images: set = set()
-        for q in frontier:
-            images |= pushforward(q, rmap)
-        new = images - pc
-        if not new:
-            break
-        depth += 1
-        pc |= new
-        if len(pc) > cap:
-            raise ResourceLimitError(f"postcritical set exceeded cap {cap}")
-        frontier = new
-    return PostcriticalSet(
-        p=rmap.p,
-        points=frozenset(pc),
-        everything=False,
-        stable_depth=depth,
-        crit=critpts,
-    )
+        return PostcriticalSet(p, frozenset(), True, 0, frozenset())
+    critpts = [pt for pt, _ in closed_points_of_form(rmap.field, crit)]
+    least = {}  # closed point -> least m >= 1 with the point in phi^m(C)
+    for c in critpts:
+        try:
+            ext = rmap.field if c.degree == 1 else fq_extension(p, c.degree, cap=mp.cap_field)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(
+                f"postcritical set: critical point {c.render()} of degree {c.degree}: {exc}"
+            ) from None
+        z = None if c.is_infinity else split_roots(FqPoly(ext, c.poly))[0]
+        step = 1
+        while True:
+            z, pt = pushforward(ext, rmap, z)
+            if pt in least and least[pt] <= step:
+                break
+            least[pt] = step
+            if len(least) > cap:
+                raise ResourceLimitError(f"postcritical set exceeded cap {cap}")
+            step += 1
+    depth = max(least.values(), default=0)
+    return PostcriticalSet(p, frozenset(least), False, depth, frozenset(critpts))
 
 
 def good_locus(rmap: ReducedMap, pc: PostcriticalSet) -> tuple:

@@ -38,7 +38,6 @@ from fractions import Fraction
 
 from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import (
-    FIELD_SIZE_CAP,
     FqPoly,
     fiber_form,
     form_dehomogenize,
@@ -275,7 +274,6 @@ def preimage_tree(
     xbar: int | None,
     *,
     m_cap: int = M_CAP,
-    cap_field: int = FIELD_SIZE_CAP,
 ) -> PreimageTree:
     if N < 1:
         raise InputError("tree depth must be >= 1")
@@ -303,7 +301,7 @@ def preimage_tree(
         raise ResourceLimitError(
             f"splitting the tree needs F_{p}^{m}, above the extension cap {m_cap}"
         )
-    ext = fq_extension(p, m, cap=cap_field)
+    ext = fq_extension(p, m, cap=mp.cap_field)
 
     e = rmap.reduced_degree
     levels, parents, frob = [(xbar,)], [()], [_frobenius_row(ext, (xbar,))]

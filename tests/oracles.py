@@ -9,12 +9,15 @@ import sympy
 from padicdyn.errors import InputError
 from padicdyn.finitefield import (
     FqField,
+    FqPoly,
     fiber_form,
     form_is_squarefree,
+    form_is_zero,
     fq_extension,
     iterate_forms,
 )
-from padicdyn.maps import Mobius, ProjPointQ, ReducedMap
+from padicdyn.maps import Mobius, ProjPointQ, ReducedMap, eval_reduced
+from padicdyn.reduction import ClosedPoint, PostcriticalSet, closed_points_of_form
 
 
 def form_resultant(field: FqField, F, G) -> int:
@@ -273,6 +276,49 @@ def etale_fiber_oracle(rmap: ReducedMap, xbar: int | None, n: int) -> bool:
     a, b = (1, 0) if xbar is None else (xbar, 1)
     fib = fiber_form(rmap.field, Fn, Gn, a, b)
     return form_is_squarefree(rmap.field, fib)
+
+
+def frontier_pushforward(point: ClosedPoint, rmap: ReducedMap) -> ClosedPoint:
+    """Image of a closed point, computed in its own residue field.
+
+    Builds F_p[T]/(m) from the point's minimal polynomial m, evaluates the
+    reduced map at the class of T, and multiplies out the Frobenius orbit
+    of the image.
+    """
+    p, k = rmap.p, point.degree
+    if k == 1:
+        c = None if point.is_infinity else (-point.poly[0]) % p
+        return ClosedPoint.of_residue(p, eval_reduced(rmap.field, rmap.F1, rmap.G1, c))
+    ext = FqField(p, k, point.poly)
+    beta = eval_reduced(ext, rmap.F1, rmap.G1, p)  # p encodes the class of T
+    if beta is None:
+        return ClosedPoint.infinity(p)
+    orbit = [beta]
+    while (g := ext.frobenius(orbit[-1])) != beta:
+        orbit.append(g)
+    minpoly = FqPoly(ext, (1,))
+    for root in orbit:
+        minpoly = minpoly * FqPoly(ext, (ext.neg(root), 1))
+    assert all(c < p for c in minpoly.coeffs)
+    return ClosedPoint(p, minpoly.coeffs)
+
+
+def frontier_postcritical_set(mp) -> PostcriticalSet:
+    """PC level by level: push the whole frontier of new closed points
+    forward until a level adds nothing; the depth is the number of levels
+    that added a point."""
+    rmap, crit = mp.rmap, mp.critical
+    if form_is_zero(crit):
+        return PostcriticalSet(rmap.p, frozenset(), True, 0, frozenset())
+    critpts = frozenset(pt for pt, _ in closed_points_of_form(rmap.field, crit))
+    pc, frontier, depth = set(), critpts, 0
+    while frontier:
+        new = {frontier_pushforward(q, rmap) for q in frontier} - pc
+        if new:
+            depth += 1
+        pc |= new
+        frontier = new
+    return PostcriticalSet(rmap.p, frozenset(pc), False, depth, critpts)
 
 
 # -- Mobius maps z -> (alpha z + beta)/(gamma z + delta) with rational entries

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import padicdyn.cli as cli
 from padicdyn.golden import GoldenCheck
 
@@ -116,6 +118,26 @@ def test_resource_caps_exit_3():
     assert res.returncode == 3
     res2 = _run("tower", "z^2+1", "-p", "3", "-x", "0", "-n", "9", "--cap-degree", "64")
     assert res2.returncode == 3
+
+
+def test_cap_flags_only_where_they_bind():
+    assert _run("moduli", "z^2", "-p", "5", "--cap-degree", "5").returncode == 2
+    offered = {
+        ("analyze", "z^2", "-p", "5"): {"field"},
+        ("tower", "z^2", "-p", "5", "-x", "1"): {"degree", "field"},
+        ("orbit", "z^2", "-p", "5", "-x", "1"): {"degree", "field", "height"},
+        ("moduli", "z^2", "-p", "5"): set(),
+        ("examples", "-p", "5"): set(),
+    }
+    parser = cli.build_parser()
+    for argv, caps in offered.items():
+        for cap in ("degree", "field", "height"):
+            full = [*argv, f"--cap-{cap}", "64"]
+            if cap in caps:
+                assert getattr(parser.parse_args(full), f"cap_{cap}") == 64
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(full)
 
 
 def test_failed_battery_exits_1(monkeypatch, capsys):

@@ -88,7 +88,7 @@ def _agree(tab, dig, a, b):
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
 def test_log_tables_match_digit_arithmetic_exhaustively(p, m):
     tab = fq_extension(p, m)
-    dig = FqField(p, m, tab.modulus)  # a field as pushforward builds it
+    dig = FqField(p, m, tab.modulus)  # same modulus, digit arithmetic, as above TABLE_Q
     assert isinstance(tab, _LogField) and not isinstance(dig, _LogField)
     assert fq_extension(p, m) is tab
     for a in range(tab.q):

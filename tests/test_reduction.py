@@ -9,7 +9,15 @@ import pytest
 import sympy
 
 from padicdyn.errors import InputError, ResourceLimitError
-from padicdyn.finitefield import FqField, form_is_zero
+from padicdyn.finitefield import (
+    FqField,
+    FqPoly,
+    form_is_zero,
+    fq_extension,
+    fq_factor,
+    prime_field_of,
+    split_roots,
+)
 from padicdyn.maps import normalize_integral, parse_map, reduce_map
 from padicdyn.padics import vp
 from padicdyn.reduction import (
@@ -32,6 +40,8 @@ from oracles import (
     etale_fiber_oracle,
     fiber_sweep,
     form_eval,
+    frontier_postcritical_set,
+    frontier_pushforward,
     separable_oracle,
     universal_discriminant,
 )
@@ -146,18 +156,18 @@ def test_separable_reduction_when_p_divides_the_degree(text, p):
 
 def test_pushforward_examples():
     r = _rmap("z^2", 5)
+    F5, F25 = r.field, fq_extension(5, 2)
     inf = ClosedPoint.infinity(5)
-    assert pushforward(inf, r) == frozenset({inf})
-    assert pushforward(ClosedPoint.of_residue(5, 2), r) == frozenset(
-        {ClosedPoint.of_residue(5, 4)}
-    )
+    assert pushforward(F5, r, None) == (None, inf)
+    assert pushforward(F5, r, 2) == (4, ClosedPoint.of_residue(5, 4))
     # T^2 + 2 has roots with square 3, so the orbit lands on a rational point
-    assert pushforward(ClosedPoint(5, (2, 0, 1)), r) == frozenset(
-        {ClosedPoint.of_residue(5, 3)}
-    )
-    # cube roots of unity square to each other: the closed point is fixed
+    root = split_roots(FqPoly(F25, (2, 0, 1)))[0]
+    assert pushforward(F25, r, root) == (3, ClosedPoint.of_residue(5, 3))
+    # cube roots of unity square to each other: the closed point is fixed,
+    # and the image is the Frobenius conjugate (zeta^5 = zeta^2)
     mu3 = ClosedPoint(5, (1, 1, 1))
-    assert pushforward(mu3, r) == frozenset({mu3})
+    root = split_roots(FqPoly(F25, mu3.poly))[0]
+    assert pushforward(F25, r, root) == (F25.frobenius(root), mu3)
 
 
 def test_pushforward_never_raises_degree():
@@ -167,16 +177,41 @@ def test_pushforward_never_raises_degree():
         if r.reduced_degree < 1:
             continue
         for _ in range(4):
-            poly = _rand_monic_irreducible(rng, 5)
-            src = ClosedPoint(5, poly)
-            (img,) = pushforward(src, r)
+            src = ClosedPoint(5, _rand_monic_irreducible(rng, 5))
+            ext = fq_extension(5, src.degree)
+            _, img = pushforward(ext, r, split_roots(FqPoly(ext, src.poly))[0])
             assert img.degree <= src.degree
+            assert img == frontier_pushforward(src, r)
+
+
+def test_postcritical_walk_matches_frontier_oracle():
+    # maps of degree 2, 3, 4 and 6, so p | d at p = 2 and 3; maps whose
+    # critical points need a field of more than 5,000 elements are skipped
+    # to keep the oracle's per-point fields small
+    degrees, p_divides_d = set(), 0
+    for p in (2, 3, 5, 7, 13):
+        for model in random_models(p, 40, degrees=(2, 3, 4, 6), seed=100 + p):
+            mp = MapAtPrime(model, p)
+            if mp.rmap.reduced_degree < 1:
+                continue
+            crit = () if form_is_zero(mp.critical) else closed_points_of_form(mp.rmap.field, mp.critical)
+            if any(p**q.degree > 5000 for q, _ in crit):
+                continue
+            got, want = postcritical_set(mp), frontier_postcritical_set(mp)
+            assert (got.points, got.everything, got.stable_depth, got.crit) == (
+                want.points,
+                want.everything,
+                want.stable_depth,
+                want.crit,
+            )
+            degrees.update(q.degree for q, _ in crit)
+            p_divides_d += mp.d % p == 0 and not got.everything
+    assert {1, 2, 3, 4} <= degrees
+    assert p_divides_d >= 10
 
 
 def _rand_monic_irreducible(rng, p):
-    from padicdyn.finitefield import FqPoly, fq_factor
-
-    field = FqField(p, 1, (0, 1))
+    field = prime_field_of(p)
     while True:
         coeffs = tuple(rng.randrange(p) for _ in range(rng.choice((1, 2)))) + (1,)
         if len(coeffs) == 1:
