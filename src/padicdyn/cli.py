@@ -38,9 +38,7 @@ __all__ = ["main"]
 
 def _big(value) -> str | None:
     """Big integers and rationals as canonical strings."""
-    if value is None:
-        return None
-    return rational_str(value)
+    return None if value is None else rational_str(value)
 
 
 def _val(v):
@@ -68,9 +66,7 @@ def _pc_json(pc) -> dict | None:
         "points": [_point_label(q) for q in pc.sorted_points()],
         "everything": pc.everything,
         "stable_depth": pc.stable_depth,
-        "critical_points": [
-            _point_label(q) for q in sorted(pc.crit, key=lambda q: q.sort_key())
-        ],
+        "critical_points": [_point_label(q) for q in sorted(pc.crit, key=ClosedPoint.sort_key)],
     }
 
 
@@ -79,9 +75,7 @@ def _locus_json(locus) -> list:
 
 
 def _newton_json(newton):
-    if newton is None:
-        return None
-    return [[_big(slope), length] for slope, length in newton]
+    return None if newton is None else [[_big(slope), length] for slope, length in newton]
 
 
 def _fiber_json(rep) -> dict:
@@ -193,7 +187,9 @@ def _cmd_tower(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     warnings = []
     if not x.is_integral(args.prime):
         warnings.append("basepoint is not integral; its reduction is inf")
-    if mp.pc is not None and mp.pc.contains_residue(xbar):
+    if mp.pc_refusal is not None:
+        warnings.append(f"basepoint not checked against the postcritical set: {mp.pc_refusal}")
+    elif mp.pc is not None and mp.pc.contains_residue(xbar):
         warnings.append(
             "basepoint reduces into the postcritical set; no certificate is expected"
         )
@@ -289,6 +285,8 @@ def _cmd_orbit(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
             for s in rep.shifts
         ]
         orbit_payload["all_unramified_on_locus"] = rep.all_unramified_on_locus
+    if mp.pc_refusal is not None:
+        orbit_payload["pc_note"] = mp.pc_refusal
 
     payload = {"map": model.map_str(), "prime": args.prime, "orbit": orbit_payload}
 
@@ -301,13 +299,15 @@ def _cmd_orbit(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
         else:
             yield f"cycle: none within {args.N} steps"
         yield "reductions: " + " ".join(str(_residue(r)) for r in profile.reductions)
+        if mp.pc_refusal is not None:
+            yield f"note: no postcritical flags: {mp.pc_refusal}"
         if rep is not None:
             for bp in rep.basepoints:
                 certs = " ".join(r.certificate for r in bp.fiber_reports)
                 yield f"x_{bp.index} = {bp.point}: {certs}"
             yield (
                 "all basepoints off the postcritical set certified unramified: "
-                + ("yes" if rep.all_unramified_on_locus else "no")
+                + {True: "yes", False: "no", None: "unknown"}[rep.all_unramified_on_locus]
             )
     return payload, text, 0
 

@@ -57,7 +57,7 @@ def forward_orbit(
 
     The residue columns are filled in at the session's prime; membership
     in the postcritical set is None throughout when the reduction is
-    constant.
+    constant or the postcritical walk was refused by a cap.
     """
     if N < 1:
         raise InputError("orbit length must be >= 1")
@@ -79,7 +79,7 @@ def forward_orbit(
                 seen[nxt] = j
     p = mp.p
     reductions = tuple(pt.reduce(p) for pt in points)
-    if mp.pc is None:
+    if mp.pc_refusal is not None or mp.pc is None:
         in_pc_flags = tuple(None for _ in points)
     else:
         in_pc_flags = tuple(mp.pc.contains_residue(r) for r in reductions)
@@ -118,7 +118,7 @@ class OrbitalReport:
     n_max: int
     basepoints: tuple
     shifts: tuple
-    all_unramified_on_locus: bool
+    all_unramified_on_locus: bool | None
 
 
 def orbital_report(
@@ -133,7 +133,8 @@ def orbital_report(
 
     Non-integral basepoints and basepoints reducing into the postcritical
     set are still profiled, but only the rest count toward
-    all_unramified_on_locus.
+    all_unramified_on_locus, which is None when the postcritical walk was
+    refused by a cap.
     """
     if n_max < 1:
         raise InputError("tower depth must be >= 1")
@@ -180,7 +181,7 @@ def orbital_report(
         n_max=n_max,
         basepoints=tuple(basepoints),
         shifts=tuple(shifts),
-        all_unramified_on_locus=all_ok,
+        all_unramified_on_locus=all_ok if mp.pc_refusal is None else None,
     )
 
 

@@ -23,9 +23,10 @@ alarm that cross-checks it against the resultant criterion.
 Closed points are Galois orbits over the algebraic closure: a monic
 irreducible polynomial over F_p, or the point at infinity.  The
 postcritical set walks each critical closed point of degree k from one
-root in the F_{p^k} that ``fq_extension`` caches under the session's
-field cap, and names each image by its Frobenius orbit, so a closed
-point always pushes forward to exactly one closed point.
+root in the F_{p^k} that ``fq_extension`` caches, and names each image
+by its Frobenius orbit, so a closed point always pushes forward to
+exactly one closed point.  Above the session's field cap a walk is
+refused only after PC_WORK_ABOVE_CAP // k^2 steps that do not close it.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ from .padics import require_prime, vp
 from .qpolys import QPoly, form_discriminant, poly_str
 
 PC_CAP = 100_000
+# Above the field cap a walk from a critical point of degree k may take
+# PC_WORK_ABOVE_CAP // k^2 steps, about 0.3 s: a step costs about k^2 units
+# (0.3 ms at k = 2, 2 ms at k = 5 near p = 10^3 on a 2-core VM).  A random
+# map's walk takes about p^(k/2) steps; that of z^3+3z closes in two.
+PC_WORK_ABOVE_CAP = 4096
 
 
 class MapAtPrime:
@@ -73,8 +79,9 @@ class MapAtPrime:
 
     Properties are computed on first access and kept; iterates grow one
     composition at a time; fiber forms and factor degrees are kept by
-    key.  cap_degree bounds the degree d^n of every iterate asked for, and
-    cap_field every field F_{p^k} the PC walk or a preimage tree needs.
+    key.  cap_degree bounds the degree d^n of every iterate asked for;
+    cap_field bounds every field F_{p^k} a preimage tree needs, and the
+    length of a PC walk in a field above it.
     """
 
     def __init__(self, model: RationalMapModel, p: int, *, cap_degree=DEGREE_CAP, cap_field=FIELD_SIZE_CAP):
@@ -115,6 +122,15 @@ class MapAtPrime:
         if self.rmap.reduced_degree < 1:
             return None
         return postcritical_set(self)
+
+    @cached_property
+    def pc_refusal(self) -> str | None:
+        """Why ``pc`` raised (its walk hit a cap), else None: towers and orbits go on without it."""
+        try:
+            self.pc
+        except ResourceLimitError as exc:
+            return str(exc)
+        return None
 
     def iterate(self, n: int) -> RationalMapModel:
         """The canonical integer model of phi^n, extended as phi o phi^(n-1)."""
@@ -321,7 +337,8 @@ def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
     earlier step or walk reached in as few steps; stable_depth, the least
     t with phi^(t+1)(C) in the union of phi^s(C) for s <= t, is the
     largest least step count.  A critical point is in the set only when
-    some forward image hits it.
+    some forward image hits it.  A walk in a field above the session's
+    field cap may take PC_WORK_ABOVE_CAP // k^2 steps.
     """
     rmap, crit, p = mp.rmap, mp.critical, mp.p
     if form_is_zero(crit):
@@ -329,12 +346,9 @@ def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
     critpts = [pt for pt, _ in closed_points_of_form(rmap.field, crit)]
     least = {}  # closed point -> least m >= 1 with the point in phi^m(C)
     for c in critpts:
-        try:
-            ext = rmap.field if c.degree == 1 else fq_extension(p, c.degree, cap=mp.cap_field)
-        except ResourceLimitError as exc:
-            raise ResourceLimitError(
-                f"postcritical set: critical point {c.render()} of degree {c.degree}: {exc}"
-            ) from None
+        k = c.degree
+        ext = rmap.field if k == 1 else fq_extension(p, k, cap=p**k)
+        allowed = PC_WORK_ABOVE_CAP // k**2 if k > 1 and p**k > mp.cap_field else None
         z = None if c.is_infinity else split_roots(FqPoly(ext, c.poly))[0]
         step = 1
         while True:
@@ -344,6 +358,12 @@ def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
             least[pt] = step
             if len(least) > cap:
                 raise ResourceLimitError(f"postcritical set exceeded cap {cap}")
+            if step == allowed:
+                raise ResourceLimitError(
+                    f"postcritical set: the walk from critical point {c.render()} of degree {k} "
+                    f"did not close within {allowed} steps, and its field size {p}^{k} exceeds "
+                    f"cap {mp.cap_field}"
+                )
             step += 1
     depth = max(least.values(), default=0)
     return PostcriticalSet(p, frozenset(least), False, depth, frozenset(critpts))
@@ -452,27 +472,11 @@ def condition2_check(mp: MapAtPrime) -> Condition2Report:
     included).  The verdict at each point is exact and reads neither the
     critical divisor nor PC; infinity, the fiber G1, is tested directly.
     """
-    sgr, rmap = mp.sgr, mp.rmap
+    sgr, rmap, pc, p = mp.sgr, mp.rmap, mp.pc, mp.p
     full = rmap.reduced_degree == mp.d
-
-    if rmap.reduced_degree < 1:
-        report = Condition2Report(
-            holds=False,
-            witnesses=(),
-            violations=(),
-            locus=(),
-            separable=False,
-            reduced_degree_full=full,
-            sgr=sgr,
-            pc=None,
-        )
-        _consistency_alarm(report, mp)
-        return report
-
-    pc = mp.pc
-    locus = good_locus(rmap, pc)
-    separable = not pc.everything
-    p = mp.p
+    # a constant reduction has no postcritical set and an empty locus
+    locus = () if pc is None else good_locus(rmap, pc)
+    separable = pc is not None and not pc.everything
     disc = [c % p for c in reversed(pencil_discriminant(rmap.F1, rmap.G1))] if full else ()
     witnesses, violations = [], []
     for xbar in locus:

@@ -140,6 +140,32 @@ def test_cap_flags_only_where_they_bind():
                     parser.parse_args(full)
 
 
+def test_refused_postcritical_walk_stops_only_analyze(monkeypatch, capsys):
+    import padicdyn.reduction as reduction
+
+    # an allowance of one step refuses the walk from T^2+1 under z^3+3z in F_49
+    monkeypatch.setattr(reduction, "PC_WORK_ABOVE_CAP", 4)
+    common = ["z^3+3*z", "-p", "7", "--cap-field", "7"]
+    refusal = "did not close within 1 steps, and its field size 7^2 exceeds cap 7"
+    assert cli.main(["analyze", *common]) == 3
+    assert refusal in capsys.readouterr().err
+
+    assert cli.main(["tower", *common, "-x", "1", "-n", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "warning: basepoint not checked against the postcritical set: " in out
+    assert refusal in out and " 1 |      0 |" in out
+
+    assert cli.main(["orbit", *common, "-x", "1", "-N", "2", "-n", "1", "--format", "json"]) == 0
+    orbit = json.loads(capsys.readouterr().out)["orbit"]
+    assert refusal in orbit["pc_note"]
+    assert orbit["in_postcritical_set"] == [None, None, None]
+    assert orbit["all_unramified_on_locus"] is None
+    assert cli.main(["orbit", *common, "-x", "1", "-N", "2", "-n", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "note: no postcritical flags: " in out and refusal in out
+    assert "certified unramified: unknown" in out
+
+
 def test_failed_battery_exits_1(monkeypatch, capsys):
     fake = [GoldenCheck(name="rigged", ok=False, expected="1", got="0")]
     monkeypatch.setattr(cli, "run_battery", lambda p: fake)

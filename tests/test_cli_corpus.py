@@ -92,8 +92,9 @@ CORPUS = [
     ["analyze", "(z^4+2)/(z^4+z^3+1)", "-p", "101", "--format", "json"],
     # a tree in F_{3^8}, above TABLE_Q: polynomial rows on digit arithmetic
     ["tower", "z^2+1", "-p", "3", "-x", "0", "-n", "3", "--format", "json"],
-    # the postcritical walk binds --cap-field: a critical point of degree 5
-    # needs F_{101^5}, and one of degree 2 needs 101^2 = 10,201 elements
+    # postcritical walks in fields above --cap-field: the walk from a critical
+    # point of degree 5 in F_{101^5} does not close within its 163 steps;
+    # one of degree 2 in 101^2 = 10,201 elements closes within its 1,024
     ["analyze", "(9*z^4-6*z^3-4*z-6)/(-3*z^2+7*z+4)", "-p", "101"],
     ["analyze", "(z^4+2)/(z^4+z^3+1)", "-p", "101", "--cap-field", "10000"],
 ]

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import padicdyn.reduction as reduction
 from padicdyn.errors import InputError, ResourceLimitError
 from padicdyn.finitefield import (
     FqField,
@@ -204,10 +205,41 @@ def test_postcritical_walk_matches_frontier_oracle():
                 want.stable_depth,
                 want.crit,
             )
+            # every extension field above the cap: these walks close within
+            # their step allowance, so the set is the same
+            assert postcritical_set(MapAtPrime(model, p, cap_field=p)) == got
             degrees.update(q.degree for q, _ in crit)
             p_divides_d += mp.d % p == 0 and not got.everything
     assert {1, 2, 3, 4} <= degrees
     assert p_divides_d >= 10
+
+
+def test_short_walk_above_the_field_cap_is_answered():
+    # T^2+1 at p = 1031 needs 1031^2 elements, above the default cap, but
+    # z^3+3z maps a*i to (3a - a^3)*i and the walk closes at once
+    mp = _mp("z^3+3*z", 1031)
+    assert mp.p**2 > mp.cap_field
+    pc = postcritical_set(mp)
+    assert pc == frontier_postcritical_set(mp)
+    assert {q.render() for q in pc.crit} == {"T^2+1", "inf"}
+
+
+def test_walk_above_the_field_cap_gets_a_step_allowance(monkeypatch):
+    # at p = 7 the walk from T^2+1 under z^3+3z reaches T^2+4 and closes at
+    # its second step, so it needs an allowance of 2 steps at k = 2
+    want = postcritical_set(_mp("z^3+3*z", 7))
+    above = MapAtPrime(parse_map("z^3+3*z", 7), 7, cap_field=7)
+    monkeypatch.setattr(reduction, "PC_WORK_ABOVE_CAP", 2 * 2**2)
+    assert postcritical_set(above) == want
+    monkeypatch.setattr(reduction, "PC_WORK_ABOVE_CAP", 2 * 2**2 - 1)
+    with pytest.raises(ResourceLimitError) as exc:
+        postcritical_set(above)
+    assert str(exc.value) == (
+        "postcritical set: the walk from critical point T^2+1 of degree 2 did not "
+        "close within 1 steps, and its field size 7^2 exceeds cap 7"
+    )
+    assert above.pc_refusal == str(exc.value)
+    assert _mp("z^3+3*z", 7).pc_refusal is None
 
 
 def _rand_monic_irreducible(rng, p):
