@@ -97,6 +97,13 @@ CORPUS = [
     # one of degree 2 in 101^2 = 10,201 elements closes within its 1,024
     ["analyze", "(9*z^4-6*z^3-4*z-6)/(-3*z^2+7*z+4)", "-p", "101"],
     ["analyze", "(z^4+2)/(z^4+z^3+1)", "-p", "101", "--cap-field", "10000"],
+    # T^2+1 needs 1031^2 elements, above the default cap: under z^3+3z its
+    # walk closes in two steps, under z^3+3z+1 not within 1,024
+    ["analyze", "z^3+3*z", "-p", "1031"],
+    ["analyze", "z^3+3*z+1", "-p", "1031"],
+    # a refused walk leaves tower and orbit without the postcritical flags
+    ["tower", "(9*z^4-6*z^3-4*z-6)/(-3*z^2+7*z+4)", "-p", "101", "-x", "1", "-n", "1"],
+    ["orbit", "(9*z^4-6*z^3-4*z-6)/(-3*z^2+7*z+4)", "-p", "101", "-x", "1", "-N", "2", "-n", "1", "--format", "json"],
 ]
 
 

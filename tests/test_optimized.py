@@ -32,9 +32,11 @@ CASES = [
     ["tower", "z^2+p", "-p", "5", "-x", "5", "-n", "2", "--format", "json"],
     # a tree in F_{3^8}: polynomial rows on digit arithmetic
     ["tower", "z^2+1", "-p", "3", "-x", "0", "-n", "3", "--format", "json"],
-    # postcritical walks above the field cap exit 3 and name the stage
+    # postcritical walks above the field cap: refused, answered, and a
+    # refusal that the tower goes on past
     ["analyze", "(9*z^4-6*z^3-4*z-6)/(-3*z^2+7*z+4)", "-p", "101"],
     ["analyze", "(z^4+2)/(z^4+z^3+1)", "-p", "101", "--cap-field", "10000"],
+    ["tower", "(9*z^4-6*z^3-4*z-6)/(-3*z^2+7*z+4)", "-p", "101", "-x", "1", "-n", "1"],
 ]
 
 # (argv, module, attribute, fault): each fault trips an internal alarm
