@@ -38,7 +38,9 @@ __all__ = ["main"]
 
 def _big(value) -> str | None:
     """Big integers and rationals as canonical strings."""
-    return None if value is None else rational_str(value)
+    if value is None:
+        return None
+    return rational_str(value)
 
 
 def _val(v):
@@ -75,7 +77,9 @@ def _locus_json(locus) -> list:
 
 
 def _newton_json(newton):
-    return None if newton is None else [[_big(slope), length] for slope, length in newton]
+    if newton is None:
+        return None
+    return [[_big(slope), length] for slope, length in newton]
 
 
 def _fiber_json(rep) -> dict:

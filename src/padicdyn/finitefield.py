@@ -82,7 +82,7 @@ class FqField:
                     nxt = [(nxt[i] + carry * top[i]) % p for i in range(m)]
                 red.append(nxt)
         object.__setattr__(self, "_red", tuple(tuple(r) for r in red))
-        if m >= 2 and not _modulus_irreducible(p, modulus):
+        if m >= 2 and not FqPoly(prime_field_of(p), modulus).is_irreducible():
             raise InputError("modulus is not irreducible over F_p")
 
     def __setattr__(self, *args):
@@ -281,11 +281,6 @@ class _LogField(FqField):
                     acc[j] = exp[lt]
 
 
-def _modulus_irreducible(p: int, modulus: tuple[int, ...]) -> bool:
-    prime_field = prime_field_of(p)
-    return FqPoly(prime_field, modulus).is_irreducible()
-
-
 @lru_cache(maxsize=None)
 def prime_field_of(p: int) -> FqField:
     return FqField(p, 1, (0, 1))
@@ -312,7 +307,10 @@ def fq_extension(p: int, m: int, *, cap: int = FIELD_SIZE_CAP) -> FqField:
 @lru_cache(maxsize=8)
 def _extension(p: int, m: int) -> FqField:
     prime_field = prime_field_of(p)
-    for k in range(p**m):
+    # the first p candidates, T^m + c, are all reducible unless each prime factor of m,
+    # and 4 if it divides m, divides p - 1 (Lidl-Niederreiter, Finite Fields, 3.75)
+    binomial = pow(p - 1, m, m) == 0 and (m % 4 or p % 4 == 1)
+    for k in range(0 if binomial else p, p**m):
         a, digits = k, []
         for _ in range(m):
             digits.append(a % p)

@@ -25,8 +25,7 @@ irreducible polynomial over F_p, or the point at infinity.  The
 postcritical set walks each critical closed point of degree k from one
 root in the F_{p^k} that ``fq_extension`` caches, and names each image
 by its Frobenius orbit, so a closed point always pushes forward to
-exactly one closed point.  Above the session's field cap a walk is
-refused only after PC_WORK_ABOVE_CAP // k^2 steps that do not close it.
+exactly one closed point.
 """
 
 from __future__ import annotations
@@ -68,9 +67,9 @@ from .qpolys import QPoly, form_discriminant, poly_str
 
 PC_CAP = 100_000
 # Above the field cap a walk from a critical point of degree k may take
-# PC_WORK_ABOVE_CAP // k^2 steps, about 0.3 s: a step costs about k^2 units
-# (0.3 ms at k = 2, 2 ms at k = 5 near p = 10^3 on a 2-core VM).  A random
-# map's walk takes about p^(k/2) steps; that of z^3+3z closes in two.
+# PC_WORK_ABOVE_CAP // k^2 steps, about 0.3 s (a step takes 0.3 ms at k = 2 and
+# 2 ms at k = 5 near p = 10^3 on a 2-core VM), though a random map's takes
+# about p^(k/2); that of z^3+3z closes in two.
 PC_WORK_ABOVE_CAP = 4096
 
 
@@ -360,9 +359,8 @@ def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
                 raise ResourceLimitError(f"postcritical set exceeded cap {cap}")
             if step == allowed:
                 raise ResourceLimitError(
-                    f"postcritical set: the walk from critical point {c.render()} of degree {k} "
-                    f"did not close within {allowed} steps, and its field size {p}^{k} exceeds "
-                    f"cap {mp.cap_field}"
+                    f"postcritical set: the walk from critical point {c.render()} of degree {k} did not "
+                    f"close within {allowed} steps, and its field size {p}^{k} exceeds cap {mp.cap_field}"
                 )
             step += 1
     depth = max(least.values(), default=0)

@@ -39,6 +39,24 @@ def test_canonical_moduli_are_frozen():
     assert fq_extension(7, 1).modulus == (0, 1)
 
 
+def test_modulus_is_the_first_irreducible_candidate():
+    # brute force over the candidates in order, sympy deciding irreducibility;
+    # at each p some degree m has no irreducible binomial T^m + c
+    T = sympy.Symbol("T")
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(2, 7):
+            if p ** (m - 1) > 3000:
+                continue
+            for k in range(p**m):
+                digits = [k // p**i % p for i in range(m)] + [1]
+                if sympy.Poly(list(reversed(digits)), T, modulus=p).is_irreducible:
+                    break
+            assert fq_extension(p, m, cap=p**m).modulus == tuple(digits)
+    # no binomial is irreducible in degree 6 at p = 10007, as 3 does not divide
+    # p - 1: testing all 10,007 of them first takes 15 s
+    assert fq_extension(10007, 6, cap=10007**6).modulus == (7, 1, 0, 0, 0, 0, 1)
+
+
 def test_field_axioms_sampled():
     for field in (fq_extension(3, 2), fq_extension(2, 3), fq_extension(5, 2)):
         rng = random.Random(field.q)
