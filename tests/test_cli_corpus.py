@@ -104,6 +104,9 @@ CORPUS = [
     # a refused walk leaves tower and orbit without the postcritical flags
     ["tower", "(9*z^4-6*z^3-4*z-6)/(-3*z^2+7*z+4)", "-p", "101", "-x", "1", "-n", "1"],
     ["orbit", "(9*z^4-6*z^3-4*z-6)/(-3*z^2+7*z+4)", "-p", "101", "-x", "1", "-N", "2", "-n", "1", "--format", "json"],
+    # p = 1009: a locus of 953 residues ending in inf, and 959 violations
+    ["analyze", "(z^2+1)/(z-1)", "-p", "1009", "--format", "json"],
+    ["analyze", "p*z^3+z^2+1", "-p", "1009", "--format", "json"],
 ]
 
 

@@ -37,6 +37,8 @@ CASES = [
     ["analyze", "(9*z^4-6*z^3-4*z-6)/(-3*z^2+7*z+4)", "-p", "101"],
     ["analyze", "(z^4+2)/(z^4+z^3+1)", "-p", "101", "--cap-field", "10000"],
     ["tower", "(9*z^4-6*z^3-4*z-6)/(-3*z^2+7*z+4)", "-p", "101", "-x", "1", "-n", "1"],
+    # a JSON answer of about 20 kB: 953 locus residues and their witnesses
+    ["analyze", "(z^2+1)/(z-1)", "-p", "1009", "--format", "json"],
 ]
 
 # (argv, module, attribute, fault): each fault trips an internal alarm
