@@ -9,6 +9,14 @@ byte-identical.  Integers that can exceed native JSON precision
 (resultants, discriminants, determinants) are emitted as strings,
 rationals as "num/den", and infinite valuations as "inf".
 
+JSON is rendered by ``render_json``, which writes the bytes of
+``json.dumps(payload, sort_keys=True, indent=2)`` by string joins: with
+an indent, ``json`` always runs its pure-Python encoder, one generator
+step per value, and an answer lists O(p) residues twice.  Strings go
+through ``json``'s own C escaper, and the ints of a list are formatted
+in place.  Payloads hold only str-keyed dicts, lists, tuples, str, int,
+bool and None; anything else, floats included, raises TypeError.
+
 Exit codes: 0 success, 1 failed example battery, 2 input error,
 3 resource cap exceeded.
 """
@@ -16,10 +24,10 @@ Exit codes: 0 success, 1 failed example battery, 2 input error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable, Iterator
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import InputError, InternalError, PadicDynError, ResourceLimitError
 from .finitefield import FIELD_SIZE_CAP
@@ -35,6 +43,35 @@ __all__ = ["main"]
 
 
 # -- JSON value rendering ------------------------------------------------------
+
+def render_json(value, indent: str = "\n") -> str:
+    """value as ``json.dumps(value, sort_keys=True, indent=2)`` writes it;
+    indent is the newline and indentation of value's own line."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_json_str(k) + ": " + render_json(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [int.__repr__(v) if type(v) is int else render_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"no JSON rendering for {kind.__name__}")
+
 
 def _big(value) -> str | None:
     """Big integers and rationals as canonical strings."""
@@ -73,7 +110,7 @@ def _pc_json(pc) -> dict | None:
 
 
 def _locus_json(locus) -> list:
-    return [_residue(r) for r in locus]
+    return ["inf" if r is None else r for r in locus]
 
 
 def _newton_json(newton):
@@ -438,7 +475,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(render_json(payload))
     else:
         print("\n".join(text()))
     return code

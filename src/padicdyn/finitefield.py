@@ -65,6 +65,8 @@ class FqField:
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise InputError("modulus must be monic of degree m")
+        if m >= 2 and not FqPoly(prime_field_of(p), modulus).is_irreducible():
+            raise InputError("modulus is not irreducible over F_p")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "q", p**m)
@@ -82,8 +84,6 @@ class FqField:
                     nxt = [(nxt[i] + carry * top[i]) % p for i in range(m)]
                 red.append(nxt)
         object.__setattr__(self, "_red", tuple(tuple(r) for r in red))
-        if m >= 2 and not FqPoly(prime_field_of(p), modulus).is_irreducible():
-            raise InputError("modulus is not irreducible over F_p")
 
     def __setattr__(self, *args):
         raise AttributeError("FqField is immutable")
@@ -306,7 +306,6 @@ def fq_extension(p: int, m: int, *, cap: int = FIELD_SIZE_CAP) -> FqField:
 
 @lru_cache(maxsize=8)
 def _extension(p: int, m: int) -> FqField:
-    prime_field = prime_field_of(p)
     # the first p candidates, T^m + c, are all reducible unless each prime factor of m,
     # and 4 if it divides m, divides p - 1 (Lidl-Niederreiter, Finite Fields, 3.75)
     binomial = pow(p - 1, m, m) == 0 and (m % 4 or p % 4 == 1)
@@ -315,10 +314,11 @@ def _extension(p: int, m: int) -> FqField:
         for _ in range(m):
             digits.append(a % p)
             a //= p
-        candidate = tuple(digits) + (1,)
-        if FqPoly(prime_field, candidate).is_irreducible():
-            field = FqField(p, m, candidate)
-            return _LogField(field) if field.q <= TABLE_Q else field
+        try:  # the constructor proves the modulus irreducible
+            field = FqField(p, m, tuple(digits) + (1,))
+        except InputError:
+            continue
+        return _LogField(field) if field.q <= TABLE_Q else field
     raise InputError(f"no irreducible modulus of degree {m} over F_{p}")  # pragma: no cover
 
 
@@ -354,6 +354,15 @@ def _divmod(field: FqField, a, b) -> tuple[list, list]:
     while rem and not rem[-1]:
         rem.pop()
     return quot, rem
+
+
+def horner(field: FqField, coeffs, a: int) -> int:
+    """The ascending coefficients coeffs, untrimmed or not, evaluated at a."""
+    add, mul = field.add, field.mul
+    acc = 0
+    for c in reversed(coeffs):
+        acc = add(mul(acc, a), c)
+    return acc
 
 
 class FqPoly:
@@ -450,11 +459,7 @@ class FqPoly:
         return FqPoly(F, [F.mul(i % F.p, c) for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, a: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, a), c)
-        return acc
+        return horner(self.field, self.coeffs, a)
 
     def pow_mod(self, e: int, mod: "FqPoly") -> "FqPoly":
         """self^e mod mod, square-and-multiply from the top bit of e."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError, ResourceLimitError
-from .finitefield import FqField, FqPoly, form_gcd_split, form_is_zero, prime_field_of
+from .finitefield import FqField, form_gcd_split, form_is_zero, horner, prime_field_of
 from .padics import require_prime
 from .qpolys import QPoly, binary_form_resultant, compose_forms, int_str, poly_str, rational_str
 
@@ -580,7 +580,7 @@ def eval_reduced(field: FqField, F1, G1, point: int | None) -> int | None:
     if point is None:
         fa, ga = F1[-1], G1[-1]
     else:
-        fa, ga = FqPoly(field, F1)(point), FqPoly(field, G1)(point)
+        fa, ga = horner(field, F1, point), horner(field, G1, point)
     if fa == 0 and ga == 0:
         raise InternalError("coprime reduced forms cannot vanish together")
     if ga == 0:

@@ -133,8 +133,9 @@ def orbital_report(
 
     Non-integral basepoints and basepoints reducing into the postcritical
     set are still profiled, but only the rest count toward
-    all_unramified_on_locus, which is None when the postcritical walk was
-    refused by a cap.
+    all_unramified_on_locus.  That flag is None when there is no
+    postcritical set to be off: the reduction is constant, or its walk
+    was refused by a cap.
     """
     if n_max < 1:
         raise InputError("tower depth must be >= 1")
@@ -181,7 +182,7 @@ def orbital_report(
         n_max=n_max,
         basepoints=tuple(basepoints),
         shifts=tuple(shifts),
-        all_unramified_on_locus=all_ok if mp.pc_refusal is None else None,
+        all_unramified_on_locus=all_ok if mp.pc_refusal is None and mp.pc is not None else None,
     )
 
 

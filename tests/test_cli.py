@@ -3,8 +3,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padicdyn.cli as cli
 from padicdyn.golden import GoldenCheck
@@ -166,6 +169,22 @@ def test_refused_postcritical_walk_stops_only_analyze(monkeypatch, capsys):
     assert "certified unramified: unknown" in out
 
 
+def test_constant_reduction_leaves_the_orbit_flag_unknown(capsys):
+    # 25z^2 reduces to the constant 0: no postcritical set, so no basepoint is
+    # off it, although x_0 and x_2 carry no certificate
+    argv = ["orbit", "p^2*z^2", "-p", "5", "-x", "1", "-N", "2", "-n", "1"]
+    assert cli.main([*argv, "--format", "json"]) == 0
+    orbit = json.loads(capsys.readouterr().out)["orbit"]
+    assert orbit["in_postcritical_set"] == [None, None, None]
+    assert [bp["levels"][0]["certificate"] for bp in orbit["basepoints"]][::2] == [
+        "NO_CERTIFICATE",
+        "NO_CERTIFICATE",
+    ]
+    assert orbit["all_unramified_on_locus"] is None
+    assert cli.main(argv) == 0
+    assert "certified unramified: unknown" in capsys.readouterr().out
+
+
 def test_failed_battery_exits_1(monkeypatch, capsys):
     fake = [GoldenCheck(name="rigged", ok=False, expected="1", got="0")]
     monkeypatch.setattr(cli, "run_battery", lambda p: fake)
@@ -213,6 +232,32 @@ def test_text_report_is_rendered_only_when_printed(monkeypatch, capsys):
         assert rendered == [argv[0]]
         del rendered[:]
     assert "good residue locus: 0 3 4 6 7 " in capsys.readouterr().out
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u20ac\U0001d11e'), st.characters()))
+_INT = st.one_of(st.integers(), st.integers(-(10**4000), 10**4000))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INT, _TEXT, st.lists(st.one_of(_INT, st.booleans()))),
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(_TEXT, inner),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(database=None, deadline=None)
+@given(_JSON)
+def test_render_json_writes_the_bytes_of_json_dumps(value):
+    assert cli.render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 3), 0.5, [1, 2.0], {"a": [set()]}, {1: 2}])
+def test_render_json_refuses_what_a_payload_never_holds(value):
+    # floats are refused rather than matched: no payload carries one
+    with pytest.raises(TypeError):
+        cli.render_json(value)
 
 
 def test_module_entry_point_smoke():

@@ -57,6 +57,21 @@ def test_modulus_is_the_first_irreducible_candidate():
     assert fq_extension(10007, 6, cap=10007**6).modulus == (7, 1, 0, 0, 0, 0, 1)
 
 
+def test_each_cached_field_proves_its_modulus_once(monkeypatch):
+    modulus = fq_extension(3, 8).modulus
+    tested = []
+    is_irreducible = FqPoly.is_irreducible
+
+    def recording(f):
+        tested.append(f.coeffs)
+        return is_irreducible(f)
+
+    monkeypatch.setattr(FqPoly, "is_irreducible", recording)
+    padicdyn.finitefield._extension.cache_clear()
+    assert fq_extension(3, 8).modulus == modulus
+    assert tested.count(modulus) == 1 and tested[-1] == modulus
+
+
 def test_field_axioms_sampled():
     for field in (fq_extension(3, 2), fq_extension(2, 3), fq_extension(5, 2)):
         rng = random.Random(field.q)

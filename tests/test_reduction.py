@@ -476,3 +476,27 @@ def test_analyze_report_coherence():
     assert rep.pc is rep.condition2.pc
     assert rep.locus == rep.condition2.locus
     assert rep.rmap.reduced_degree == rep.sgr.reduced_degree
+
+
+def test_postcritical_walk_builds_no_polynomial_per_step(monkeypatch):
+    # both critical points of (z^2+1)/(z-1), 1 +- sqrt(2), are rational at
+    # p = 1009, so every step stays in F_p: it evaluates the reduced map on
+    # coefficient tuples and needs no minimal polynomial
+    built, per_step = [], []
+    init = FqPoly.__init__
+
+    def counting_init(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    def counting_step(*args):
+        before = len(built)
+        out = pushforward(*args)
+        per_step.append(len(built) - before)
+        return out
+
+    monkeypatch.setattr(FqPoly, "__init__", counting_init)
+    monkeypatch.setattr(reduction, "pushforward", counting_step)
+    rep = analyze_map(MapAtPrime(parse_map("(z^2+1)/(z-1)", 1009), 1009))
+    assert len(rep.pc.points) == 57 and len(per_step) > 57
+    assert sum(per_step) == 0
