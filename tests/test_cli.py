@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import padicdyn.cli as cli
@@ -234,6 +234,7 @@ def test_text_report_is_rendered_only_when_printed(monkeypatch, capsys):
     assert "good residue locus: 0 3 4 6 7 " in capsys.readouterr().out
 
 
+# JSON's two-character escapes, control characters, and non-ASCII past the BMP
 _TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u20ac\U0001d11e'), st.characters()))
 _INT = st.one_of(st.integers(), st.integers(-(10**4000), 10**4000))
 _JSON = st.recursive(
@@ -247,7 +248,7 @@ _JSON = st.recursive(
 )
 
 
-@settings(database=None, deadline=None)
+@settings(database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_JSON)
 def test_render_json_writes_the_bytes_of_json_dumps(value):
     assert cli.render_json(value) == json.dumps(value, sort_keys=True, indent=2)
