@@ -107,6 +107,11 @@ CORPUS = [
     # p = 1009: a locus of 953 residues ending in inf, and 959 violations
     ["analyze", "(z^2+1)/(z-1)", "-p", "1009", "--format", "json"],
     ["analyze", "p*z^3+z^2+1", "-p", "1009", "--format", "json"],
+    # trees at p = 2 and at p | d: a 32-point level in F_{2^8}, split by the
+    # trace map; d = p = 3 in F_{3^6}; d = 4, p = 2 with 64 points
+    ["tower", "z^2+z+1", "-p", "2", "-x", "1", "-n", "5", "--format", "json"],
+    ["tower", "z^3+z+1", "-p", "3", "-x", "1", "-n", "3", "--format", "json"],
+    ["tower", "z^4+z+1", "-p", "2", "-x", "1", "-n", "3", "--format", "json"],
 ]
 
 

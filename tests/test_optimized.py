@@ -39,6 +39,8 @@ CASES = [
     ["tower", "(9*z^4-6*z^3-4*z-6)/(-3*z^2+7*z+4)", "-p", "101", "-x", "1", "-n", "1"],
     # a JSON answer of about 20 kB: 953 locus residues and their witnesses
     ["analyze", "(z^2+1)/(z-1)", "-p", "1009", "--format", "json"],
+    # a 32-point level in F_{2^8}: root splits by the trace map at p = 2
+    ["tower", "z^2+z+1", "-p", "2", "-x", "1", "-n", "5", "--format", "json"],
 ]
 
 # (argv, module, attribute, fault): each fault trips an internal alarm
