@@ -6,36 +6,40 @@ generator, lowest degree first.  The prime subfield is therefore encoded
 by the ints 0..p-1 in every extension, which makes lifting coefficient
 lists between F_p and F_{p^m} a no-op.
 
-An FqField computes on the digits.  Fields are built in two places:
-``prime_field_of``, and ``fq_extension``, which refuses one above its
-size cap and caches per (p, m) the fields that the preimage trees and
-postcritical walks share, so each modulus is searched and proved
-irreducible once per process.  Those of at most TABLE_Q = 2^12 elements
+An FqField computes on the digits, and inverts by the extended Euclidean
+algorithm over F_p on the polynomial kernel below.  Fields are built in
+two places: ``prime_field_of``, and ``fq_extension``, which refuses one
+above its size cap and caches per (p, m) the fields that the preimage
+trees and postcritical walks share, so each modulus is searched and
+proved irreducible once per process.  Those of at most TABLE_Q = 2^12 elements
 carry exp/log/Zech tables that make every operation a list lookup on the
 same encoding.  The tables cost q - 1 digit multiplications to build
 (about 0.07 s at 2^12 and 1.4 s at 2^16 on a 2-core VM), which a tree
 in a larger field would seldom repay.
 
-Polynomials (FqPoly) store ascending coefficient tuples of encoded
-elements, trailing zeros trimmed.  Products, division, composition and
-sums are sequences of one row operation, ``addmul(acc, k, c, row)``,
-which each field class runs on its own encoding: mod p inline over F_p,
-table lookups inline in a log field, element calls on digits.
-``divmod``, ``gcd`` and ``pow_mod`` share one division on int lists,
-``_divmod``, so a modular power builds an FqPoly only for its result.
-Factorization runs squarefree decomposition, then distinct-degree
-splitting, then Cantor-Zassenhaus equal-degree splitting driven by a
-seeded random stream; the returned factor list is sorted by (degree,
-coefficient tuple) so the output is reproducible independently of the
-stream.  Callers that need only the factor degrees stop after the
-distinct-degree step.
+Polynomials are ascending lists of encoded elements, and the kernel
+works on those lists alone.  A product (``_mul``) and a division
+(``_divmod``) test once whether the field is F_p: there they add rows as
+integers and reduce mod p inline, elsewhere they run one row operation,
+``addmul(acc, k, c, row)``, per row, with table lookups inline in a log
+field and element calls on digits.  Gcd, modular powers, squarefree
+decomposition, distinct-degree splitting and Cantor-Zassenhaus
+equal-degree splitting (von zur Gathen-Gerhard, Modern Computer Algebra,
+ch. 14) are sequences of those two, so no polynomial object is built per
+step.  FqPoly, an immutable trimmed coefficient tuple, is the public type
+at the edges: ``fq_factor`` and ``split_roots`` take one, and its few
+methods wrap the list functions.  Equal-degree splitting draws from a
+fixed-seed random stream; factors and roots are returned sorted, so the
+output does not depend on the stream.  Callers that need only the factor
+degrees stop after the distinct-degree step.
 
 Binary forms of a fixed formal degree D are ascending tuples of length
 D + 1 (entry i is the coefficient of X^i Y^(D-i)); they are never trimmed,
 since vanishing top coefficients encode roots at infinity.  They are the
-F_q twin of the integer forms of ``qpolys``: forms and ``FqPoly`` share
-one product routine, and ``compose_forms`` substitutes one pair (A, B)
-into several forms at once, building the monomials A^i B^(D-i) once.
+F_q twin of the integer forms of ``qpolys``: forms and polynomials share
+one product routine, ``_mul``, and ``compose_forms`` substitutes one pair
+(A, B) into several forms at once, building the monomials A^i B^(D-i)
+once.
 The multiplicity of infinity, D minus the affine degree, is read in one
 place, ``form_dehomogenize``.
 """
@@ -168,7 +172,13 @@ class FqField:
             raise ZeroDivisionError("inverse of zero in a finite field")
         if self.m == 1:
             return pow(a, -1, self.p)
-        return self.pow(a, self.q - 2)
+        # extended Euclid over F_p: s * a = r modulo the modulus throughout
+        F = prime_field_of(self.p)
+        r0, r1, s0, s1 = self.modulus, _trim(self.decode(a)), [], [1]
+        while len(r1) > 1:
+            quot, rem = _divmod(F, r0, r1)
+            r0, r1, s0, s1 = r1, rem, s1, _sub(F, s0, _mul(F, quot, s1))
+        return self.encode(_mul(F, s1, [pow(r1[0], -1, self.p)]))
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
@@ -322,11 +332,26 @@ def _extension(p: int, m: int) -> FqField:
     raise InputError(f"no irreducible modulus of degree {m} over F_{p}")  # pragma: no cover
 
 
+def _trim(coeffs) -> list:
+    out = list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _mul(field: FqField, A, B) -> list:
-    """Product of two coefficient lists; forms keep their formal degree."""
+    """Product of two coefficient lists; forms keep their formal degree.
+    Over F_p the rows add up as integers and each entry is reduced once."""
     if not A or not B:
         return []
     out = [0] * (len(A) + len(B) - 1)
+    if field.m == 1:
+        for i, x in enumerate(A):
+            if x:
+                for j, y in enumerate(B, i):
+                    out[j] += x * y
+        p = field.p
+        return [c % p for c in out]
     for i, x in enumerate(A):
         if x:
             field.addmul(out, i, x, B)
@@ -334,39 +359,100 @@ def _mul(field: FqField, A, B) -> list:
 
 
 def _divmod(field: FqField, a, b) -> tuple[list, list]:
-    """Quotient and trimmed remainder of the list a by the trimmed list b:
-    each step adds a multiple of the row -b/lc(b), and rem[deg b:] keeps
-    lc(b) times the quotient."""
+    """Quotient and trimmed remainder of the list a by the trimmed list b.
+
+    Over F_p each step subtracts a multiple of b as integers, and an entry
+    is reduced mod p when it leads a step or ends in the remainder.  Over
+    an extension each step adds a multiple of the row -b/lc(b), and
+    rem[deg b:] keeps lc(b) times the quotient.
+    """
     if not b:
         raise InputError("polynomial division by zero")
-    db, rem, addmul = len(b) - 1, list(a), field.addmul
-    inv = 1 if b[-1] == 1 else field.inv(b[-1])
-    row = [0] * db
-    addmul(row, 0, field.neg(inv), b[:-1])
-    for i in range(len(rem) - 1 - db, -1, -1):
-        if rem[i + db]:
-            addmul(rem, i, rem[i + db], row)
-    quot = rem[db:]
-    if inv != 1:
-        quot = [0] * len(quot)
-        addmul(quot, 0, inv, rem[db:])
-    del rem[db:]
+    db, rem = len(b) - 1, list(a)
+    if field.m == 1:
+        p, low = field.p, b[:-1]
+        inv = pow(b[-1], -1, p)
+        quot = [0] * max(len(rem) - db, 0)
+        for i in range(len(rem) - 1 - db, -1, -1):
+            c = rem[i + db] * inv % p
+            if c:
+                quot[i] = c
+                for j, y in enumerate(low, i):
+                    rem[j] -= c * y
+        rem = [r % p for r in rem[:db]]
+    else:
+        addmul = field.addmul
+        inv = 1 if b[-1] == 1 else field.inv(b[-1])
+        row = [0] * db
+        addmul(row, 0, field.neg(inv), b[:-1])
+        for i in range(len(rem) - 1 - db, -1, -1):
+            if rem[i + db]:
+                addmul(rem, i, rem[i + db], row)
+        quot = rem[db:]
+        if inv != 1:
+            quot = [0] * len(quot)
+            addmul(quot, 0, inv, rem[db:])
+        del rem[db:]
     while rem and not rem[-1]:
         rem.pop()
     return quot, rem
 
 
+def _sub(field: FqField, a, b) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    field.addmul(out, 0, field.neg(1), b)
+    return _trim(out)
+
+
+def _monic(field: FqField, a):
+    if not a or a[-1] == 1:
+        return a
+    out = [0] * len(a)
+    field.addmul(out, 0, field.inv(a[-1]), a)
+    return out
+
+
+def _gcd(field: FqField, a, b):
+    """Monic gcd of two trimmed lists."""
+    while b:
+        a, b = b, _divmod(field, a, b)[1]
+    return _monic(field, a)
+
+
+def _powmod(field: FqField, a, e: int, m) -> list:
+    """a^e mod m for e >= 0, square-and-multiply from the top bit of e."""
+    base = _divmod(field, a, m)[1]
+    out = base if e else _divmod(field, [1], m)[1]
+    for bit in bin(e)[3:]:
+        out = _divmod(field, _mul(field, out, out), m)[1]
+        if bit == "1":
+            out = _divmod(field, _mul(field, out, base), m)[1]
+    return out
+
+
+def _derivative(field: FqField, a) -> list:
+    mul, p = field.mul, field.p
+    return _trim([mul(i % p, c) for i, c in enumerate(a)][1:])
+
+
 def horner(field: FqField, coeffs, a: int) -> int:
     """The ascending coefficients coeffs, untrimmed or not, evaluated at a."""
-    add, mul = field.add, field.mul
     acc = 0
+    if field.m == 1:
+        p = field.p
+        for c in reversed(coeffs):
+            acc = (acc * a + c) % p
+        return acc
+    add, mul = field.add, field.mul
     for c in reversed(coeffs):
         acc = add(mul(acc, a), c)
     return acc
 
 
 class FqPoly:
-    """Univariate polynomial over an FqField, ascending coefficients."""
+    """Univariate polynomial over an FqField, ascending coefficients: the
+    public face of the coefficient-list kernel, whose functions its
+    methods wrap."""
 
     __slots__ = ("field", "coeffs")
 
@@ -380,26 +466,9 @@ class FqPoly:
     def __setattr__(self, *args):
         raise AttributeError("FqPoly is immutable")
 
-    @classmethod
-    def of_integers(cls, field: FqField, ints) -> "FqPoly":
-        """Reduce an integer coefficient list through Z -> F_p."""
-        return cls(field, [field.of_int(c) for c in ints])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> int:
-        if not self.coeffs:
-            raise InputError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __eq__(self, other):
         return (
@@ -414,100 +483,26 @@ class FqPoly:
     def __repr__(self):
         return f"FqPoly[{self.field!r}]({poly_str(self.coeffs)})"
 
-    def __add__(self, other: "FqPoly") -> "FqPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        self.field.addmul(out, 0, 1, b)
-        return FqPoly(self.field, out)
-
     def __sub__(self, other: "FqPoly") -> "FqPoly":
-        return self + other.scale(self.field.neg(1))
+        return FqPoly(self.field, _sub(self.field, self.coeffs, other.coeffs))
 
     def __mul__(self, other: "FqPoly") -> "FqPoly":
         return FqPoly(self.field, _mul(self.field, self.coeffs, other.coeffs))
 
-    def scale(self, c: int) -> "FqPoly":
-        out = [0] * len(self.coeffs)
-        self.field.addmul(out, 0, c, self.coeffs)
-        return FqPoly(self.field, out)
-
-    def __divmod__(self, other: "FqPoly"):
-        quot, rem = _divmod(self.field, self.coeffs, other.coeffs)
-        return FqPoly(self.field, quot), FqPoly(self.field, rem)
-
-    def __floordiv__(self, other: "FqPoly") -> "FqPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "FqPoly") -> "FqPoly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "FqPoly":
-        if self.is_zero() or self.lc == 1:
-            return self
-        return self.scale(self.field.inv(self.lc))
-
-    def gcd(self, other: "FqPoly") -> "FqPoly":
-        F, a, b = self.field, self.coeffs, other.coeffs
-        while b:
-            a, b = b, _divmod(F, a, b)[1]
-        return FqPoly(F, a).monic()
-
     def derivative(self) -> "FqPoly":
-        F = self.field
-        return FqPoly(F, [F.mul(i % F.p, c) for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, a: int) -> int:
-        return horner(self.field, self.coeffs, a)
-
-    def pow_mod(self, e: int, mod: "FqPoly") -> "FqPoly":
-        """self^e mod mod, square-and-multiply from the top bit of e."""
-        if e < 0:
-            raise InputError("negative exponent in pow_mod")
-        F, m = self.field, mod.coeffs
-        base = _divmod(F, self.coeffs, m)[1]
-        out = base if e else _divmod(F, [1], m)[1]
-        for bit in bin(e)[3:]:
-            out = _divmod(F, _mul(F, out, out), m)[1]
-            if bit == "1":
-                out = _divmod(F, _mul(F, out, base), m)[1]
-        return FqPoly(F, out)
-
-    def is_squarefree(self) -> bool:
-        if self.degree < 1:
-            return True
-        return self.gcd(self.derivative()).degree == 0
-
-    def pth_root(self) -> "FqPoly":
-        """Inverse Frobenius on a polynomial all of whose exponents are p-multiples."""
-        F = self.field
-        p = F.p
-        root_pow = p ** (F.m - 1)  # c -> c^(p^(m-1)) inverts x -> x^p on F_q
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if i % p == 0:
-                out.append(F.pow(c, root_pow))
-            elif c:
-                raise InputError("polynomial is not a p-th power")
-        return FqPoly(F, out)
+        return FqPoly(self.field, _derivative(self.field, self.coeffs))
 
     def is_irreducible(self) -> bool:
-        n = self.degree
-        if n <= 0:
+        F, f, n = self.field, self.coeffs, self.degree
+        if n <= 1:
+            return n == 1
+        x = [0, 1]
+        if _powmod(F, x, F.q**n, f) != _divmod(F, x, f)[1]:
             return False
-        if n == 1:
-            return True
-        F = self.field
-        q = F.q
-        x = FqPoly(F, (0, 1))
-        if x.pow_mod(q**n, self) != x % self:
-            return False
-        for r in _prime_divisors(n):
-            g = (x.pow_mod(q ** (n // r), self) - x).gcd(self)
-            if g.degree > 0:
-                return False
-        return True
+        return all(
+            len(_gcd(F, _sub(F, _powmod(F, x, F.q ** (n // r), f), x), f)) == 1
+            for r in _prime_divisors(n)
+        )
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -524,89 +519,92 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-# -- factorization ----------------------------------------------------------
+# -- factorization on coefficient lists -------------------------------------
 
 
-def squarefree_decomposition(f: FqPoly) -> list[tuple[FqPoly, int]]:
-    """Monic squarefree parts with multiplicities; their product is f.monic()."""
-    out: dict[FqPoly, int] = {}
-    _sff(f.monic(), 1, out)
-    return sorted(out.items(), key=lambda t: (t[0].degree, t[0].coeffs))
+def squarefree_decomposition(field: FqField, coeffs) -> list[tuple[tuple, int]]:
+    """Monic squarefree parts of a trimmed coefficient list, as tuples, with
+    multiplicities; their product is the list made monic."""
+    out: dict[tuple, int] = {}
+    _sff(field, _monic(field, coeffs), 1, out)
+    return sorted(out.items(), key=lambda t: (len(t[0]), t[0]))
 
 
-def _sff(f: FqPoly, e: int, out: dict) -> None:
-    p = f.field.p
-    if f.degree < 1:
+def _sff(field: FqField, f, e: int, out: dict) -> None:
+    if len(f) < 2:
         return
-    df = f.derivative()
-    if df.is_zero():
-        _sff(f.pth_root(), e * p, out)
+    df = _derivative(field, f)
+    if not df:
+        _sff(field, _pth_root(field, f), e * field.p, out)
         return
-    c = f.gcd(df)
-    w = f // c
+    c = _gcd(field, f, df)
+    w = _divmod(field, f, c)[0]
     i = 1
-    while w.degree > 0:
-        y = w.gcd(c)
-        z = w // y
-        if z.degree > 0:
+    while len(w) > 1:
+        y = _gcd(field, w, c)
+        z = tuple(_divmod(field, w, y)[0])
+        if len(z) > 1:
             out[z] = out.get(z, 0) + i * e
         w = y
-        c = c // y
+        c = _divmod(field, c, y)[0]
         i += 1
-    if c.degree > 0:
-        _sff(c.pth_root(), e * p, out)
+    if len(c) > 1:
+        _sff(field, _pth_root(field, c), e * field.p, out)
 
 
-def distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
-    """Split a monic squarefree f into (product of irreducibles of degree i, i)."""
-    F = f.field
-    q = F.q
-    x = FqPoly(F, (0, 1))
+def _pth_root(field: FqField, f) -> list:
+    """Inverse Frobenius on a polynomial all of whose exponents are p-multiples;
+    c -> c^(p^(m-1)) inverts c -> c^p on F_q."""
+    p, e = field.p, field.p ** (field.m - 1)
+    return list(f[::p]) if e == 1 else [field.pow(c, e) for c in f[::p]]
+
+
+def distinct_degree(field: FqField, f) -> list[tuple[list, int]]:
+    """Split a monic squarefree list f into (product of irreducibles of degree i, i)."""
+    x = [0, 1]
     out = []
     h = x
     i = 0
-    while f.degree > 0:
+    while len(f) > 1:
         i += 1
-        if f.degree < 2 * i:
-            out.append((f.monic(), f.degree))
+        if len(f) - 1 < 2 * i:
+            out.append((f, len(f) - 1))
             break
-        h = h.pow_mod(q, f)
-        g = (h - x).gcd(f)
-        if g.degree > 0:
+        h = _powmod(field, h, field.q, f)
+        g = _gcd(field, _sub(field, h, x), f)
+        if len(g) > 1:
             out.append((g, i))
-            f = f // g
-            h = h % f
+            f = _divmod(field, f, g)[0]
+            h = _divmod(field, h, f)[1]
     return out
 
 
-def _equal_degree(f: FqPoly, e: int, rng: random.Random) -> list[FqPoly]:
+def _equal_degree(field: FqField, f, e: int, rng: random.Random) -> list[tuple]:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-e irreducibles."""
-    n = f.degree
+    n = len(f) - 1
     if n == e:
-        return [f]
-    F = f.field
-    q = F.q
+        return [tuple(f)]
+    q = field.q
     while True:
-        r = FqPoly(F, [rng.randrange(q) for _ in range(n)])
-        if r.degree < 1:
+        r = _trim([rng.randrange(q) for _ in range(n)])
+        if len(r) < 2:
             continue
-        g = r.gcd(f)
-        if 0 < g.degree < n:
+        g = _gcd(field, r, f)
+        if 1 < len(g) <= n:
             break
-        if F.p == 2:
-            # trace map to F_2 of the q^e-element subring
-            s = FqPoly(F)
-            t = r % f
-            for _ in range(e * F.m):
-                s = s + t
-                t = t * t % f
-            g = s.gcd(f)
+        if field.p == 2:
+            # trace map to F_2 of the q^e-element subring; s - t = s + t here
+            s, t = [], _divmod(field, r, f)[1]
+            for _ in range(e * field.m):
+                s = _sub(field, s, t)
+                t = _divmod(field, _mul(field, t, t), f)[1]
+            g = _gcd(field, s, f)
         else:
-            s = r.pow_mod((q**e - 1) // 2, f)
-            g = (s - FqPoly(F, (1,))).gcd(f)
-        if 0 < g.degree < n:
+            s = _powmod(field, r, (q**e - 1) // 2, f)
+            g = _gcd(field, _sub(field, s, [1]), f)
+        if 1 < len(g) <= n:
             break
-    return _equal_degree(g.monic(), e, rng) + _equal_degree((f // g).monic(), e, rng)
+    return _equal_degree(field, g, e, rng) + _equal_degree(field, _divmod(field, f, g)[0], e, rng)
 
 
 def fq_factor(f: FqPoly) -> list[tuple[FqPoly, int]]:
@@ -619,16 +617,12 @@ def fq_factor(f: FqPoly) -> list[tuple[FqPoly, int]]:
     """
     if f.degree < 1:
         raise InputError("factorization requires degree >= 1")
-    rng = random.Random(0)
-    out = []
-    for sq, mult in squarefree_decomposition(f):
-        for prod, e in distinct_degree(sq):
-            if prod.degree == e:
-                out.append((prod, mult))
-            else:
-                out.extend((irr, mult) for irr in _equal_degree(prod, e, rng))
-    out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
-    return out
+    F, rng, out = f.field, random.Random(0), []
+    for sq, mult in squarefree_decomposition(F, f.coeffs):
+        for prod, e in distinct_degree(F, sq):
+            out.extend((irr, mult) for irr in _equal_degree(F, prod, e, rng))
+    out.sort(key=lambda t: (len(t[0]), t[0]))
+    return [(FqPoly(F, irr), mult) for irr, mult in out]
 
 
 def split_roots(f: FqPoly) -> list[int]:
@@ -638,12 +632,12 @@ def split_roots(f: FqPoly) -> list[int]:
     is solved directly and a constant has no roots.  The caller guarantees
     the splitting: on any other f the random search never ends.
     """
-    F = f.field
-    if f.degree < 1:
+    F, cs = f.field, f.coeffs
+    if len(cs) < 2:
         return []
-    if f.degree == 1:
-        return [F.neg(F.mul(f[0], F.inv(f[1])))]
-    return sorted(F.neg(fac[0]) for fac in _equal_degree(f.monic(), 1, random.Random(0)))
+    if len(cs) == 2:
+        return [F.neg(F.mul(cs[0], F.inv(cs[1])))]
+    return sorted(F.neg(fac[0]) for fac in _equal_degree(F, _monic(F, cs), 1, random.Random(0)))
 
 
 # -- binary forms of fixed formal degree -------------------------------------
@@ -682,11 +676,11 @@ def form_dehomogenize(field: FqField, coeffs) -> tuple[FqPoly, int]:
     return poly, len(coeffs) - 1 - poly.degree
 
 
-def form_from_poly(field: FqField, poly: FqPoly, formal_degree: int):
-    if poly.degree > formal_degree:
+def form_from_poly(field: FqField, coeffs, formal_degree: int):
+    """The trimmed coefficient list coeffs as a form of the given formal degree."""
+    if len(coeffs) - 1 > formal_degree:
         raise InputError("polynomial degree exceeds the formal degree")
-    out = list(poly.coeffs) + [0] * (formal_degree - poly.degree)
-    return tuple(out)
+    return tuple(coeffs) + (0,) * (formal_degree + 1 - len(coeffs))
 
 
 def form_is_squarefree(field: FqField, coeffs) -> bool:
@@ -694,7 +688,8 @@ def form_is_squarefree(field: FqField, coeffs) -> bool:
     if form_is_zero(coeffs):
         return False
     poly, inf_mult = form_dehomogenize(field, coeffs)
-    return inf_mult <= 1 and poly.is_squarefree()
+    f = poly.coeffs
+    return inf_mult <= 1 and (len(f) < 2 or len(_gcd(field, f, _derivative(field, f))) == 1)
 
 
 def form_gcd_split(field: FqField, F, G):
@@ -712,11 +707,12 @@ def form_gcd_split(field: FqField, F, G):
         raise InputError("form gcd of two zero forms is undefined")
     fp, fi = form_dehomogenize(field, F)
     gp, gi = form_dehomogenize(field, G)
-    core = fp.gcd(gp)
+    core = _gcd(field, fp.coeffs, gp.coeffs)
     y_shared = min(fi, gi)  # the zero form's fi = d + 1 exceeds any nonzero gi
-    common = form_from_poly(field, core, core.degree + y_shared)
-    F1 = form_from_poly(field, fp // core, (fp.degree - core.degree) + (fi - y_shared))
-    G1 = form_from_poly(field, gp // core, (gp.degree - core.degree) + (gi - y_shared))
+    common = form_from_poly(field, core, len(core) - 1 + y_shared)
+    rest = len(F) - len(common)  # the formal degree of F1 and of G1
+    F1 = form_from_poly(field, _divmod(field, fp.coeffs, core)[0], rest)
+    G1 = form_from_poly(field, _divmod(field, gp.coeffs, core)[0], rest)
     return common, F1, G1
 
 

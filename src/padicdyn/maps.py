@@ -585,6 +585,8 @@ def eval_reduced(field: FqField, F1, G1, point: int | None) -> int | None:
         raise InternalError("coprime reduced forms cannot vanish together")
     if ga == 0:
         return None
+    if field.m == 1:
+        return fa * field.inv(ga) % field.p
     return field.mul(fa, field.inv(ga))
 
 

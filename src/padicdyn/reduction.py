@@ -48,6 +48,7 @@ from .finitefield import (
     form_is_zero,
     fq_extension,
     fq_factor,
+    prime_field_of,
     split_roots,
     squarefree_decomposition,
 )
@@ -172,21 +173,24 @@ class MapAtPrime:
             self._reduced_fibers[key] = fiber_form(self.rmap.field, Fn, Gn, a, b)
         return self._reduced_fibers[key]
 
-    def factor_degrees(self, poly: FqPoly) -> tuple:
-        """Sorted (degree, multiplicity) of each irreducible factor of poly.
+    def factor_degrees(self, coeffs) -> tuple:
+        """Sorted (degree, multiplicity) of each irreducible factor of the
+        polynomial over F_p with ascending coefficients coeffs, top one nonzero.
 
-        Squarefree decomposition, then distinct-degree splitting: a part of
-        degree k made of degree-e irreducibles holds k/e of them, so no
-        factor is ever split off.  Computed once per field and monic
-        coefficient tuple.
+        Squarefree decomposition, then distinct-degree splitting, both on
+        coefficient lists: a part of degree k made of degree-e irreducibles
+        holds k/e of them, so no factor is ever split off.  The memo is keyed
+        by the monic coefficient tuple alone, as the field is always F_p.
         """
-        monic = poly.monic()
-        key = (monic.field, monic.coeffs)
+        p = self.p
+        inv = pow(coeffs[-1], -1, p)
+        key = tuple(c * inv % p for c in coeffs)
         if key not in self._factor_degrees:
             out = []
-            for part, mult in squarefree_decomposition(monic):
-                for prod, e in distinct_degree(part):
-                    out.extend([(e, mult)] * (prod.degree // e))
+            field = prime_field_of(p)
+            for part, mult in squarefree_decomposition(field, key):
+                for prod, e in distinct_degree(field, part):
+                    out.extend([(e, mult)] * ((len(prod) - 1) // e))
             self._factor_degrees[key] = tuple(sorted(out))
         return self._factor_degrees[key]
 
@@ -199,7 +203,7 @@ class MapAtPrime:
         and for p | d too.
         """
         poly, inf_mult = form_dehomogenize(self.rmap.field, self.reduced_fiber(n, xbar))
-        out = list(self.factor_degrees(poly)) if poly.degree >= 1 else []
+        out = list(self.factor_degrees(poly.coeffs)) if poly.degree >= 1 else []
         if inf_mult:
             out.append((1, inf_mult))
         return tuple(sorted(out))
@@ -285,7 +289,7 @@ def critical_divisor(rmap: ReducedMap):
     field = rmap.field
     f, g = FqPoly(field, rmap.F1), FqPoly(field, rmap.G1)
     w = f.derivative() * g - f * g.derivative()
-    return form_from_poly(field, w, 2 * rmap.reduced_degree - 2)
+    return form_from_poly(field, w.coeffs, 2 * rmap.reduced_degree - 2)
 
 
 def pushforward(ext: FqField, rmap: ReducedMap, z: int | None) -> tuple:

@@ -37,14 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError, ResourceLimitError
-from .finitefield import (
-    FqPoly,
-    fiber_form,
-    form_dehomogenize,
-    fq_extension,
-    prime_field_of,
-    split_roots,
-)
+from .finitefield import fiber_form, form_dehomogenize, fq_extension, split_roots
 from .maps import ProjPointQ, eval_map
 from .padics import INFINITY, vp
 from .qpolys import QPoly, discriminant
@@ -168,8 +161,7 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
     factor_degrees = None
     newton = None
     if unramified:
-        reduced = FqPoly.of_integers(prime_field_of(p), poly.coeffs)
-        degs = mp.factor_degrees(reduced)
+        degs = mp.factor_degrees([c % p for c in poly.coeffs])
         if any(mult != 1 for _, mult in degs):
             raise InternalError("unit discriminant forces a squarefree reduction")
         factor_degrees = tuple(e for e, _ in degs)

@@ -13,6 +13,11 @@ from padicdyn.finitefield import (
     FqField,
     _LogField,
     FqPoly,
+    _divmod,
+    _gcd,
+    _mul,
+    _powmod,
+    _sub,
     compose_forms,
     fiber_form,
     form_dehomogenize,
@@ -25,8 +30,9 @@ from padicdyn.finitefield import (
     split_roots,
     squarefree_decomposition,
 )
-from padicdyn.maps import eval_reduced
+from padicdyn.maps import eval_reduced, parse_map
 from padicdyn.qpolys import binary_form_resultant
+from padicdyn.reduction import MapAtPrime, pushforward
 
 from oracles import form_eval, form_resultant
 
@@ -169,7 +175,7 @@ def test_prime_field_factor_matches_sympy():
         for _ in range(25):
             deg = rng.randint(1, 8)
             coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
-            f = FqPoly.of_integers(field, coeffs)
+            f = FqPoly(field, coeffs)
             ours = {
                 (tuple(int(c) for c in fac.coeffs), mult)
                 for fac, mult in fq_factor(f)
@@ -192,10 +198,10 @@ def test_extension_factorization_multiplies_back():
             lead = rng.choice(els[1:])
             f = FqPoly(field, coeffs + [lead])
             factors = fq_factor(f)
-            prod = FqPoly(field, (f.lc,))
+            prod = FqPoly(field, (lead,))
             for fac, mult in factors:
                 assert fac.is_irreducible()
-                assert fac.lc == field.of_int(1)
+                assert fac.coeffs[-1] == field.of_int(1)
                 for _ in range(mult):
                     prod = prod * fac
             assert prod.coeffs == f.coeffs
@@ -206,7 +212,7 @@ def test_factorization_is_seed_independent(monkeypatch):
     # equal-degree splitting runs on a fixed-seed stream; the canonical
     # sort must make the factor list independent of that stream
     field = fq_extension(5, 2)
-    f = FqPoly.of_integers(field, [3, 1, 4, 1, 5, 1])
+    f = FqPoly(field, [3, 1, 4, 1, 0, 1])
     want = fq_factor(f)
     other = types.SimpleNamespace(Random=lambda seed: random.Random(seed + 12345))
     monkeypatch.setattr(padicdyn.finitefield, "random", other)
@@ -216,15 +222,14 @@ def test_factorization_is_seed_independent(monkeypatch):
 def test_squarefree_decomposition_char_p_powers():
     # (T+1)^2 * (T^2+1) over F_3; the square escapes a naive Yun step
     field = prime_field_of(3)
-    sq = FqPoly.of_integers(field, [1, 1]) * FqPoly.of_integers(field, [1, 1])
-    f = sq * FqPoly.of_integers(field, [1, 0, 1])
-    parts = {mult: tuple(g.coeffs) for g, mult in squarefree_decomposition(f)}
+    f = [1, 2, 2, 2, 1]  # (T^2 + 2T + 1)(T^2 + 1)
+    parts = {mult: g for g, mult in squarefree_decomposition(field, f)}
     assert parts[2] == (1, 1)
     assert parts[1] == (1, 0, 1)
-    # a pure p-th power: T^3 + 1 = (T+1)^3 in char 3
-    cube = FqPoly.of_integers(field, [1, 0, 0, 1])
-    assert squarefree_decomposition(cube) == [(FqPoly.of_integers(field, [1, 1]), 3)]
-    assert not cube.is_squarefree()
+    # a pure p-th power: 2T^3 + 2 = 2(T+1)^3 in char 3
+    cube = [2, 0, 0, 2]
+    assert squarefree_decomposition(field, cube) == [((1, 1), 3)]
+    assert not form_is_squarefree(field, cube)
 
 
 def test_roots_against_brute_force():
@@ -235,7 +240,7 @@ def test_roots_against_brute_force():
             f = FqPoly(field, (rng.randrange(1, field.q),))
             for r in roots:
                 f = f * FqPoly(field, (field.neg(r), 1))
-            brute = [a for a in range(field.q) if f(a) == 0]
+            brute = [a for a in range(field.q) if form_eval(field, f.coeffs, a, 1) == 0]
             assert split_roots(f) == brute == sorted(roots)
 
 
@@ -407,34 +412,31 @@ def test_row_kernel_matches_schoolbook_arithmetic(p, m):
     field = fq_extension(p, m)
     assert isinstance(field, _LogField) == (1 < m and field.q <= TABLE_Q)
     rng = random.Random(field.q)
-    zero = FqPoly(field)
     top = 4 if m == 8 else 9
     for trial in range(12 if m == 8 else 40):
-        a = _random_poly(field, rng, rng.randint(0, top)) if trial % 5 else zero
+        a = _random_poly(field, rng, rng.randint(0, top)) if trial % 5 else FqPoly(field)
         # constant, monic and non-monic divisors
         b = _random_poly(field, rng, rng.choice([0, 1, 2, top // 2]), monic=trial % 2 == 0)
         A, B = list(a.coeffs), list(b.coeffs)
-        assert (a * b).coeffs == tuple(_school_mul(field, A, B))
-        assert (a + b).coeffs == tuple(_school_add(field, A, B))
         minus_b = [field.neg(y) for y in B]
+        assert (a * b).coeffs == tuple(_school_mul(field, A, B))
         assert (a - b).coeffs == tuple(_school_add(field, A, minus_b))
-        quot, rem = divmod(a, b)
-        assert (list(quot.coeffs), list(rem.coeffs)) == _school_divmod(field, A, B)
-        assert rem.degree < b.degree
-        assert quot * b + rem == a
-        for poly in (quot, rem, a * b, a + b, a - b):
-            assert not poly.coeffs or poly.coeffs[-1] != 0
-        g = a.gcd(b)
+        quot, rem = _divmod(field, A, B)
+        assert (quot, rem) == _school_divmod(field, A, B)
+        assert len(rem) < len(B)
+        assert _school_add(field, _mul(field, quot, B), rem) == A
+        for poly in (quot, rem, _mul(field, A, B), _sub(field, A, B)):
+            assert not poly or poly[-1] != 0
         u, v = A, B
         while v:
             u, v = v, _school_divmod(field, u, v)[1]
-        assert g.coeffs == tuple(_school_mul(field, u, [field.inv(u[-1])]))
+        assert list(_gcd(field, A, B)) == _school_mul(field, u, [field.inv(u[-1])])
         e = rng.choice([0, 1, 2, 3, field.q, field.q**2 - 1])
-        assert list(a.pow_mod(e, b).coeffs) == _school_pow_mod(field, A, e, B)
+        assert _powmod(field, A, e, B) == _school_pow_mod(field, A, e, B)
     with pytest.raises(InputError):
-        divmod(a, zero)
+        _divmod(field, A, [])
     with pytest.raises(InputError):
-        a.pow_mod(2, zero)
+        _powmod(field, A, 2, [])
 
 
 def _count_element_calls(monkeypatch):
@@ -468,3 +470,45 @@ def test_polynomial_loops_make_no_call_per_coefficient(monkeypatch):
     del calls[:]
     assert len(split_roots(split)) == 16
     assert len(calls) < 3000
+
+
+def test_walk_step_over_the_prime_field_makes_no_element_call(monkeypatch):
+    # Horner's rule and the quotient reduce mod p inline, so a postcritical
+    # walk step in F_p calls no add, mul or neg (two per coefficient once)
+    rmap = MapAtPrime(parse_map("(z^2+1)/(z-1)", 1009), 1009).rmap
+    calls = _count_element_calls(monkeypatch)
+    z, points = 5, set()
+    for _ in range(40):
+        z, pt = pushforward(rmap.field, rmap, z)
+        points.add(pt)
+    assert len(points) > 10
+    assert calls == []
+
+
+# F_{3^8}, F_{2^13} and F_{101^2} exceed TABLE_Q and invert on digits
+@pytest.mark.parametrize("p,m", [(3, 8), (2, 13), (101, 2)])
+def test_digit_field_inverse(p, m):
+    field = fq_extension(p, m)
+    assert not isinstance(field, _LogField)
+    rng = random.Random(field.q)
+    for a in [1, p - 1, p, field.q - 1] + rng.sample(range(1, field.q), 30):
+        inv = field.inv(a)
+        assert field.mul(a, inv) == 1
+        assert inv == field.pow(a, field.q - 2)
+    with pytest.raises(ZeroDivisionError):
+        field.inv(0)
+
+
+# root splits on digits above TABLE_Q, and at p = 2 by the trace map
+@pytest.mark.parametrize("p,m", [(2, 13), (3, 8)])
+def test_split_roots_on_digit_fields(p, m):
+    field = fq_extension(p, m)
+    assert field.q > TABLE_Q
+    rng = random.Random(m)
+    for deg in (2, 3, 5):
+        c = rng.randrange(1, field.q)
+        f = _form_of_roots(field, c, rng.sample(range(field.q), deg), 0)
+        roots = split_roots(FqPoly(field, f))
+        assert len(roots) == len(set(roots)) == deg
+        assert _form_of_roots(field, c, roots, 0) == f
+

@@ -1,13 +1,16 @@
 """Fiber polynomials, unramifiedness certificates, and reduced preimage
 trees with their Frobenius action."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+import padicdyn.cli as cli
 from padicdyn.errors import InputError, ResourceLimitError
-from padicdyn.finitefield import fq_extension
+from padicdyn.finitefield import FqPoly, fq_extension
 from padicdyn.maps import ProjPointQ, eval_map, eval_reduced, parse_map
 from padicdyn.padics import vp
 from padicdyn.qpolys import QPoly
@@ -294,3 +297,30 @@ def test_shift_divisibility_on_corpus():
                 checked += 1
                 refused += not divides
     assert checked >= 40 and refused >= 20
+
+
+@pytest.mark.parametrize(
+    "argv,bound",
+    [
+        # levels 2 and 3 lie over the postcritical set: SFF and DDF alone
+        (["tower", "z^2+1", "-p", "5", "-x", "2", "-n", "3"], 20),
+        # a tree in F_{2^8} with 32 points at level 5
+        (["tower", "z^2+z+1", "-p", "2", "-x", "1", "-n", "5"], 100),
+    ],
+)
+def test_tower_builds_no_polynomial_object_per_kernel_step(monkeypatch, argv, bound):
+    # factorizations and root splits run on coefficient lists: an FqPoly is
+    # built per fiber, not per gcd, division or power (110 and 861 objects
+    # when each of those built one)
+    built = []
+    init = FqPoly.__init__
+
+    def counting_init(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(FqPoly, "__init__", counting_init)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert 0 < len(built) <= bound
+
