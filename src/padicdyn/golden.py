@@ -11,7 +11,7 @@ the expected answers, so p = 2 is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .maps import Mobius, ProjPointQ, conjugate_map, parse_map
@@ -21,8 +21,7 @@ from .reduction import ClosedPoint, MapAtPrime, condition2_check, degree_one_che
 from .towers import fiber_polynomial, fiber_report
 
 
-@dataclass(frozen=True)
-class GoldenCheck:
+class GoldenCheck(NamedTuple):
     name: str
     ok: bool
     expected: str

@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import FqField, form_gcd_split, form_is_zero, horner, prime_field_of
@@ -445,8 +445,7 @@ def parse_map(text: str, prime: int) -> RationalMapModel:
 # -- integral models and reduction -------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegralModel:
+class IntegralModel(NamedTuple):
     """A p-primitive integer model: all coefficients integers, min vp = 0.
 
     It is the canonical model itself: content 1 is p-primitive at every p.
@@ -529,8 +528,7 @@ def eval_map(model: RationalMapModel, point: ProjPointQ) -> ProjPointQ:
     return ProjPointQ(fa, ga)
 
 
-@dataclass(frozen=True)
-class ReducedMap:
+class ReducedMap(NamedTuple):
     """The reduction of a p-primitive model: raw forms and the coprime core.
 
     raw_F = common * F1 and raw_G = common * G1 as binary forms over F_p;

@@ -16,8 +16,8 @@ a witness; it never certifies a positive minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceLimitError
 from .maps import (
@@ -33,8 +33,7 @@ from .reduction import MapAtPrime
 from .towers import fiber_report, frobenius_cycle_type, shift_divisibility_check
 
 
-@dataclass(frozen=True)
-class OrbitProfile:
+class OrbitProfile(NamedTuple):
     """x_0..x_N with cycle data and the residue columns at the session's prime."""
 
     points: tuple
@@ -94,16 +93,14 @@ def forward_orbit(
     )
 
 
-@dataclass(frozen=True)
-class BasepointReport:
+class BasepointReport(NamedTuple):
     index: int
     point: ProjPointQ
     fiber_reports: tuple
     cycle_types: tuple
 
 
-@dataclass(frozen=True)
-class ShiftCheck:
+class ShiftCheck(NamedTuple):
     """Junction check: does X_n(x_j) embed into X_{n+1}(x_{j+1})?"""
 
     index: int
@@ -112,8 +109,7 @@ class ShiftCheck:
     note: str | None
 
 
-@dataclass(frozen=True)
-class OrbitalReport:
+class OrbitalReport(NamedTuple):
     profile: OrbitProfile
     n_max: int
     basepoints: tuple
@@ -186,8 +182,7 @@ def orbital_report(
     )
 
 
-@dataclass(frozen=True)
-class ModuliReport:
+class ModuliReport(NamedTuple):
     p: int
     initial_valuation: int
     best_valuation: int

@@ -30,9 +30,9 @@ exactly one closed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
+from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import (
@@ -209,17 +209,20 @@ class MapAtPrime:
         return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class ClosedPoint:
-    """A closed point of P^1 over F_p: monic irreducible poly, or infinity."""
-
+class _ClosedPointFields(NamedTuple):
     p: int
     poly: tuple | None
 
-    def __post_init__(self):
-        if self.poly is not None:
-            if len(self.poly) < 2 or self.poly[-1] != 1:
-                raise InputError("closed point needs a monic polynomial of degree >= 1")
+
+class ClosedPoint(_ClosedPointFields):
+    """A closed point of P^1 over F_p: monic irreducible poly, or infinity."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, poly: tuple | None):
+        if poly is not None and (len(poly) < 2 or poly[-1] != 1):
+            raise InputError("closed point needs a monic polynomial of degree >= 1")
+        return super().__new__(cls, p, poly)
 
     @classmethod
     def infinity(cls, p: int) -> "ClosedPoint":
@@ -313,8 +316,7 @@ def pushforward(ext: FqField, rmap: ReducedMap, z: int | None) -> tuple:
     return w, ClosedPoint(p, minpoly.coeffs)
 
 
-@dataclass(frozen=True)
-class PostcriticalSet:
+class PostcriticalSet(NamedTuple):
     """PC of the reduced map: all forward images (m >= 1) of critical points."""
 
     p: int
@@ -383,8 +385,7 @@ def good_locus(rmap: ReducedMap, pc: PostcriticalSet) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SGRReport:
+class SGRReport(NamedTuple):
     p: int
     d: int
     resultant: int
@@ -419,8 +420,7 @@ def strict_good_reduction(mp: MapAtPrime) -> SGRReport:
     )
 
 
-@dataclass(frozen=True)
-class Condition2Report:
+class Condition2Report(NamedTuple):
     """Point-by-point fiber criterion on the residual good locus.
 
     A residue point passes when the level-1 fiber of the reduced map over
@@ -515,8 +515,7 @@ def _consistency_alarm(report: Condition2Report, mp: MapAtPrime) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Degree1Report:
+class Degree1Report(NamedTuple):
     p: int
     det: int
     det_valuation: int
@@ -543,8 +542,7 @@ def degree_one_check(mp: MapAtPrime) -> Degree1Report:
     )
 
 
-@dataclass(frozen=True)
-class AnalyzeReport:
+class AnalyzeReport(NamedTuple):
     model: RationalMapModel
     p: int
     sgr: SGRReport

@@ -33,8 +33,8 @@ fiber is separable exactly when every multiplicity is 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import fiber_form, form_dehomogenize, fq_extension, split_roots
@@ -49,8 +49,7 @@ UNRAMIFIED = "UNRAMIFIED"
 NO_CERTIFICATE = "NO_CERTIFICATE"
 
 
-@dataclass(frozen=True)
-class FiberPolynomial:
+class FiberPolynomial(NamedTuple):
     """The p-primitively scaled level-n fiber form over x and its affine part."""
 
     n: int
@@ -109,8 +108,7 @@ def newton_polygon(f: QPoly, p: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     n: int
     x: ProjPointQ
     p: int
@@ -218,8 +216,7 @@ def render_residue(xbar: int | None) -> str:
     return "inf" if xbar is None else str(xbar)
 
 
-@dataclass(frozen=True)
-class PreimageTree:
+class PreimageTree(NamedTuple):
     """Levels 0..N of reduced preimages in one field F_{p^m}.
 
     levels[n] lists the fiber points of the n-th reduced iterate (None is
