@@ -8,20 +8,30 @@ valuations without special cases.
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 INFINITY = float("inf")
 
-# Deterministic Miller-Rabin witness set, sufficient for n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Strong probable primes to the bases 2..41 are prime below PSI13 (Sorenson-Webster,
+# Math. Comp. 86, 2017); psi12 = 318665857834031151167461 passes the bases 2..37.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, never True for a composite: a factor up to 41 or
+    Miller-Rabin below PSI13 decides, and an n >= PSI13 left undecided raises.
+    """
     if n < 2:
         return False
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
+    if n >= PSI13:
+        raise ResourceLimitError(
+            f"primality: {n.bit_length()}-bit input at or above the bound psi13 = {PSI13}; "
+            "Miller-Rabin to the bases 2 to 41 proves primality only below it"
+        )
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
