@@ -112,6 +112,10 @@ CORPUS = [
     ["tower", "z^2+z+1", "-p", "2", "-x", "1", "-n", "5", "--format", "json"],
     ["tower", "z^3+z+1", "-p", "3", "-x", "1", "-n", "3", "--format", "json"],
     ["tower", "z^4+z+1", "-p", "2", "-x", "1", "-n", "3", "--format", "json"],
+    # primality: psi12, a strong pseudoprime to the bases 2..37, is composite
+    # (exit 2); 2^89 - 1 is prime but above psi13, where no proof is run (exit 3)
+    ["analyze", "z^2", "-p", "318665857834031151167461"],
+    ["analyze", "z^2-2", "-p", "618970019642690137449562111"],
 ]
 
 

@@ -41,6 +41,9 @@ CASES = [
     ["analyze", "(z^2+1)/(z-1)", "-p", "1009", "--format", "json"],
     # a 32-point level in F_{2^8}: root splits by the trace map at p = 2
     ["tower", "z^2+z+1", "-p", "2", "-x", "1", "-n", "5", "--format", "json"],
+    # a composite that passes the bases 2..37, and a prime above the proved range
+    ["analyze", "z^2", "-p", "318665857834031151167461"],
+    ["analyze", "z^2-2", "-p", "618970019642690137449562111"],
 ]
 
 # (argv, module, attribute, fault): each fault trips an internal alarm
