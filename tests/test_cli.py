@@ -1,9 +1,11 @@
 """Command-line front end: payload shapes, determinism, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,11 +15,15 @@ import padicdyn.cli as cli
 from padicdyn.golden import GoldenCheck
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def _run(*args):
     return subprocess.run(
         [sys.executable, "-m", "padicdyn", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
 
 
