@@ -7,12 +7,14 @@ be made on purpose: rewrite the stored file with
 
     PYTHONPATH=src python tests/test_cli_corpus.py --regenerate
 
-and review its diff.
+which prints the index and argv of every entry whose exit code, stdout
+or stderr changed (or that is new), and review its diff.
 """
 
 import contextlib
 import io
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -142,4 +144,11 @@ def test_cli_output_is_frozen(index):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(__doc__)
-    STORE.write_text(json.dumps([run(argv) for argv in CORPUS], indent=1) + "\n")
+    before = {tuple(entry["argv"]): entry for entry in _stored()}
+    fresh = [run(argv) for argv in CORPUS]
+    for index, entry in enumerate(fresh):
+        old = before.get(tuple(entry["argv"]))
+        changed = [key for key in ("exit", "stdout", "stderr") if old and old[key] != entry[key]]
+        if changed or not old:
+            print(f"{index:02d} {','.join(changed) or 'new'}: {shlex.join(entry['argv'])}")
+    STORE.write_text(json.dumps(fresh, indent=1) + "\n")
