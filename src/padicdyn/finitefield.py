@@ -358,13 +358,25 @@ def _mul(field: FqField, A, B) -> list:
     return out
 
 
-def _divmod(field: FqField, a, b) -> tuple[list, list]:
+def _divrow(field: FqField, b):
+    """(1/lc(b), the row -b/lc(b) without its top entry) for a division by
+    the trimmed list b over an extension; None over F_p or for b = 0."""
+    if field.m == 1 or not b:
+        return None
+    inv = 1 if b[-1] == 1 else field.inv(b[-1])
+    row = [0] * (len(b) - 1)
+    field.addmul(row, 0, field.neg(inv), b[:-1])
+    return inv, row
+
+
+def _divmod(field: FqField, a, b, divrow=None) -> tuple[list, list]:
     """Quotient and trimmed remainder of the list a by the trimmed list b.
 
     Over F_p each step subtracts a multiple of b as integers, and an entry
     is reduced mod p when it leads a step or ends in the remainder.  Over
     an extension each step adds a multiple of the row -b/lc(b), and
-    rem[deg b:] keeps lc(b) times the quotient.
+    rem[deg b:] keeps lc(b) times the quotient; a caller that divides by
+    one b many times passes its ``_divrow`` once built.
     """
     if not b:
         raise InputError("polynomial division by zero")
@@ -382,9 +394,7 @@ def _divmod(field: FqField, a, b) -> tuple[list, list]:
         rem = [r % p for r in rem[:db]]
     else:
         addmul = field.addmul
-        inv = 1 if b[-1] == 1 else field.inv(b[-1])
-        row = [0] * db
-        addmul(row, 0, field.neg(inv), b[:-1])
+        inv, row = divrow or _divrow(field, b)
         for i in range(len(rem) - 1 - db, -1, -1):
             if rem[i + db]:
                 addmul(rem, i, rem[i + db], row)
@@ -419,14 +429,15 @@ def _gcd(field: FqField, a, b):
     return _monic(field, a)
 
 
-def _powmod(field: FqField, a, e: int, m) -> list:
+def _powmod(field: FqField, a, e: int, m, divrow=None) -> list:
     """a^e mod m for e >= 0, square-and-multiply from the top bit of e."""
-    base = _divmod(field, a, m)[1]
-    out = base if e else _divmod(field, [1], m)[1]
+    divrow = divrow or _divrow(field, m)
+    base = _divmod(field, a, m, divrow)[1]
+    out = base if e else _divmod(field, [1], m, divrow)[1]
     for bit in bin(e)[3:]:
-        out = _divmod(field, _mul(field, out, out), m)[1]
+        out = _divmod(field, _mul(field, out, out), m, divrow)[1]
         if bit == "1":
-            out = _divmod(field, _mul(field, out, base), m)[1]
+            out = _divmod(field, _mul(field, out, base), m, divrow)[1]
     return out
 
 
@@ -584,7 +595,7 @@ def _equal_degree(field: FqField, f, e: int, rng: random.Random) -> list[tuple]:
     n = len(f) - 1
     if n == e:
         return [tuple(f)]
-    q = field.q
+    q, divrow = field.q, _divrow(field, f)
     while True:
         r = _trim([rng.randrange(q) for _ in range(n)])
         if len(r) < 2:
@@ -594,13 +605,13 @@ def _equal_degree(field: FqField, f, e: int, rng: random.Random) -> list[tuple]:
             break
         if field.p == 2:
             # trace map to F_2 of the q^e-element subring; s - t = s + t here
-            s, t = [], _divmod(field, r, f)[1]
+            s, t = [], _divmod(field, r, f, divrow)[1]
             for _ in range(e * field.m):
                 s = _sub(field, s, t)
-                t = _divmod(field, _mul(field, t, t), f)[1]
+                t = _divmod(field, _mul(field, t, t), f, divrow)[1]
             g = _gcd(field, s, f)
         else:
-            s = _powmod(field, r, (q**e - 1) // 2, f)
+            s = _powmod(field, r, (q**e - 1) // 2, f, divrow)
             g = _gcd(field, _sub(field, s, [1]), f)
         if 1 < len(g) <= n:
             break
