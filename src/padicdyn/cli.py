@@ -321,10 +321,6 @@ def _cmd_orbit(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
             }
             for bp in rep.basepoints
         ]
-        orbit_payload["shifts"] = [
-            {"index": s.index, "n": s.n, "ok": s.ok, "note": s.note}
-            for s in rep.shifts
-        ]
         orbit_payload["all_unramified_on_locus"] = rep.all_unramified_on_locus
     if mp.pc_refusal is not None:
         orbit_payload["pc_note"] = mp.pc_refusal

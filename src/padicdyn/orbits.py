@@ -3,10 +3,10 @@
 An orbit profile is the exact sequence x, phi(x), phi^2(x), ... in
 P^1(Q) with cycle detection by canonical equality, plus per-point
 residue data at a prime when one is supplied.  The orbital report
-aggregates per-basepoint fiber certificates, Frobenius cycle types and
-shift-compatibility checks along the orbit; its headline flag says
-whether every integral basepoint reducing outside the postcritical set
-carried only UNRAMIFIED certificates.
+aggregates per-basepoint fiber certificates and Frobenius cycle types
+along the orbit; its headline flag says whether every integral
+basepoint reducing outside the postcritical set carried only UNRAMIFIED
+certificates.
 
 The moduli search is a bounded heuristic over conjugations
 z -> p^a z + b and their composites with inversion on either side.  It
@@ -30,7 +30,7 @@ from .maps import (
 )
 from .padics import require_prime, vp
 from .reduction import MapAtPrime
-from .towers import fiber_report, frobenius_cycle_type, shift_divisibility_check
+from .towers import fiber_report, frobenius_cycle_type
 
 
 class OrbitProfile(NamedTuple):
@@ -100,20 +100,10 @@ class BasepointReport(NamedTuple):
     cycle_types: tuple
 
 
-class ShiftCheck(NamedTuple):
-    """Junction check: does X_n(x_j) embed into X_{n+1}(x_{j+1})?"""
-
-    index: int
-    n: int
-    ok: bool | None
-    note: str | None
-
-
 class OrbitalReport(NamedTuple):
     profile: OrbitProfile
     n_max: int
     basepoints: tuple
-    shifts: tuple
     all_unramified_on_locus: bool | None
 
 
@@ -159,25 +149,10 @@ def orbital_report(
         if on_locus and any(r.certificate != "UNRAMIFIED" for r in reports):
             all_ok = False
 
-    shifts = []
-    for j in range(len(profile.points) - 1):
-        for n in range(1, n_max):
-            xj, xj1 = profile.points[j], profile.points[j + 1]
-            if xj.is_infinity or xj1.is_infinity:
-                shifts.append(ShiftCheck(j, n, None, "basepoint at infinity"))
-                continue
-            try:
-                ok = shift_divisibility_check(mp, n, xj)
-            except InputError as exc:
-                shifts.append(ShiftCheck(j, n, None, str(exc)))
-            else:
-                shifts.append(ShiftCheck(j, n, ok, None))
-
     return OrbitalReport(
         profile=profile,
         n_max=n_max,
         basepoints=tuple(basepoints),
-        shifts=tuple(shifts),
         all_unramified_on_locus=all_ok if mp.pc_refusal is None and mp.pc is not None else None,
     )
 

@@ -21,7 +21,14 @@ from padicdyn.reduction import MapAtPrime, strict_good_reduction
 from padicdyn.towers import NO_CERTIFICATE, UNRAMIFIED
 
 from corpus_util import random_models
-from oracles import mobius_apply, mobius_inverse, mobius_is_p_unit, moduli_walk
+from oracles import (
+    etale_fiber_oracle,
+    frontier_postcritical_set,
+    mobius_apply,
+    mobius_inverse,
+    mobius_is_p_unit,
+    moduli_walk,
+)
 
 
 def _pt(text):
@@ -78,7 +85,6 @@ def test_orbital_report_unramified_everywhere_on_orbit():
     for bp in rep.basepoints:
         assert [fr.certificate for fr in bp.fiber_reports] == [UNRAMIFIED, UNRAMIFIED]
         assert bp.cycle_types == ((1, 1), (1, 1, 1, 1))
-    assert [(s.index, s.n, s.ok) for s in rep.shifts] == [(0, 1, True), (1, 1, True)]
 
 
 def test_orbital_report_off_locus_is_not_a_failure():
@@ -90,12 +96,47 @@ def test_orbital_report_off_locus_is_not_a_failure():
     assert rep.basepoints[0].cycle_types == (None,)
 
 
-def test_orbital_report_infinity_shift_notes():
-    rep = orbital_report(MapAtPrime(parse_map("1/z", 5), 5), _pt("0"), 2, 2)
-    assert [(s.ok, s.note) for s in rep.shifts] == [
-        (None, "basepoint at infinity"),
-        (None, "basepoint at infinity"),
-    ]
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_orbital_report_agrees_with_the_theorem(p):
+    # Under strict good reduction the level-n certificate over x is
+    # UNRAMIFIED exactly when v_p(lc) = 0 and the brute-force reduced fiber
+    # of the n-th iterate over x-bar is etale, i.e. x-bar misses the first
+    # n images of the critical points.  The condition at infinity is
+    # v_p(lc) = 0, not "no reduced fiber point at infinity": a fiber
+    # polynomial can lose its root at infinity over Q itself.  Integral and
+    # non-integral basepoints alike; p = 2, 3 include p | d.  The PC flags
+    # and the headline flag are read against the frontier PC walk.
+    rng = random.Random(60 + p)
+    seen = {UNRAMIFIED: 0, NO_CERTIFICATE: 0, "lc": 0, "flag": 0}
+    for m in random_models(p, 24, seed=100 + p):
+        mp = MapAtPrime(m, p)
+        x = rng.choice(
+            [ProjPointQ(rng.randint(-p, 2 * p), 1), ProjPointQ(rng.choice([-1, 1, 2]), p), _pt("inf")]
+        )
+        rep = orbital_report(mp, x, 2, 4 if mp.d == 2 else 3)  # d^n <= 27
+        prof = rep.profile
+        if mp.rmap.reduced_degree < 1:
+            assert set(prof.in_pc_flags) == {None} and rep.all_unramified_on_locus is None
+            continue
+        pc = frontier_postcritical_set(mp)
+        assert prof.in_pc_flags == tuple(pc.contains_residue(r) for r in prof.reductions)
+        if not mp.sgr.is_strict_good_reduction:
+            continue
+        on_locus_lc_units = True
+        for bp, xbar, integral, in_pc in zip(
+            rep.basepoints, prof.reductions, prof.integral_flags, prof.in_pc_flags
+        ):
+            for n, fr in enumerate(bp.fiber_reports, 1):
+                etale = etale_fiber_oracle(mp.rmap, xbar, n)
+                assert (fr.certificate == UNRAMIFIED) == (fr.lc_valuation == 0 and etale)
+                seen[fr.certificate] += 1
+                seen["lc"] += fr.lc_valuation > 0 and etale
+                if integral and not in_pc and fr.lc_valuation > 0:
+                    on_locus_lc_units = False
+        # off PC a certificate can be missing only for want of a unit lc
+        assert rep.all_unramified_on_locus == on_locus_lc_units
+        seen["flag"] += on_locus_lc_units
+    assert all(seen.values()), seen
 
 
 def test_sgr_is_invariant_under_unit_conjugation():

@@ -41,7 +41,6 @@ RECORDS = {
     "PreimageTree": lambda: preimage_tree(_session("z^2+1"), 2, 3),
     "OrbitProfile": lambda: forward_orbit(_session(), ProjPointQ(2, 1), 3),
     "BasepointReport": lambda: orbital_report(_session(), ProjPointQ(2, 1), 2, 2).basepoints[0],
-    "ShiftCheck": lambda: orbital_report(_session(), ProjPointQ(2, 1), 2, 2).shifts[0],
     "OrbitalReport": lambda: orbital_report(_session(), ProjPointQ(2, 1), 2, 2),
     "ModuliReport": lambda: moduli_search(parse_map("5*z^2+z", 5), 5),
 }

@@ -15,6 +15,7 @@ from corpus_util import random_models
 from padicdyn.errors import InputError
 from padicdyn.finitefield import FqPoly, iterate_forms, prime_field_of
 from padicdyn.maps import Mobius, iterate_map, parse_map
+from padicdyn.qpolys import QPoly
 from padicdyn.reduction import MapAtPrime
 
 
@@ -83,6 +84,25 @@ def test_tower_factors_nothing_but_the_critical_divisor(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "4"]) == 0
     assert [args[0] for args in factored] == [FqPoly(prime_field_of(5), (0, 2))]
+
+
+def test_orbit_query_runs_one_rational_gcd(monkeypatch):
+    # the parser's; the orbital report proves no junction X_n(x) -> X_{n+1}(phi(x)),
+    # which holds by construction
+    gcds = []
+    original = QPoly.gcd
+
+    def gcd(self, other):
+        gcds.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(QPoly, "gcd", gcd)
+    out = io.StringIO()
+    argv = ["orbit", "z^2-1", "-p", "5", "-x", "2", "-N", "4", "-n", "2", "--format", "json"]
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert len(gcds) == 1
+    assert "shifts" not in json.loads(out.getvalue())["orbit"]
 
 
 @pytest.mark.parametrize(
