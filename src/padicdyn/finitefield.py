@@ -31,7 +31,10 @@ at the edges: ``fq_factor`` and ``split_roots`` take one, and its few
 methods wrap the list functions.  Equal-degree splitting draws from a
 fixed-seed random stream; factors and roots are returned sorted, so the
 output does not depend on the stream.  Callers that need only the factor
-degrees stop after the distinct-degree step.
+degrees stop after the distinct-degree step.  At odd p ``split_roots``
+solves a quadratic by the quadratic formula with one ``sqrt``, which a
+log field reads off by halving the log and other fields split off z^2 - a
+by Cantor-Zassenhaus.
 
 Binary forms of a fixed formal degree D are ascending tuples of length
 D + 1 (entry i is the coefficient of X^i Y^(D-i)); they are never trimmed,
@@ -49,7 +52,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InternalError, ResourceLimitError
 from .padics import require_prime
 from .qpolys import poly_str
 
@@ -183,6 +186,18 @@ class FqField:
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
 
+    def sqrt(self, a: int) -> int | None:
+        """A square root of a, or None when a is not a square.
+
+        In characteristic 2 it is a^(q/2).  At odd p Euler's criterion
+        decides, and a root of z^2 - a is split off by Cantor-Zassenhaus.
+        """
+        if not a or self.p == 2:
+            return self.pow(a, self.q // 2)
+        if self.pow(a, (self.q - 1) // 2) != 1:
+            return None
+        return self.neg(_equal_degree(self, [self.neg(a), 0, 1], 1, random.Random(0))[0][0])
+
     def addmul(self, acc: list, k: int, c: int, row) -> None:
         """acc[k + j] += c * row[j] for every j, the one row operation of the
         polynomial loops: mod p inline over F_p, add and mul calls on digits."""
@@ -273,6 +288,13 @@ class _LogField(FqField):
 
     def frobenius(self, a: int) -> int:
         return self._exp[self._log[a] * self.p % (self.q - 1)] if a else 0
+
+    def sqrt(self, a: int) -> int | None:
+        """At odd p the squares are the even powers of g: halve the log."""
+        if not a or self.p == 2:
+            return super().sqrt(a)
+        la = self._log[a]
+        return None if la & 1 else self._exp[la >> 1]
 
     def addmul(self, acc: list, k: int, c: int, row) -> None:
         """acc[k + j] += c * row[j] for every j, by table lookups inline."""
@@ -639,15 +661,29 @@ def fq_factor(f: FqPoly) -> list[tuple[FqPoly, int]]:
 def split_roots(f: FqPoly) -> list[int]:
     """Sorted roots of an f that splits into distinct linear factors.
 
-    Equal-degree splitting with e = 1 on a fixed-seed stream; a linear f
-    is solved directly and a constant has no roots.  The caller guarantees
-    the splitting: on any other f the random search never ends.
+    A constant has no roots and a linear f is solved directly.  At odd p
+    a quadratic A z^2 + B z + C has the roots (-B +- s) / 2A for s the
+    field's ``sqrt`` of D = B^2 - 4AC; a D that is zero or not a square
+    breaks the caller's guarantee and raises InternalError.  Any other f
+    is split by equal-degree splitting with e = 1 on a fixed-seed stream,
+    which does not check the guarantee: on an f without distinct roots in
+    the field, its random search never ends.
     """
     F, cs = f.field, f.coeffs
     if len(cs) < 2:
         return []
     if len(cs) == 2:
         return [F.neg(F.mul(cs[0], F.inv(cs[1])))]
+    if len(cs) == 3 and F.p != 2:
+        c, b, a = cs
+        s = F.sqrt(F.add(F.mul(b, b), F.neg(F.mul(F.of_int(4), F.mul(a, c)))))
+        if not s:
+            raise InternalError(
+                f"root split: the quadratic {poly_str(cs, 'z')} over F_{F.p}^{F.m} has no two "
+                "distinct roots there (its discriminant is zero or not a square)"
+            )
+        inv, nb = F.inv(F.add(a, a)), F.neg(b)
+        return sorted(F.mul(F.add(nb, r), inv) for r in (s, F.neg(s)))
     return sorted(F.neg(fac[0]) for fac in _equal_degree(F, _monic(F, cs), 1, random.Random(0)))
 
 

@@ -7,14 +7,16 @@ import pytest
 import sympy
 
 import padicdyn.finitefield
-from padicdyn.errors import InputError, ResourceLimitError
+from padicdyn.errors import InputError, InternalError, ResourceLimitError
 from padicdyn.finitefield import (
     TABLE_Q,
     FqField,
     _LogField,
     FqPoly,
     _divmod,
+    _equal_degree,
     _gcd,
+    _monic,
     _mul,
     _powmod,
     _sub,
@@ -25,6 +27,7 @@ from padicdyn.finitefield import (
     form_is_squarefree,
     fq_extension,
     fq_factor,
+    horner,
     iterate_forms,
     prime_field_of,
     split_roots,
@@ -512,3 +515,94 @@ def test_split_roots_on_digit_fields(p, m):
         assert len(roots) == len(set(roots)) == deg
         assert _form_of_roots(field, c, roots, 0) == f
 
+
+def _roots_three_ways(f):
+    """split_roots, brute force over the field, and Cantor-Zassenhaus, all sorted."""
+    F = f.field
+    brute = [a for a in range(F.q) if horner(F, f.coeffs, a) == 0]
+    cz = sorted(F.neg(fac[0]) for fac in _equal_degree(F, _monic(F, f.coeffs), 1, random.Random(0)))
+    return split_roots(f), brute, cz
+
+
+# log fields F_9, F_25, F_49 and the prime field F_7: every pair of distinct roots
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (7, 1)])
+def test_quadratic_roots_on_every_split_quadratic(p, m):
+    field = fq_extension(p, m)
+    assert isinstance(field, _LogField) == (m > 1)
+    rng = random.Random(field.q)
+    for r in range(field.q):
+        for s in range(r + 1, field.q):
+            f = _form_of_roots(field, rng.randrange(1, field.q), [r, s], 0)
+            assert _roots_three_ways(FqPoly(field, f)) == ([r, s],) * 3
+
+
+# the prime field F_101 and the digit field F_{3^8}, sampled
+@pytest.mark.parametrize("p,m", [(101, 1), (3, 8)])
+def test_quadratic_roots_on_sampled_quadratics(p, m):
+    field = fq_extension(p, m)
+    assert not isinstance(field, _LogField)
+    rng = random.Random(field.q)
+    for _ in range(60 if m == 1 else 4):
+        roots = sorted(rng.sample(range(field.q), 2))
+        f = _form_of_roots(field, rng.randrange(1, field.q), roots, 0)
+        assert _roots_three_ways(FqPoly(field, f)) == (roots,) * 3
+
+
+def _nonsquare(field):
+    squares = {field.mul(a, a) for a in range(field.q)}
+    return next(a for a in range(field.q) if a not in squares)
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (101, 1), (5, 2), (3, 8)])
+def test_quadratic_without_two_roots_raises_at_once(p, m, monkeypatch):
+    # z^2 - n for a nonsquare n is irreducible, (z - 1)^2 has a double
+    # root: neither may reach the random search, which would never end
+    field = fq_extension(p, m)
+
+    def no_search(*args):
+        raise AssertionError("Cantor-Zassenhaus ran on an unsplittable quadratic")
+
+    n = _nonsquare(field)
+    assert field.sqrt(n) is None
+    monkeypatch.setattr(padicdyn.finitefield, "_equal_degree", no_search)
+    for f in [(field.neg(n), 0, 1), (1, field.neg(2), 1)]:
+        with pytest.raises(InternalError, match=f"root split: .* over F_{p}\\^{m}"):
+            split_roots(FqPoly(field, f))
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 2), (7, 2), (2, 4), (3, 8), (2, 13)])
+def test_sqrt_squares_back(p, m):
+    field = fq_extension(p, m)
+    rng = random.Random(field.q)
+    squares = 0
+    for a in [0, 1] + rng.sample(range(2, field.q), min(field.q - 2, 40)):
+        s = field.sqrt(a)
+        if s is None:
+            assert field.pow(a, (field.q - 1) // 2) != 1
+        else:
+            assert field.mul(s, s) == a
+            squares += 1
+    assert squares >= 2
+
+
+@pytest.mark.parametrize("m", [1, 4, 13])
+def test_quadratic_roots_at_p_2_take_the_trace_path(m, monkeypatch):
+    # in characteristic 2 there is no quadratic formula: split_roots runs
+    # equal-degree splitting, whose trace loop makes no modular power
+    field = fq_extension(2, m)
+    calls = {"_equal_degree": [], "_powmod": []}
+    for name, seen in calls.items():
+        original = getattr(padicdyn.finitefield, name)
+
+        def counting(*args, _original=original, _seen=seen):
+            _seen.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(padicdyn.finitefield, name, counting)
+    rng = random.Random(m)
+    for _ in range(4):
+        roots = sorted(rng.sample(range(field.q), 2))
+        f = FqPoly(field, _form_of_roots(field, rng.randrange(1, field.q), roots, 0))
+        calls["_equal_degree"].clear()
+        assert split_roots(f) == roots
+        assert calls["_equal_degree"] and calls["_powmod"] == []

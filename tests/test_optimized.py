@@ -2,8 +2,10 @@
 
 ``-O`` strips ``assert`` statements, so an invariant check written as one
 would vanish there; the package raises ``InternalError`` instead.  A few
-frozen corpus invocations and the two forced internal alarms of
-``test_cli.py`` run in an optimized subprocess and must match.
+frozen corpus invocations and a few forced internal alarms run in an
+optimized subprocess and must match; the alarms run in a plain one too,
+each with a timeout, since a fault that breaks an invariant can also
+leave a loop that never ends.
 """
 
 import json
@@ -52,14 +54,20 @@ ALARMS = [
     (["analyze", "z^2+p", "-p", "5"], reduction, "pencil_discriminant", lambda f: lambda F, G: ()),
     # a climb that loses a root leaves a tree level short of d^n points
     (["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "2"], towers, "split_roots", lambda f: lambda g: f(g)[1:]),
+    # a tree field of half the degree holds no roots of some quadratic fiber
+    (
+        ["tower", "z^2+z+1", "-p", "5", "-x=-4", "-n", "3"],
+        towers,
+        "fq_extension",
+        lambda f: lambda p, m, **kw: f(p, m // 2, **kw),
+    ),
 ]
 
 SCRIPT = """
 import json, sys
 from test_optimized import CASES, alarm_outputs, run
-if __debug__:
-    sys.exit("not running under -O")
-print(json.dumps([run(argv) for argv in CASES] + alarm_outputs()))
+cases = CASES if sys.argv[1:] == ["cases"] else []
+print(json.dumps({"debug": __debug__, "runs": [run(argv) for argv in cases] + alarm_outputs()}))
 """
 
 
@@ -75,17 +83,27 @@ def alarm_outputs():
     return out
 
 
-def test_optimized_interpreter_gives_identical_output():
-    stored = {tuple(e["argv"]): e for e in json.loads(STORE.read_text())}
-    alarms = alarm_outputs()
-    assert [e["exit"] for e in alarms] == [4, 4]
-
+def _script(*args, optimized):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
+    flags = ["-O"] if optimized else []
     res = subprocess.run(
-        [sys.executable, "-O", "-c", SCRIPT], capture_output=True, text=True, env=env
+        [sys.executable, *flags, "-c", SCRIPT, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == [stored[tuple(argv)] for argv in CASES] + alarms
+    out = json.loads(res.stdout)
+    assert out["debug"] != optimized
+    return out["runs"]
+
+
+def test_optimized_interpreter_gives_identical_output():
+    stored = {tuple(e["argv"]): e for e in json.loads(STORE.read_text())}
+    alarms = _script(optimized=False)
+    assert [e["exit"] for e in alarms] == [4] * len(ALARMS)
+    assert _script("cases", optimized=True) == [stored[tuple(argv)] for argv in CASES] + alarms
 
 
 def test_cases_are_in_the_frozen_corpus():

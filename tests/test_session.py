@@ -106,6 +106,24 @@ def test_orbit_query_runs_one_rational_gcd(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv,searches",
+    [
+        # a quadratic fiber at odd p is split by one square root: a log lookup
+        (["tower", "z^2+z+1", "-p", "5", "-x=-4", "-n", "3"], False),
+        # a cubic fiber still takes Cantor-Zassenhaus, a modular power per draw
+        (["tower", "z^3+2", "-p", "7", "-x", "1", "-n", "2"], True),
+    ],
+)
+def test_tree_climb_searches_only_above_degree_two(monkeypatch, argv, searches):
+    powers = _count(monkeypatch, "finitefield", "_powmod")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + ["--format", "json"]) == 0
+    assert json.loads(out.getvalue())["towers"]["tree"]["field_degree"] > 1
+    assert any(args[0].m > 1 for args in powers) == searches
+
+
+@pytest.mark.parametrize(
     "argv", [["z^2+1", "-p", "1009"], ["(2*z^3+1)/(z^3+z^2+5)", "-p", "101"]]
 )
 def test_locus_check_evaluates_one_pencil_discriminant(monkeypatch, argv):
