@@ -17,13 +17,19 @@ through ``json``'s own C escaper, and the ints of a list are formatted
 in place.  Payloads hold only str-keyed dicts, lists, tuples, str, int,
 bool and None; anything else, floats included, raises TypeError.
 
-Exit codes: 0 success, 1 failed example battery, 2 input error,
-3 resource cap exceeded.
+A map that begins with a minus sign, as maps print (-7*z^2+3*z+6),
+would read as an unknown option; ``main`` moves a word that begins with
+one "-" and names z behind "--", where argparse takes it as the map.
+
+Exit codes: 0 success, 1 failed example battery or a reader that closed
+stdout before the answer was written (a broken pipe, as under ``| head``),
+2 input error, 3 resource cap exceeded, 4 internal alarm.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable, Iterator
 from functools import lru_cache
@@ -407,7 +413,11 @@ _CAPS = {  # each subcommand offers only the caps that bound its work
 
 def _add_common(sub, *caps, needs_map=True):
     if needs_map:
-        sub.add_argument("map", help="rational map in z, e.g. 'z^2+p' (p is the prime)")
+        sub.add_argument(
+            "map",
+            help="rational map in z, e.g. 'z^2+p' (p is the prime); one with a leading "
+            "minus sign may also follow -- ('-- -z^2+1') or be parenthesized ('(-z^2+1)')",
+        )
     sub.add_argument("-p", "--prime", type=int, required=True, help="prime of the base field Q_p")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     for cap in caps:
@@ -456,9 +466,20 @@ _DISPATCH = {
 }
 
 
+def _map_behind_dashes(argv: list) -> list:
+    """argv with each word that begins with one "-" and names z moved
+    behind "--", unless argv already has one."""
+    if "--" in argv:
+        return argv
+    maps = [a for a in argv if a[:1] == "-" and a[1:2] != "-" and "z" in a]
+    if not maps:
+        return argv
+    return [a for a in argv if a not in maps] + ["--"] + maps
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_map_behind_dashes(sys.argv[1:] if argv is None else list(argv)))
     try:
         payload, text, code = _DISPATCH[args.command](args)
     except ResourceLimitError as exc:
@@ -470,8 +491,12 @@ def main(argv=None) -> int:
     except PadicDynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(render_json(payload))
-    else:
-        print("\n".join(text()))
+    try:
+        print(render_json(payload) if args.format == "json" else "\n".join(text()))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull, so the flush at
+        # exit raises no second error (the SIGPIPE note of the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code

@@ -217,6 +217,37 @@ def test_internal_alarms_exit_4(monkeypatch, capsys):
     assert "not 2^1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["tower", "-x=-2/3", "-n", "2"]])
+def test_map_with_a_leading_minus_sign(command, capsys):
+    # maps print that way (-7*z^2+3*z+6), so one read back must not pass for an option
+    outputs = []
+    for argv in (
+        command + ["-p", "5", "--", "-z^2+1"],
+        command + ["(-z^2+1)", "-p", "5"],
+        command + ["-z^2+1", "-p", "5"],
+        command + ["-p", "5", "-z^2+1", "--format", "text"],
+    ):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out.startswith("map: -z^2+1\n")
+    assert all(out == outputs[0] for out in outputs)
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # about 200 kB of JSON, more than a pipe holds: the writer meets a closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "padicdyn", "analyze", "z^2+1", "-p", "10007", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_text_report_is_rendered_only_when_printed(monkeypatch, capsys):
     rendered = []
     for name, command in list(cli._DISPATCH.items()):
