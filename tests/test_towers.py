@@ -7,14 +7,15 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import padicdyn.cli as cli
 from padicdyn.errors import InputError, ResourceLimitError
-from padicdyn.finitefield import FqPoly, fq_extension
+from padicdyn.finitefield import FqPoly, form_is_zero, fq_extension
 from padicdyn.maps import ProjPointQ, eval_map, eval_reduced, parse_map
 from padicdyn.padics import vp
 from padicdyn.qpolys import QPoly
-from padicdyn.reduction import MapAtPrime, postcritical_set
+from padicdyn.reduction import ClosedPoint, MapAtPrime, closed_points_of_form, postcritical_set
 from padicdyn.towers import (
     NO_CERTIFICATE,
     UNRAMIFIED,
@@ -27,7 +28,7 @@ from padicdyn.towers import (
 )
 
 from corpus_util import random_models
-from oracles import fiber_numerator, map_table
+from oracles import fiber_numerator, frontier_pushforward, map_table
 
 
 def _pt(text):
@@ -161,6 +162,72 @@ def test_frobenius_cycle_type_sums_to_fiber_degree():
                         # level-n fibers can still meet the postcritical set
                         continue
                     assert sum(ct) == m.d**n
+
+
+def _branch_sets(mp, n_max):
+    """phi~^j(Crit) for j = 1..n_max, pushed forward point by point by the
+    frontier oracle; None when the reduction is inseparable (Crit is all)."""
+    if form_is_zero(mp.critical):
+        return None
+    layer, out = {pt for pt, _ in closed_points_of_form(mp.rmap.field, mp.critical)}, []
+    for _ in range(n_max):
+        layer = {frontier_pushforward(q, mp.rmap) for q in layer}
+        out.append(layer)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fiber_certificates_agree_with_the_theorem(p):
+    # Under strict good reduction the level-n certificate over x is
+    # UNRAMIFIED exactly when v_p(lc) = 0 and x-bar lies in no branch set
+    # phi~^j(Crit), 1 <= j <= n; the reduced fiber is separable, so a
+    # cycle type exists, exactly off those sets; and a basepoint in one
+    # of them is in the postcritical set of the walk.  The certificate's
+    # discriminant is sympy's.  d^n <= 27, and p = 2, 3 include p | d.
+    rng = random.Random(80 + p)
+    z = sympy.Symbol("z")
+    seen = {UNRAMIFIED: 0, "branch": 0, "lc": 0, "inf": 0}
+    for m in random_models(p, 60, seed=300 + p):
+        mp = MapAtPrime(m, p)
+        if not mp.sgr.is_strict_good_reduction:
+            continue
+        n_max = 4 if mp.d == 2 else 3
+        branch = _branch_sets(mp, n_max)
+        # integral, non-integral and infinite basepoints, and one over the
+        # image of infinity, where the fiber polynomial loses degree mod p
+        image = eval_reduced(mp.rmap.field, mp.rmap.F1, mp.rmap.G1, None)
+        lift = ProjPointQ(p * rng.randint(1, 3) + (p if image is None else image), 1)
+        integral, nonintegral = ProjPointQ(rng.randint(-p, 2 * p), 1), ProjPointQ(rng.choice([-1, 1, 2]), p)
+        for x in (integral, nonintegral, _pt("inf"), lift):
+            xbar = x.reduce(p)
+            point = ClosedPoint.of_residue(p, xbar)
+            for n in range(1, n_max + 1):
+                rep, fiber = fiber_report(mp, n, x), fiber_polynomial(mp, n, x)
+                off = branch is not None and all(point not in b for b in branch[:n])
+                if fiber.inf_multiplicity > 1:
+                    # infinity is a multiple root over Q itself, so x-bar is
+                    # a branch value; the certificate speaks of the affine roots
+                    assert not off
+                    seen["inf"] += 1
+                else:
+                    assert (rep.certificate == UNRAMIFIED) == (rep.lc_valuation == 0 and off)
+                poly = fiber.poly
+                if poly.degree < 1:
+                    assert rep.disc is None
+                else:
+                    assert rep.disc == sympy.discriminant(sympy.Poly(poly.coeffs[::-1], z))
+                try:
+                    frobenius_cycle_type(mp, n, xbar)
+                except InputError:
+                    assert not off
+                else:
+                    assert off
+                if not off:
+                    assert mp.pc.contains_residue(xbar)
+                seen[UNRAMIFIED] += rep.certificate == UNRAMIFIED
+                seen["branch"] += not off
+                seen["lc"] += off and rep.lc_valuation > 0
+    assert all(seen.values()), seen
 
 
 def test_preimage_tree_example():
