@@ -468,8 +468,8 @@ _DISPATCH = {
 
 def _map_behind_dashes(argv: list) -> list:
     """argv with each word that begins with one "-" and names z moved
-    behind "--", unless argv already has one."""
-    if "--" in argv:
+    behind "--", unless argv already has one or its subcommand takes no map."""
+    if "--" in argv or argv[:1] == ["examples"]:
         return argv
     maps = [a for a in argv if a[:1] == "-" and a[1:2] != "-" and "z" in a]
     if not maps:

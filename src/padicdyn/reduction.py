@@ -39,6 +39,9 @@ from .finitefield import (
     FIELD_SIZE_CAP,
     FqField,
     FqPoly,
+    _derivative,
+    _mul,
+    _sub,
     compose_forms,
     distinct_degree,
     fiber_form,
@@ -202,8 +205,8 @@ class MapAtPrime:
         squarefree decomposition sees p-th powers, so this holds for p = 2
         and for p | d too.
         """
-        poly, inf_mult = form_dehomogenize(self.rmap.field, self.reduced_fiber(n, xbar))
-        out = list(self.factor_degrees(poly.coeffs)) if poly.degree >= 1 else []
+        poly, inf_mult = form_dehomogenize(self.reduced_fiber(n, xbar))
+        out = list(self.factor_degrees(poly)) if len(poly) > 1 else []
         if inf_mult:
             out.append((1, inf_mult))
         return tuple(sorted(out))
@@ -264,11 +267,11 @@ def closed_points_of_form(field: FqField, coeffs) -> list:
     if form_is_zero(coeffs):
         raise InputError("the zero form does not cut out a point set")
     p = field.p
-    poly, inf_mult = form_dehomogenize(field, coeffs)
+    poly, inf_mult = form_dehomogenize(coeffs)
     out = []
-    if poly.degree >= 1:
-        for fac, mult in fq_factor(poly):
-            out.append((ClosedPoint(p, tuple(fac.coeffs)), mult))
+    if len(poly) > 1:
+        for fac, mult in fq_factor(FqPoly(field, tuple(poly))):
+            out.append((ClosedPoint(p, fac), mult))
     if inf_mult > 0:
         out.append((ClosedPoint.infinity(p), inf_mult))
     out.sort(key=lambda t: t[0].sort_key())
@@ -290,9 +293,9 @@ def critical_divisor(rmap: ReducedMap):
     if rmap.reduced_degree < 1:
         raise InputError("reduced map is constant; critical divisor undefined")
     field = rmap.field
-    f, g = FqPoly(field, rmap.F1), FqPoly(field, rmap.G1)
-    w = f.derivative() * g - f * g.derivative()
-    return form_from_poly(field, w.coeffs, 2 * rmap.reduced_degree - 2)
+    f, g = rmap.F1, rmap.G1
+    w = _sub(field, _mul(field, _derivative(field, f), g), _mul(field, f, _derivative(field, g)))
+    return form_from_poly(w, 2 * rmap.reduced_degree - 2)
 
 
 def pushforward(ext: FqField, rmap: ReducedMap, z: int | None) -> tuple:
@@ -308,12 +311,12 @@ def pushforward(ext: FqField, rmap: ReducedMap, z: int | None) -> tuple:
     while g != w:
         orbit.append(g)
         g = ext.frobenius(g)
-    minpoly = FqPoly(ext, (1,))
+    minpoly = [1]
     for root in orbit:
-        minpoly = minpoly * FqPoly(ext, (ext.neg(root), 1))
-    if any(c >= p for c in minpoly.coeffs):
+        minpoly = _mul(ext, minpoly, (ext.neg(root), 1))
+    if any(c >= p for c in minpoly):
         raise InternalError("orbit product must have F_p coefficients")
-    return w, ClosedPoint(p, minpoly.coeffs)
+    return w, ClosedPoint(p, tuple(minpoly))
 
 
 class PostcriticalSet(NamedTuple):
@@ -354,7 +357,7 @@ def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
         k = c.degree
         ext = rmap.field if k == 1 else fq_extension(p, k, cap=p**k)
         allowed = PC_WORK_ABOVE_CAP // k**2 if k > 1 and p**k > mp.cap_field else None
-        z = None if c.is_infinity else split_roots(FqPoly(ext, c.poly))[0]
+        z = None if c.is_infinity else split_roots(ext, c.poly)[0]
         step = 1
         while True:
             z, pt = pushforward(ext, rmap, z)

@@ -330,8 +330,8 @@ def _climb(ext, rmap, level: tuple, frob_row: tuple) -> dict:
         if done[i]:
             continue
         a, b = (1, 0) if y is None else (y, 1)
-        poly, inf_mult = form_dehomogenize(ext, fiber_form(ext, rmap.F1, rmap.G1, a, b))
-        kids = split_roots(poly)
+        poly, inf_mult = form_dehomogenize(fiber_form(ext, rmap.F1, rmap.G1, a, b))
+        kids = split_roots(ext, poly)
         if inf_mult:
             kids.append(None)
         j = i

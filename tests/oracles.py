@@ -9,7 +9,6 @@ import sympy
 from padicdyn.errors import InputError
 from padicdyn.finitefield import (
     FqField,
-    FqPoly,
     fiber_form,
     form_is_squarefree,
     form_is_zero,
@@ -63,6 +62,18 @@ def form_resultant(field: FqField, F, G) -> int:
                     for j in range(size)
                 ]
     return det
+
+
+def poly_mul(field: FqField, a, b) -> list:
+    """Schoolbook product of two ascending coefficient lists, trimmed,
+    by one field add and mul per pair of terms."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def form_eval(field: FqField, coeffs, a: int, b: int) -> int:
@@ -296,11 +307,11 @@ def frontier_pushforward(point: ClosedPoint, rmap: ReducedMap) -> ClosedPoint:
     orbit = [beta]
     while (g := ext.frobenius(orbit[-1])) != beta:
         orbit.append(g)
-    minpoly = FqPoly(ext, (1,))
+    minpoly = [1]
     for root in orbit:
-        minpoly = minpoly * FqPoly(ext, (ext.neg(root), 1))
-    assert all(c < p for c in minpoly.coeffs)
-    return ClosedPoint(p, minpoly.coeffs)
+        minpoly = poly_mul(ext, minpoly, [ext.neg(root), 1])
+    assert all(c < p for c in minpoly)
+    return ClosedPoint(p, tuple(minpoly))
 
 
 def frontier_postcritical_set(mp) -> PostcriticalSet:

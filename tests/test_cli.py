@@ -212,7 +212,7 @@ def test_internal_alarms_exit_4(monkeypatch, capsys):
 
     # a climb that loses a root leaves a tree level short of d^n points
     split_roots = towers.split_roots
-    monkeypatch.setattr(towers, "split_roots", lambda f: split_roots(f)[1:])
+    monkeypatch.setattr(towers, "split_roots", lambda field, f: split_roots(field, f)[1:])
     assert cli.main(["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "2"]) == 4
     assert "not 2^1" in capsys.readouterr().err
 
@@ -231,6 +231,14 @@ def test_map_with_a_leading_minus_sign(command, capsys):
         outputs.append(capsys.readouterr())
     assert outputs[0].out.startswith("map: -z^2+1\n")
     assert all(out == outputs[0] for out in outputs)
+
+
+def test_z_word_for_a_command_without_a_map_is_named_alone(capsys):
+    # examples takes no map, so "-z" is an unknown option there, not a map to move behind "--"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["examples", "-p", "5", "-z"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: -z\n")
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

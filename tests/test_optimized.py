@@ -53,7 +53,7 @@ ALARMS = [
     # a zero pencil discriminant rejects every fiber and contradicts the resultant
     (["analyze", "z^2+p", "-p", "5"], reduction, "pencil_discriminant", lambda f: lambda F, G: ()),
     # a climb that loses a root leaves a tree level short of d^n points
-    (["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "2"], towers, "split_roots", lambda f: lambda g: f(g)[1:]),
+    (["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "2"], towers, "split_roots", lambda f: lambda field, g: f(field, g)[1:]),
     # a tree field of half the degree holds no roots of some quadratic fiber
     (
         ["tower", "z^2+z+1", "-p", "5", "-x=-4", "-n", "3"],

@@ -12,6 +12,7 @@ import sympy
 import padicdyn.cli as cli
 import padicdyn.reduction as reduction
 from corpus_util import random_models
+from oracles import poly_mul
 from padicdyn.errors import InputError
 from padicdyn.finitefield import FqPoly, iterate_forms, prime_field_of
 from padicdyn.maps import Mobius, iterate_map, parse_map
@@ -230,7 +231,7 @@ def test_factor_degrees_match_sympy(p):
             fac = [rng.randrange(p) for _ in range(deg)] + [1]
             power = rng.choice([1, 1, 2, 3, p, 2 * p])
             for _ in range(power):
-                coeffs = list((FqPoly(field, coeffs) * FqPoly(field, fac)).coeffs)
+                coeffs = poly_mul(field, coeffs, fac)
         assert mp.factor_degrees(coeffs) == _sympy_degrees(coeffs, p)
 
 

@@ -10,6 +10,7 @@ import pytest
 import sympy
 
 import padicdyn.cli as cli
+import padicdyn.reduction as reduction
 from padicdyn.errors import InputError, ResourceLimitError
 from padicdyn.finitefield import FqPoly, form_is_zero, fq_extension
 from padicdyn.maps import ProjPointQ, eval_map, eval_reduced, parse_map
@@ -376,18 +377,24 @@ def test_shift_divisibility_on_corpus():
     ],
 )
 def test_tower_builds_no_polynomial_object_per_kernel_step(monkeypatch, argv, bound):
-    # factorizations and root splits run on coefficient lists: an FqPoly is
-    # built per fiber, not per gcd, division or power (110 and 861 objects
-    # when each of those built one)
-    built = []
-    init = FqPoly.__init__
+    # factorizations and root splits run on coefficient lists: the one
+    # polynomial record, FqPoly, is built only as fq_factor's argument, not
+    # per fiber, gcd, division or power (110 and 861 objects if each of
+    # those built one; the two queries build 1 and 0)
+    built, factored = [], []
+    new, factor = FqPoly.__new__, reduction.fq_factor
 
-    def counting_init(self, *args):
+    def counting_new(cls, *args):
         built.append(None)
-        init(self, *args)
+        return new(cls, *args)
 
-    monkeypatch.setattr(FqPoly, "__init__", counting_init)
+    def counting_factor(f):
+        factored.append(f)
+        return factor(f)
+
+    monkeypatch.setattr(FqPoly, "__new__", counting_new)
+    monkeypatch.setattr(reduction, "fq_factor", counting_factor)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    assert 0 < len(built) <= bound
+    assert len(built) == len(factored) <= bound
 

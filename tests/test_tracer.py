@@ -3,8 +3,10 @@
 ``perfbench/layers.py`` wraps functions of ``padicdyn`` by module and
 attribute name, so renaming or deleting one of them breaks
 ``perfbench/run.py --trace 1`` with an AttributeError although no other
-test notices.  This test installs the tracer as the benchmark does, runs
-one orbit query and reads the report.
+test notices, and so does a change to an argument or a result whose
+attributes the report reads.  These tests install the tracer as the
+benchmark does, run tower, orbit, analyze and moduli queries and read the
+report.
 """
 
 import contextlib
@@ -36,3 +38,33 @@ def test_tracer_wraps_and_restores_the_integer_kernel(monkeypatch):
     assert report["qpolys.discriminant.calls"] > 0
     assert report["qpolys.discriminant.max_degree"] >= 2
     assert report["qpolys.discriminant.max_bits"] >= 1
+
+
+def test_tracer_reads_every_shape_it_measures(monkeypatch):
+    # the report reads args[0].degree of fq_factor, result.q of fq_extension,
+    # result.p and result.m of preimage_tree, result.points of
+    # postcritical_set and result.tried of moduli_search
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [
+                cli.main(["tower", "z^2+1", "-p", "3", "-x", "0", "-n", "3"]),  # a tree in F_{3^8}
+                cli.main(["analyze", "z^3+z+1", "-p", "7"]),
+                cli.main(["moduli", "5*z^2+z", "-p", "5"]),
+            ]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0]
+    report = tracer.report({None: 1.0})
+    assert report["towers.preimage_tree.max_q"] == 3**8
+    for key in (
+        "finitefield.fq_factor.max_degree",
+        "finitefield.fq_extension.max_q",
+        "reduction.pc_points",
+        "orbits.moduli_search.conjugates_tried",
+    ):
+        assert report[key] > 0, key
