@@ -218,6 +218,8 @@ def _tree_json(tree) -> dict:
 
 
 def _cmd_tower(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
+    if args.n < 1:
+        raise InputError(f"-n: tower depth must be >= 1, got {args.n}")
     model = parse_map(args.map, args.prime)
     mp = MapAtPrime(model, args.prime, cap_degree=args.cap_degree, cap_field=args.cap_field)
     x = ProjPointQ.from_value(args.x)
@@ -296,6 +298,8 @@ def _cmd_tower(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
 
 
 def _cmd_orbit(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
+    if args.n < 0:
+        raise InputError(f"-n: tower depth must be >= 0, got {args.n}")
     model = parse_map(args.map, args.prime)
     mp = MapAtPrime(model, args.prime, cap_degree=args.cap_degree, cap_field=args.cap_field)
     x = ProjPointQ.from_value(args.x)

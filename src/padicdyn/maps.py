@@ -9,10 +9,12 @@ so two constructions of the same projective map compare equal.  Content
 its own p-primitive integral model everywhere.
 
 The point at infinity is uniformly [1 : 0]; no code path dehomogenizes
-before it has to.  Points, forms and the parser's polynomials hold ints;
-rationals are read only at the edges (``ProjPointQ.from_value``, the
-canonicalization of a model, ``Mobius`` entries) and printed by
-``qpolys.rational_str``.
+before it has to.  Points and forms hold ints; rationals are read only
+at the edges (``ProjPointQ.from_value``, the canonicalization of a
+model, ``Mobius`` entries) and printed by ``qpolys.rational_str``.
+
+The parser works on unreduced int-tuple fractions with the ``qpolys``
+kernel, and checks each product and power against DEGREE_CAP first.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import NamedTuple
 from .errors import InputError, InternalError, ResourceLimitError
 from .finitefield import FqField, form_gcd_split, form_is_zero, horner, prime_field_of
 from .padics import require_prime
-from .qpolys import QPoly, binary_form_resultant, compose_forms, int_str, poly_str, rational_str
+from .qpolys import QPoly, _add, _form_mul, binary_form_resultant, compose_forms, int_str
+from .qpolys import poly_str, rational_str
 
 DEGREE_CAP = 4096
 HEIGHT_CAP_BITS = 10**6
@@ -279,48 +282,63 @@ def _tokenize(text: str, prime: int) -> list:
     return tokens
 
 
+def _mul(a, b) -> tuple:
+    """a * b, refused before it is formed when its degree passes DEGREE_CAP."""
+    if not a or not b:
+        return ()
+    if len(a) + len(b) - 2 > DEGREE_CAP:
+        raise ResourceLimitError(f"expression degree exceeds cap {DEGREE_CAP}")
+    return _form_mul(a, b)
+
+
+def _power(a, e: int) -> tuple:
+    """a^e for e >= 0 by square-and-multiply from the top bit of e."""
+    out = (1,)
+    for bit in bin(e)[2:]:
+        out = _mul(out, out)
+        if bit == "1":
+            out = _mul(out, a)
+    return out
+
+
 class _RatFunc:
-    """Unreduced rational function arithmetic used only during parsing."""
+    """An unreduced num/den of trimmed int tuples; div and pow refuse a zero den."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: QPoly, den: QPoly):
-        if den.is_zero():
-            raise InputError("division by the zero rational function")
-        if num.degree > DEGREE_CAP or den.degree > DEGREE_CAP:
-            raise ResourceLimitError(f"expression degree exceeds cap {DEGREE_CAP}")
+    def __init__(self, num: tuple, den: tuple):
         self.num = num
         self.den = den
 
     def add(self, other):
         return _RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
+            _add(_mul(self.num, other.den), _mul(other.num, self.den)), _mul(self.den, other.den)
         )
 
     def sub(self, other):
-        return _RatFunc(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self.add(other.neg())
 
     def mul(self, other):
-        return _RatFunc(self.num * other.num, self.den * other.den)
+        return _RatFunc(_mul(self.num, other.num), _mul(self.den, other.den))
 
     def div(self, other):
-        if other.num.is_zero():
+        if not other.num:
             raise InputError("division by the zero rational function")
-        return _RatFunc(self.num * other.den, self.den * other.num)
+        return _RatFunc(_mul(self.num, other.den), _mul(self.den, other.num))
 
     def neg(self):
-        return _RatFunc(-self.num, self.den)
+        return _RatFunc(tuple(-c for c in self.num), self.den)
 
     def pow(self, e: int):
         if abs(e) > DEGREE_CAP:
             raise ResourceLimitError(f"exponent {e} exceeds cap {DEGREE_CAP}")
+        if abs(e) * (max(len(self.num), len(self.den)) - 1) > DEGREE_CAP:
+            raise ResourceLimitError(f"expression degree exceeds cap {DEGREE_CAP}")
         if e >= 0:
-            return _RatFunc(self.num**e, self.den**e)
-        if self.num.is_zero():
+            return _RatFunc(_power(self.num, e), _power(self.den, e))
+        if not self.num:
             raise InputError("negative power of the zero function")
-        return _RatFunc(self.den ** (-e), self.num ** (-e))
+        return _RatFunc(_power(self.den, -e), _power(self.num, -e))
 
 
 def _token_text(token) -> str:
@@ -389,10 +407,11 @@ class _Parser:
     def atom(self) -> _RatFunc:
         kind = self.peek()
         if kind == "INT":
-            return _RatFunc(QPoly((self.take()[1],)), QPoly((1,)))
+            value = self.take()[1]
+            return _RatFunc((value,) if value else (), (1,))
         if kind == "Z":
             self.take()
-            return _RatFunc(QPoly((0, 1)), QPoly((1,)))
+            return _RatFunc((0, 1), (1,))
         if kind == "(":
             self.take()
             inner = self.expr()
@@ -426,20 +445,18 @@ def parse_map(text: str, prime: int) -> RationalMapModel:
             "(note: there is no implicit multiplication)"
         )
     num, den = rf.num, rf.den
-    if num.is_zero():
+    if not num:
         raise InputError("map is identically zero (degree 0)")
-    g = num.gcd(den)
-    if g.degree >= 1:
+    g = QPoly(num).gcd(QPoly(den)).coeffs
+    if len(g) > 1:
         raise InputError(
             "numerator and denominator share a common factor: "
-            + poly_str([Fraction(c, g.lc) for c in g.coeffs], var="z")
+            + poly_str([Fraction(c, g[-1]) for c in g], var="z")
         )
-    d = max(num.degree, den.degree)
+    d = max(len(num), len(den)) - 1
     if d < 1:
         raise InputError("map must have degree >= 1, got a constant")
-    F = tuple(num[i] for i in range(d + 1))
-    G = tuple(den[i] for i in range(d + 1))
-    return RationalMapModel(F, G)
+    return RationalMapModel(num + (0,) * (d + 1 - len(num)), den + (0,) * (d + 1 - len(den)))
 
 
 # -- integral models and reduction -------------------------------------------

@@ -6,18 +6,19 @@ the arithmetic here is over Z, and rationals enter only at the edges of
 the package (reading input, rendering output); ``rational_str`` and
 ``poly_str`` render ints and Fractions alike.
 
-Coefficient lists are stored lowest degree first, as tuples of int, with
-no trailing zeros; the zero polynomial is the empty tuple.  Binary forms
-of a fixed formal degree are plain int tuples whose entry i is the
-coefficient of X^i Y^(d-i); they share one product routine with
-``QPoly`` and keep their length where ``QPoly`` trims.
+Polynomials are int tuples, lowest degree first, with no trailing
+zeros; the zero polynomial is the empty tuple.  Binary forms of a fixed
+formal degree are int tuples whose entry i is the coefficient of
+X^i Y^(d-i), which keep their length.  Both multiply with ``_form_mul``,
+polynomials add with ``_add``, and ``QPoly`` is only a record around a
+trimmed tuple.
 
 ``QPoly.gcd`` is the primitive polynomial remainder sequence (Cohen, GTM
 138, Ch. 3): pseudo-remainders, each divided by its content, so the gcd
 over Q comes out as a primitive integer polynomial.  Resultants
 are the Sylvester determinant with the rows of the first argument on top:
 
-    resultant(f, g) = lc(f)^deg(g) * prod g(alpha_i)   over the roots of f.
+    Res(f, g) = lc(f)^deg(g) * prod g(alpha_i)   over the roots of f.
 
 They are computed by the subresultant polynomial remainder sequence
 over Z (Brown and Traub, J. ACM 18, 1971; Cohen, GTM 138, Alg. 3.3.7),
@@ -40,6 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 from operator import index
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -60,6 +62,18 @@ def _form_mul(A, B) -> tuple[int, ...]:
             for j, y in enumerate(B):
                 if y:
                     out[i + j] += x * y
+    return tuple(out)
+
+
+def _add(a, b) -> tuple[int, ...]:
+    """Sum of two integer coefficient lists, without trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
     return tuple(out)
 
 
@@ -87,89 +101,36 @@ def compose_forms(forms, pair) -> list[tuple[int, ...]]:
     return out
 
 
-class QPoly:
-    """Polynomial over Z (read as a polynomial over Q), ascending by degree."""
+class _QPolyFields(NamedTuple):
+    coeffs: tuple
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _int_tuple(coeffs))
+class QPoly(_QPolyFields):
+    """A polynomial over Z as a record: trimmed int coefficients, ascending.
 
-    def __setattr__(self, *args):
-        raise AttributeError("QPoly is immutable")
+    The arithmetic is on tuples (``_form_mul``, ``_add``); the record
+    stays because the benchmark's tracer (``perfbench/layers.py``) wraps
+    ``QPoly.gcd`` by name and reads ``args[0].degree`` and ``.coeffs`` of
+    ``discriminant``.  A non-integer coefficient raises TypeError.
+    """
 
-    # -- basic structure ---------------------------------------------------
+    __slots__ = ()
+
+    def __new__(cls, coeffs):
+        return super().__new__(cls, _int_tuple(coeffs))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> int:
-        if not self.coeffs:
-            raise InputError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"QPoly({poly_str(self.coeffs)})"
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        if not self.coeffs or not other.coeffs:
-            return QPoly()
-        return QPoly(_form_mul(self.coeffs, other.coeffs))
-
-    def __pow__(self, e: int) -> "QPoly":
-        if e < 0:
-            raise InputError("negative polynomial power")
-        out = QPoly([1])
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def derivative(self) -> "QPoly":
-        return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def gcd(self, other: "QPoly") -> "QPoly":
         """gcd over Q as a primitive integer polynomial with lc > 0 (0 for two zeros)."""
         a, b = _primitive(self.coeffs), _primitive(other.coeffs)
         if len(a) < len(b):
             a, b = b, a
-        while b:
+        while len(b) > 1:  # a constant b is [1] here, and then so is the gcd
             a, b = b, _primitive(_pseudo_remainder(a, b))
-        return QPoly(a)
+        return QPoly(b or a)
 
 
 def _primitive(cs) -> list[int]:
@@ -330,24 +291,18 @@ def _integer_resultant(a: list[int], b: list[int]) -> int:
     return s * (b[0] ** da // h ** (da - 1))
 
 
-def resultant(f: QPoly, g: QPoly) -> int:
-    """Res(f, g) with true degrees: the Sylvester determinant, f's rows first."""
-    if f.is_zero() or g.is_zero():
-        raise InputError("resultant of the zero polynomial is undefined")
-    return _integer_resultant(list(f.coeffs), list(g.coeffs))
-
-
 def discriminant(f: QPoly) -> int:
     """Disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), for deg f >= 1.
 
     lc(f) divides Res(f, f') exactly: the first column of the Sylvester
     matrix holds lc(f) and n*lc(f) and nothing else.
     """
-    n = f.degree
+    cs = f.coeffs
+    n = len(cs) - 1
     if n < 1:
         raise InputError("discriminant requires degree >= 1")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * (resultant(f, f.derivative()) // f.lc)
+    return sign * (_integer_resultant(cs, [i * c for i, c in enumerate(cs)][1:]) // cs[-1])
 
 
 def form_discriminant(coeffs) -> int:

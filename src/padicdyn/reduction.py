@@ -67,7 +67,7 @@ from .maps import (
     reduce_map,
 )
 from .padics import require_prime, vp
-from .qpolys import QPoly, form_discriminant, poly_str
+from .qpolys import _add, _form_mul, form_discriminant, poly_str
 
 PC_CAP = 100_000
 # Above the field cap a walk from a critical point of degree k may take
@@ -456,12 +456,12 @@ def pencil_discriminant(F, G) -> tuple:
     """
     d = len(F) - 1
     values = [form_discriminant([f - t * g for f, g in zip(F, G)]) for t in range(2 * d - 1)]
-    D, falling = QPoly(), QPoly([1])  # falling = t(t-1)...(t-k+1)
+    D, falling = (), (1,)  # falling = t(t-1)...(t-k+1)
     for k in range(len(values)):
-        D = D + QPoly([values[0] // factorial(k)]) * falling
+        D = _add(D, _form_mul((values[0] // factorial(k),), falling))
         values = [b - a for a, b in zip(values, values[1:])]
-        falling = falling * QPoly([-k, 1])
-    return D.coeffs
+        falling = _form_mul(falling, (-k, 1))
+    return D
 
 
 def condition2_check(mp: MapAtPrime) -> Condition2Report:

@@ -92,7 +92,7 @@ def newton_polygon(f: QPoly, p: int) -> tuple:
     Slopes are strictly increasing Fractions; the lengths sum to
     deg f minus the order of vanishing at 0.
     """
-    if f.is_zero() or f.degree < 1:
+    if f.degree < 1:
         raise InputError("Newton polygon needs degree >= 1")
     pts = [(i, vp(p, c)) for i, c in enumerate(f.coeffs) if c != 0]
     hull = []
@@ -135,9 +135,7 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
     fiber = fiber_polynomial(mp, n, x)
     p = mp.p
     poly = fiber.poly
-    if poly.is_zero():
-        raise InputError("zero fiber polynomial")
-    lc = poly.lc
+    lc = poly.coeffs[-1]  # b*F_n - a*G_n is not 0, as F_n and G_n are coprime
     lc_val = vp(p, lc)
     if poly.degree < 1:
         # every preimage is the point at infinity; no affine data to certify
@@ -373,7 +371,7 @@ def shift_divisibility_check(mp: MapAtPrime, n: int, x: ProjPointQ) -> bool:
     if y.is_infinity:
         raise InputError("phi(x) is the point at infinity; no affine shift target")
     f = QPoly(mp.fiber_form(n, x))
-    if f.degree >= 1 and f.gcd(f.derivative()).degree > 0:
+    if f.degree >= 1 and f.gcd(QPoly([i * c for i, c in enumerate(f.coeffs)][1:])).degree > 0:
         raise InputError(f"level-{n} fiber over {x} is inseparable")
     g = QPoly(mp.fiber_form(n + 1, y))
     return f.gcd(g).degree == f.degree

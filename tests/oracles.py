@@ -76,6 +76,17 @@ def poly_mul(field: FqField, a, b) -> list:
     return out
 
 
+def int_poly_mul(a, b) -> list:
+    """Schoolbook product of two ascending integer coefficient lists, trimmed."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def form_eval(field: FqField, coeffs, a: int, b: int) -> int:
     """A form at (X, Y) = (a, b): the sum of c_i a^i b^(D-i) over its terms."""
     d = len(coeffs) - 1

@@ -122,6 +122,21 @@ def test_input_errors_exit_2():
     assert _run("analyze", "z^2").returncode == 2  # argparse: missing -p
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tower", "z^2+1", "-p", "5", "-x", "2", "-n", "0"], "-n: tower depth must be >= 1, got 0"),
+        (["tower", "z^2+1", "-p", "5", "-x", "2", "-n", "-2"], "-n: tower depth must be >= 1, got -2"),
+        (["orbit", "z^2+1", "-p", "5", "-x", "2", "-n", "-3"], "-n: tower depth must be >= 0, got -3"),
+    ],
+)
+def test_depths_the_commands_cannot_serve_exit_2(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # orbit -n 0 stays valid: the orbit without towers
+    assert cli.main(["orbit", "z^2+1", "-p", "5", "-x", "2", "-N", "2", "-n", "0"]) == 0
+
+
 def test_resource_caps_exit_3():
     res = _run("orbit", "z^2", "-p", "5", "-x", "2", "-N", "30", "--cap-height", "16")
     assert res.returncode == 3

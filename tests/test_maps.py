@@ -1,13 +1,16 @@
 """Parsing, projective points, models, iteration, conjugation, reduction."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from corpus_util import random_models
 from padicdyn.errors import InputError, ResourceLimitError
 from padicdyn.maps import (
+    DEGREE_CAP,
     Mobius,
     ProjPointQ,
     RationalMapModel,
@@ -212,3 +215,126 @@ def test_map_str_round_trip():
     for text in ("z^2+5", "(z^2+1)/(z-1)", "1/z", "z^3-2*z+1"):
         m = parse_map(text, 5)
         assert parse_map(m.map_str(), 5) == m
+
+
+def test_parser_refuses_a_product_past_the_cap_before_forming_it(monkeypatch):
+    # every product the parser forms goes through the wrapped kernel
+    import padicdyn.maps as maps
+
+    formed = []
+    kernel = maps._form_mul
+
+    def counting(a, b):
+        formed.append(len(a) + len(b) - 2)
+        return kernel(a, b)
+
+    monkeypatch.setattr(maps, "_form_mul", counting)
+    cases = ("((z+1)^2)^2049", "z^4000*(z+1)^97", "z^4096/z^96 - z^4096/z^96", "(z^64+1)^65")
+    for text in cases:
+        with pytest.raises(ResourceLimitError, match="expression degree exceeds cap 4096"):
+            parse_map(text, 5)
+    assert formed and max(formed) <= DEGREE_CAP
+    assert parse_map("z^4096 + 1", 5).d == DEGREE_CAP
+
+
+_Z = sympy.Symbol("z")
+_ZPOLY = lambda e: sympy.Poly(e, _Z, domain="ZZ")  # noqa: E731
+
+
+def _random_tree(rng, depth, prime):
+    """(text, precedence, sympy value, unreduced (num, den) or None after a zero division).
+
+    The pair follows the parser's rule: a/b + c/d = (ad + cb)/(bd), and so
+    on, with nothing cancelled; the value is sympy's own expression.
+    Precedence: 1 sum, 2 product, 3 unary minus, 4 power, 5 atom.
+    """
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.choice(["int", "z", "z", "p"])
+        if kind == "z":
+            return "z", 5, _Z, (_ZPOLY(_Z), _ZPOLY(1))
+        k = prime if kind == "p" else rng.randint(0, 9)
+        return ("p" if kind == "p" else str(k)), 5, sympy.Integer(k), (_ZPOLY(k), _ZPOLY(1))
+
+    def wrap(node, low):
+        text, prec = node[0], node[1]
+        return text if prec >= low and rng.random() < 0.85 else f"({text})"
+
+    op = rng.choice("+-*/^~")
+    a = _random_tree(rng, depth - 1, prime)
+    pair_a = a[3]
+    if op == "~":
+        pair = None if pair_a is None else (-pair_a[0], pair_a[1])
+        return "-" + wrap(a, 3), 3, None if pair is None else -a[2], pair
+    if op == "^":
+        e = rng.randint(-3, 3)
+        base = a[0] if a[1] == 5 else f"({a[0]})"
+        sign = "+" if e >= 0 and rng.random() < 0.2 else ""
+        pair = None
+        if pair_a is not None:
+            num, den = pair_a
+            if e >= 0:
+                pair = (num**e, den**e)
+            elif not num.is_zero:
+                pair = (den**-e, num**-e)
+        return f"{base}^{sign}{e}", 4, a[2] ** e if pair is not None else None, pair
+    b = _random_tree(rng, depth - 1, prime)
+    pair = None
+    if pair_a is not None and b[3] is not None:
+        (an, ad), (bn, bd) = pair_a, b[3]
+        if op == "+":
+            pair = (an * bd + bn * ad, ad * bd)
+        elif op == "-":
+            pair = (an * bd - bn * ad, ad * bd)
+        elif op == "*":
+            pair = (an * bn, ad * bd)
+        elif not bn.is_zero:
+            pair = (an * bd, ad * bn)
+    if pair is None:
+        value = None
+    else:
+        value = {"+": sympy.Add, "-": lambda x, y: x - y, "*": sympy.Mul, "/": lambda x, y: x / y}[op](a[2], b[2])
+    low_left, low_right, prec = (1, 2, 1) if op in "+-" else (2, 3, 2)
+    return f"{wrap(a, low_left)}{op}{wrap(b, low_right)}", prec, value, pair
+
+
+def _coefficients(expr, d):
+    cs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, _Z, domain="QQ").all_coeffs())]
+    return cs + [0] * (d + 1 - len(cs))
+
+
+def test_parser_agrees_with_sympy_on_random_expressions():
+    # the value against sympy's cancel and fraction, up to content and sign,
+    # and a shared factor refused exactly when sympy's gcd of the parser's
+    # unreduced numerator and denominator is nonconstant
+    rng = random.Random(2024)
+    accepted = shared = 0
+    for _ in range(400):
+        prime = rng.choice([2, 3, 5, 7])
+        text, _, value, pair = _random_tree(rng, rng.randint(1, 5), prime)
+        if pair is None or pair[0].is_zero:
+            with pytest.raises(InputError):
+                parse_map(text, prime)
+            continue
+        num, den = pair
+        g = sympy.gcd(num, den)
+        if g.degree() >= 1:
+            shared += 1
+            with pytest.raises(InputError, match="common factor"):
+                parse_map(text, prime)
+            continue
+        d = max(num.degree(), den.degree())
+        if d < 1:
+            with pytest.raises(InputError, match="constant"):
+                parse_map(text, prime)
+            continue
+        m = parse_map(text, prime)
+        accepted += 1
+        top, bottom = sympy.fraction(sympy.cancel(value))
+        want = _coefficients(top, d) + _coefficients(bottom, d)
+        den = math.lcm(*(c.denominator for c in want))
+        want = [int(c * den) for c in want]
+        content = math.gcd(*want)
+        want = [c // content for c in want]
+        assert m.d == d, text
+        assert list(m.F + m.G) in (want, [-c for c in want]), text
+    assert accepted > 100 and shared > 10
