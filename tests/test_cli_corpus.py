@@ -118,6 +118,8 @@ CORPUS = [
     # (exit 2); 2^89 - 1 is prime but above psi13, where no proof is run (exit 3)
     ["analyze", "z^2", "-p", "318665857834031151167461"],
     ["analyze", "z^2-2", "-p", "618970019642690137449562111"],
+    # a power past the degree cap is refused before its first product (exit 3)
+    ["analyze", "((z+1)^2)^2049", "-p", "5"],
 ]
 
 
