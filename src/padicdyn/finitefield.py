@@ -7,11 +7,12 @@ by the ints 0..p-1 in every extension, which makes lifting coefficient
 lists between F_p and F_{p^m} a no-op.
 
 An FqField computes on the digits, and inverts by the extended Euclidean
-algorithm over F_p on the polynomial kernel below.  Fields are built in
-two places: ``prime_field_of``, and ``fq_extension``, which refuses one
-above its size cap and caches per (p, m) the fields that the preimage
-trees and postcritical walks share, so each modulus is searched and
-proved irreducible once per process.  Those of at most TABLE_Q = 2^12 elements
+algorithm over F_p on the polynomial kernel below.  Prime fields come
+from ``prime_field_of`` and every extension from ``residue_field``, which
+builds F_p[T]/(c) once per (p, c) and keeps the last 32.  A postcritical
+walk runs in its point's own residue field; a preimage tree runs in the
+one ``fq_extension`` names by the first irreducible modulus of degree m
+below a size cap.  Extensions of at most TABLE_Q = 2^12 elements
 carry exp/log/Zech tables that make every operation a list lookup on the
 same encoding.  The tables cost q - 1 digit multiplications to build
 (about 0.07 s at 2^12 and 1.4 s at 2^16 on a 2-core VM), which a tree
@@ -31,10 +32,10 @@ step.  The functions at the edges take a field and a list too, except
 coefficient tuples.  Equal-degree splitting draws from a fixed-seed
 random stream; factors and roots are returned sorted, so the output does
 not depend on the stream.  Callers that need only the factor degrees
-stop after the distinct-degree step.  At odd p ``split_roots``
-solves a quadratic by the quadratic formula with one ``sqrt``, which a
-log field reads off by halving the log and other fields split off z^2 - a
-by Cantor-Zassenhaus.
+stop after the distinct-degree step.  ``split_roots`` serves only the
+tree climb; at odd p it solves a quadratic by the quadratic formula with
+one ``sqrt``, which a log field reads off by halving the log and other
+fields split off z^2 - a by Cantor-Zassenhaus.
 
 Binary forms of a fixed formal degree D are ascending tuples of length
 D + 1 (entry i is the coefficient of X^i Y^(D-i)); they are never trimmed,
@@ -324,35 +325,36 @@ def fq_extension(p: int, m: int, *, cap: int = FIELD_SIZE_CAP) -> FqField:
 
     Candidates T^m + c_{m-1} T^(m-1) + ... + c_0 are ordered by the integer
     encoding sum(c_i p^i) of their lower coefficients, so the search is
-    deterministic.  For m = 1 the modulus is T itself.  Fields are cached
-    per (p, m), and one of at most TABLE_Q elements carries log tables.
+    deterministic.  For m = 1 the modulus is T itself.  The modulus is
+    cached per (p, m), and the field is ``residue_field``'s.
     """
     require_prime(p)
     if m < 1:
         raise InputError("extension degree must be >= 1")
     if p**m > cap:
         raise ResourceLimitError(f"field size {p}^{m} exceeds cap {cap}")
-    if m == 1:
-        return prime_field_of(p)
-    return _extension(p, m)
+    return residue_field(p, _first_modulus(p, m))
 
 
-@lru_cache(maxsize=8)
-def _extension(p: int, m: int) -> FqField:
+@lru_cache
+def _first_modulus(p: int, m: int) -> tuple:
     # the first p candidates, T^m + c, are all reducible unless each prime factor of m,
     # and 4 if it divides m, divides p - 1 (Lidl-Niederreiter, Finite Fields, 3.75)
     binomial = pow(p - 1, m, m) == 0 and (m % 4 or p % 4 == 1)
     for k in range(0 if binomial else p, p**m):
-        a, digits = k, []
-        for _ in range(m):
-            digits.append(a % p)
-            a //= p
         try:  # the constructor proves the modulus irreducible
-            field = FqField(p, m, tuple(digits) + (1,))
+            return residue_field(p, tuple(k // p**i % p for i in range(m)) + (1,)).modulus
         except InputError:
             continue
-        return _LogField(field) if field.q <= TABLE_Q else field
     raise InputError(f"no irreducible modulus of degree {m} over F_{p}")  # pragma: no cover
+
+
+@lru_cache(maxsize=32)  # the benchmark's analyze rounds walk up to 12 quadratic moduli
+def residue_field(p: int, modulus: tuple) -> FqField:
+    """F_p[T]/(modulus) for a monic irreducible modulus of degree m.  For m > 1
+    the int p encodes the class of T, and log tables come with q <= TABLE_Q."""
+    field = FqField(p, len(modulus) - 1, modulus)
+    return _LogField(field) if 1 < field.m and field.q <= TABLE_Q else field
 
 
 def _trim(coeffs) -> list:

@@ -22,10 +22,10 @@ alarm that cross-checks it against the resultant criterion.
 
 Closed points are Galois orbits over the algebraic closure: a monic
 irreducible polynomial over F_p, or the point at infinity.  The
-postcritical set walks each critical closed point of degree k from one
-root in the F_{p^k} that ``fq_extension`` caches, and names each image
-by its Frobenius orbit, so a closed point always pushes forward to
-exactly one closed point.
+postcritical set walks each critical closed point c of degree k >= 2
+from the class of T in its own residue field F_p[T]/(c), and names each
+image by its Frobenius orbit, so a closed point always pushes forward to
+exactly one closed point, whichever model of F_{p^k} the walk runs in.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ from .finitefield import (
     form_from_poly,
     form_is_squarefree,
     form_is_zero,
-    fq_extension,
     fq_factor,
     prime_field_of,
-    split_roots,
+    residue_field,
     squarefree_decomposition,
 )
 from .maps import (
@@ -71,9 +70,9 @@ from .qpolys import _add, _form_mul, form_discriminant, poly_str
 
 PC_CAP = 100_000
 # Above the field cap a walk from a critical point of degree k may take
-# PC_WORK_ABOVE_CAP // k^2 steps, about 0.3 s (a step takes 0.3 ms at k = 2 and
-# 2 ms at k = 5 near p = 10^3 on a 2-core VM), though a random map's takes
-# about p^(k/2); that of z^3+3z closes in two.
+# PC_WORK_ABOVE_CAP // k^2 steps, about 0.3 s (a step in F_p[T]/(c) takes 0.15 ms
+# at k = 2, 1.6 ms at k = 5 and 2.8 ms at k = 6 near p = 10^3 on a 2-core VM),
+# though a random map's takes about p^(k/2); that of z^3+3z closes in two.
 PC_WORK_ABOVE_CAP = 4096
 
 
@@ -234,9 +233,7 @@ class ClosedPoint(_ClosedPointFields):
     @classmethod
     def of_residue(cls, p: int, xbar: int | None) -> "ClosedPoint":
         """The closed point of a rational point of P^1(F_p)."""
-        if xbar is None:
-            return cls(p, None)
-        return cls(p, ((-xbar) % p, 1))
+        return cls(p, None if xbar is None else ((-xbar) % p, 1))
 
     @property
     def is_infinity(self) -> bool:
@@ -266,14 +263,11 @@ def closed_points_of_form(field: FqField, coeffs) -> list:
     """
     if form_is_zero(coeffs):
         raise InputError("the zero form does not cut out a point set")
-    p = field.p
     poly, inf_mult = form_dehomogenize(coeffs)
-    out = []
-    if len(poly) > 1:
-        for fac, mult in fq_factor(FqPoly(field, tuple(poly))):
-            out.append((ClosedPoint(p, fac), mult))
+    factors = fq_factor(FqPoly(field, tuple(poly))) if len(poly) > 1 else []
+    out = [(ClosedPoint(field.p, fac), mult) for fac, mult in factors]
     if inf_mult > 0:
-        out.append((ClosedPoint.infinity(p), inf_mult))
+        out.append((ClosedPoint.infinity(field.p), inf_mult))
     out.sort(key=lambda t: t[0].sort_key())
     return out
 
@@ -307,13 +301,12 @@ def pushforward(ext: FqField, rmap: ReducedMap, z: int | None) -> tuple:
     if w is None or w < p:  # infinity, or an element of F_p
         return w, ClosedPoint.of_residue(p, w)
     orbit = [w]
-    g = ext.frobenius(w)
-    while g != w:
+    while (g := ext.frobenius(orbit[-1])) != w:
         orbit.append(g)
-        g = ext.frobenius(g)
     minpoly = [1]
-    for root in orbit:
-        minpoly = _mul(ext, minpoly, (ext.neg(root), 1))
+    for root in orbit:  # times T - root
+        minpoly, low = [0] + minpoly, minpoly
+        ext.addmul(minpoly, 0, ext.neg(root), low)
     if any(c >= p for c in minpoly):
         raise InternalError("orbit product must have F_p coefficients")
     return w, ClosedPoint(p, tuple(minpoly))
@@ -340,13 +333,14 @@ class PostcriticalSet(NamedTuple):
 def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
     """All forward images phi^m(c), m >= 1, of the critical closed points c.
 
-    Each critical point of degree k is walked from one root in the cached
-    F_{p^k} (F_p for k = 1).  A walk stops at a closed point that an
+    Each critical point c of degree k is walked from the class of T in
+    F_p[T]/(c) (from its residue in F_p for k = 1).  A walk stops at a closed point that an
     earlier step or walk reached in as few steps; stable_depth, the least
     t with phi^(t+1)(C) in the union of phi^s(C) for s <= t, is the
     largest least step count.  A critical point is in the set only when
     some forward image hits it.  A walk in a field above the session's
-    field cap may take PC_WORK_ABOVE_CAP // k^2 steps.
+    field cap may take PC_WORK_ABOVE_CAP // k^2 steps; one allowed none
+    (k >= 65) is refused before its field is built.
     """
     rmap, crit, p = mp.rmap, mp.critical, mp.p
     if form_is_zero(crit):
@@ -355,9 +349,14 @@ def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
     least = {}  # closed point -> least m >= 1 with the point in phi^m(C)
     for c in critpts:
         k = c.degree
-        ext = rmap.field if k == 1 else fq_extension(p, k, cap=p**k)
         allowed = PC_WORK_ABOVE_CAP // k**2 if k > 1 and p**k > mp.cap_field else None
-        z = None if c.is_infinity else split_roots(ext, c.poly)[0]
+        walk = f"postcritical set: the walk from critical point {c.render()} of degree {k}"
+        above = f"its field size {p}^{k} exceeds cap {mp.cap_field}"
+        if allowed == 0:
+            raise ResourceLimitError(f"{walk} is allowed {PC_WORK_ABOVE_CAP} // {k}^2 = 0 steps, as {above}")
+        # start at the class of T in F_p[T]/(c), which the int p encodes when k > 1
+        ext = rmap.field if k == 1 else residue_field(p, c.poly)
+        z = None if c.is_infinity else -c.poly[0] % p if k == 1 else p
         step = 1
         while True:
             z, pt = pushforward(ext, rmap, z)
@@ -367,10 +366,7 @@ def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
             if len(least) > cap:
                 raise ResourceLimitError(f"postcritical set exceeded cap {cap}")
             if step == allowed:
-                raise ResourceLimitError(
-                    f"postcritical set: the walk from critical point {c.render()} of degree {k} did not "
-                    f"close within {allowed} steps, and its field size {p}^{k} exceeds cap {mp.cap_field}"
-                )
+                raise ResourceLimitError(f"{walk} did not close within {allowed} steps, and {above}")
             step += 1
     depth = max(least.values(), default=0)
     return PostcriticalSet(p, frozenset(least), False, depth, frozenset(critpts))

@@ -17,10 +17,10 @@ each Frobenius orbit of level n - 1, the degree-d form b*F1 - a*G1 is
 split into its roots over F_{p^m} (infinity when its affine degree
 drops), and the preimages of y's conjugates are the Frobenius images of
 y's.  So no level polynomial is ever factored over F_{p^m}, and every
-point is born with its parent.  ``fq_extension`` hands out a cached
-F_{p^m}, with log tables up to 2^12 elements.  At odd p a quadratic
-form is solved by one square root of its discriminant, a halved log in
-a table field; p = 2 and degree 3 and up run Cantor-Zassenhaus.
+point is born with its parent.  F_{p^m} is ``fq_extension``'s, built by
+``residue_field``, with log tables up to 2^12 elements.  At odd p a
+quadratic form is solved by one square root of its discriminant, a
+halved log in a table field; p = 2 and degree 3 and up run Cantor-Zassenhaus.
 
 Every function here takes a ``MapAtPrime`` session and reads its
 iterates, fiber forms and factor degrees from it, so the certificate,

@@ -190,6 +190,18 @@ def test_refused_postcritical_walk_stops_only_analyze(monkeypatch, capsys):
     assert "certified unramified: unknown" in out
 
 
+def test_tower_goes_on_past_a_walk_allowed_no_step(capsys):
+    # z^74+z+1 at p = 5 has a critical point of degree 72, whose walk in a
+    # field above the cap is allowed 4096 // 72^2 = 0 steps
+    refusal = "of degree 72 is allowed 4096 // 72^2 = 0 steps, as its field size 5^72 exceeds cap 1048576"
+    assert cli.main(["analyze", "z^74+z+1", "-p", "5"]) == 3
+    assert refusal in capsys.readouterr().err
+    assert cli.main(["tower", "z^74+z+1", "-p", "5", "-x", "1", "-n", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "warning: basepoint not checked against the postcritical set: " in out and refusal in out
+    assert " 1 |      0 |        0 | UNRAMIFIED     | 1,1,72     |" in out
+
+
 def test_constant_reduction_leaves_the_orbit_flag_unknown(capsys):
     # 25z^2 reduces to the constant 0: no postcritical set, so no basepoint is
     # off it, although x_0 and x_2 carry no certificate

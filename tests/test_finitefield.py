@@ -31,6 +31,7 @@ from padicdyn.finitefield import (
     is_irreducible,
     iterate_forms,
     prime_field_of,
+    residue_field,
     split_roots,
     squarefree_decomposition,
 )
@@ -75,7 +76,8 @@ def test_each_cached_field_proves_its_modulus_once(monkeypatch):
         return is_irreducible(field, f)
 
     monkeypatch.setattr(padicdyn.finitefield, "is_irreducible", recording)
-    padicdyn.finitefield._extension.cache_clear()
+    padicdyn.finitefield._first_modulus.cache_clear()
+    padicdyn.finitefield.residue_field.cache_clear()
     assert fq_extension(3, 8).modulus == modulus
     assert tested.count(modulus) == 1 and tested[-1] == modulus
 
@@ -391,6 +393,15 @@ def _school_pow_mod(field, a, e, m):
     return out
 
 
+def _last_modulus(p, m):
+    """The last monic irreducible of degree m over F_p in fq_extension's order, by sympy."""
+    T = sympy.Symbol("T")
+    for k in range(p**m - 1, -1, -1):
+        modulus = tuple(k // p**i % p for i in range(m)) + (1,)
+        if sympy.Poly(modulus[::-1], T, modulus=p).is_irreducible:
+            return modulus
+
+
 def _random_poly(field, rng, deg, monic=False):
     lead = 1 if monic else rng.randrange(1, field.q)
     return [rng.randrange(field.q) for _ in range(deg)] + [lead]
@@ -401,7 +412,13 @@ def _random_poly(field, rng, deg, monic=False):
 @pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 2), (3, 2), (5, 4), (3, 8)])
 def test_row_kernel_matches_schoolbook_arithmetic(p, m):
     field = fq_extension(p, m)
+    # every field is residue_field's, which gives tables to the same fields
+    # whatever their modulus
+    assert fq_extension(p, m) is residue_field(p, field.modulus) is field
     assert isinstance(field, _LogField) == (1 < m and field.q <= TABLE_Q)
+    last = _last_modulus(p, m)
+    assert isinstance(residue_field(p, last), _LogField) == (1 < m and field.q <= TABLE_Q)
+    rng = random.Random(field.q)
     rng = random.Random(field.q)
     top = 4 if m == 8 else 9
     for trial in range(12 if m == 8 else 40):

@@ -186,12 +186,15 @@ def test_pushforward_never_raises_degree():
 
 
 def test_postcritical_walk_matches_frontier_oracle():
-    # maps of degree 2, 3, 4 and 6, so p | d at p = 2 and 3; maps whose
+    # maps of degree 2 to 7, so p | d at p = 2, 3 and 5, and the maps of
+    # degree 5 to 7 bring critical points of degree 5 and 6; maps whose
     # critical points need a field of more than 5,000 elements are skipped
     # to keep the oracle's per-point fields small
+    batches = [(p, 40, (2, 3, 4, 6), 100 + p) for p in (2, 3, 5, 7, 13)]
+    batches += [(3, 20, (5, 6, 7), 203), (5, 12, (5, 6), 205)]
     degrees, p_divides_d = set(), 0
-    for p in (2, 3, 5, 7, 13):
-        for model in random_models(p, 40, degrees=(2, 3, 4, 6), seed=100 + p):
+    for p, count, map_degrees, seed in batches:
+        for model in random_models(p, count, degrees=map_degrees, seed=seed):
             mp = MapAtPrime(model, p)
             if mp.rmap.reduced_degree < 1:
                 continue
@@ -210,7 +213,7 @@ def test_postcritical_walk_matches_frontier_oracle():
             assert postcritical_set(MapAtPrime(model, p, cap_field=p)) == got
             degrees.update(q.degree for q, _ in crit)
             p_divides_d += mp.d % p == 0 and not got.everything
-    assert {1, 2, 3, 4} <= degrees
+    assert {1, 2, 3, 4, 5, 6} <= degrees
     assert p_divides_d >= 10
 
 
@@ -240,6 +243,22 @@ def test_walk_above_the_field_cap_gets_a_step_allowance(monkeypatch):
     )
     assert above.pc_refusal == str(exc.value)
     assert _mp("z^3+3*z", 7).pc_refusal is None
+
+
+def test_walk_allowed_no_step_is_refused_before_its_field(monkeypatch):
+    # z^74+z+1 at p = 5 has the critical point (T^73 - 1)/(T - 1) of degree 72,
+    # and 4096 // 72^2 = 0: the walk is refused before F_5[T]/(c) is built
+    built = []
+    monkeypatch.setattr(reduction, "residue_field", lambda p, c: built.append(c))
+    mp = _mp("z^74+z+1", 5)
+    with pytest.raises(ResourceLimitError) as exc:
+        postcritical_set(mp)
+    c = "+".join(f"T^{i}" for i in range(72, 1, -1)) + "+T+1"
+    assert str(exc.value) == (
+        f"postcritical set: the walk from critical point {c} of degree 72 is allowed "
+        "4096 // 72^2 = 0 steps, as its field size 5^72 exceeds cap 1048576"
+    )
+    assert built == [] and mp.pc_refusal == str(exc.value)
 
 
 def _rand_monic_irreducible(rng, p):
