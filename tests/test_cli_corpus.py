@@ -120,6 +120,11 @@ CORPUS = [
     ["analyze", "z^2-2", "-p", "618970019642690137449562111"],
     # a power past the degree cap is refused before its first product (exit 3)
     ["analyze", "((z+1)^2)^2049", "-p", "5"],
+    # postcritical walks above the field cap (exit 3): three of degree 42
+    # get 4096 // 42^2 = 2 steps each, and one of degree 72 gets none and is
+    # refused before its field is built
+    ["analyze", "z^128+z+1", "-p", "5"],
+    ["analyze", "z^74+z+1", "-p", "5"],
 ]
 
 

@@ -46,6 +46,9 @@ CASES = [
     # a composite that passes the bases 2..37, and a prime above the proved range
     ["analyze", "z^2", "-p", "318665857834031151167461"],
     ["analyze", "z^2-2", "-p", "618970019642690137449562111"],
+    # postcritical walks of degree 42 and 72 above the field cap, both refused
+    ["analyze", "z^128+z+1", "-p", "5"],
+    ["analyze", "z^74+z+1", "-p", "5"],
 ]
 
 # (argv, module, attribute, fault): each fault trips an internal alarm
