@@ -334,13 +334,13 @@ def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
     """All forward images phi^m(c), m >= 1, of the critical closed points c.
 
     Each critical point c of degree k is walked from the class of T in
-    F_p[T]/(c) (from its residue in F_p for k = 1).  A walk stops at a closed point that an
-    earlier step or walk reached in as few steps; stable_depth, the least
-    t with phi^(t+1)(C) in the union of phi^s(C) for s <= t, is the
-    largest least step count.  A critical point is in the set only when
-    some forward image hits it.  A walk in a field above the session's
-    field cap may take PC_WORK_ABOVE_CAP // k^2 steps; one allowed none
-    (k >= 65) is refused before its field is built.
+    F_p[T]/(c), from its residue in F_p for k = 1.  A walk stops at a
+    closed point that an earlier step or walk reached in as few steps;
+    stable_depth, the least t with phi^(t+1)(C) in the union of phi^s(C)
+    for s <= t, is the largest least step count.  A critical point is in
+    the set only when some forward image hits it.  A walk in a field
+    above the session's field cap may take PC_WORK_ABOVE_CAP // k^2
+    steps; one allowed none (k >= 65) is refused before its field is built.
     """
     rmap, crit, p = mp.rmap, mp.critical, mp.p
     if form_is_zero(crit):
@@ -350,10 +350,11 @@ def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
     for c in critpts:
         k = c.degree
         allowed = PC_WORK_ABOVE_CAP // k**2 if k > 1 and p**k > mp.cap_field else None
-        walk = f"postcritical set: the walk from critical point {c.render()} of degree {k}"
-        above = f"its field size {p}^{k} exceeds cap {mp.cap_field}"
+        def refusal(why: str) -> ResourceLimitError:  # the message is built only when raised
+            walk = f"postcritical set: the walk from critical point {c.render()} of degree {k}"
+            return ResourceLimitError(f"{walk} {why} its field size {p}^{k} exceeds cap {mp.cap_field}")
         if allowed == 0:
-            raise ResourceLimitError(f"{walk} is allowed {PC_WORK_ABOVE_CAP} // {k}^2 = 0 steps, as {above}")
+            raise refusal(f"is allowed {PC_WORK_ABOVE_CAP} // {k}^2 = 0 steps, as")
         # start at the class of T in F_p[T]/(c), which the int p encodes when k > 1
         ext = rmap.field if k == 1 else residue_field(p, c.poly)
         z = None if c.is_infinity else -c.poly[0] % p if k == 1 else p
@@ -366,7 +367,7 @@ def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
             if len(least) > cap:
                 raise ResourceLimitError(f"postcritical set exceeded cap {cap}")
             if step == allowed:
-                raise ResourceLimitError(f"{walk} did not close within {allowed} steps, and {above}")
+                raise refusal(f"did not close within {allowed} steps, and")
             step += 1
     depth = max(least.values(), default=0)
     return PostcriticalSet(p, frozenset(least), False, depth, frozenset(critpts))
