@@ -419,7 +419,6 @@ def test_row_kernel_matches_schoolbook_arithmetic(p, m):
     last = _last_modulus(p, m)
     assert isinstance(residue_field(p, last), _LogField) == (1 < m and field.q <= TABLE_Q)
     rng = random.Random(field.q)
-    rng = random.Random(field.q)
     top = 4 if m == 8 else 9
     for trial in range(12 if m == 8 else 40):
         A = _random_poly(field, rng, rng.randint(0, top)) if trial % 5 else []
