@@ -31,7 +31,6 @@ from .padics import INFINITY, is_prime, vp
 from .reduction import (
     ClosedPoint,
     MapAtPrime,
-    analyze_map,
     condition2_check,
     critical_divisor,
     degree_one_check,
@@ -63,7 +62,6 @@ __all__ = [
     "ProjPointQ",
     "RationalMapModel",
     "ResourceLimitError",
-    "analyze_map",
     "battery_passed",
     "condition2_check",
     "conjugate_map",

@@ -42,7 +42,7 @@ from .maps import DEGREE_CAP, HEIGHT_CAP_BITS, ProjPointQ, parse_map
 from .orbits import forward_orbit, moduli_search, orbital_report
 from .padics import INFINITY
 from .qpolys import rational_str
-from .reduction import ClosedPoint, MapAtPrime, analyze_map, degree_one_check
+from .reduction import ClosedPoint, MapAtPrime, condition2_check, degree_one_check
 from .towers import fiber_report, frobenius_cycle_type, preimage_tree
 
 __all__ = ["main"]
@@ -150,8 +150,8 @@ def _fiber_json(rep) -> dict:
 def _cmd_analyze(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     model = parse_map(args.map, args.prime)
     mp = MapAtPrime(model, args.prime, cap_field=args.cap_field)
-    rep = analyze_map(mp)
-    sgr = rep.sgr
+    c2 = condition2_check(mp)
+    sgr, pc = mp.sgr, mp.pc
     payload = {
         "map": model.map_str(),
         "prime": args.prime,
@@ -160,18 +160,18 @@ def _cmd_analyze(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
             "resultant": _big(sgr.resultant),
             "res_valuation": sgr.res_valuation,
             "reduced_degree": sgr.reduced_degree,
-            "reduced_map": rep.rmap.map_str(),
+            "reduced_map": mp.rmap.map_str(),
             "is_strict_good_reduction": sgr.is_strict_good_reduction,
             "inseparable_reduction": sgr.inseparable_reduction,
         },
-        "pc": _pc_json(rep.pc),
-        "locus": _locus_json(rep.locus),
+        "pc": _pc_json(pc),
+        "locus": _locus_json(c2.locus),
         "condition2": {
-            "holds": rep.condition2.holds,
-            "separable": rep.condition2.separable,
-            "reduced_degree_full": rep.condition2.reduced_degree_full,
-            "witnesses": _locus_json(rep.condition2.witnesses),
-            "violations": _locus_json(rep.condition2.violations),
+            "holds": c2.holds,
+            "separable": c2.separable,
+            "reduced_degree_full": c2.reduced_degree_full,
+            "witnesses": _locus_json(c2.witnesses),
+            "violations": _locus_json(c2.violations),
         },
     }
     if model.d == 1:
@@ -185,21 +185,21 @@ def _cmd_analyze(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
         yield f"degree: {sgr.d}   reduced degree: {sgr.reduced_degree}"
         yield f"resultant: {_big(sgr.resultant)} (valuation {sgr.res_valuation})"
         yield f"strict good reduction: {'yes' if sgr.is_strict_good_reduction else 'no'}"
-        yield f"reduced map: {rep.rmap.map_str()}"
+        yield f"reduced map: {mp.rmap.map_str()}"
         if sgr.inseparable_reduction:
             yield "inseparable reduction (the reduced map is a p-th power composite)"
-        if rep.pc is None:
+        if pc is None:
             yield "postcritical set: undefined (constant reduction)"
-        elif rep.pc.everything:
+        elif pc.everything:
             yield "postcritical set: all of P^1"
         else:
-            pts = " ".join(_point_label(q) for q in rep.pc.sorted_points()) or "(empty)"
-            yield f"postcritical set: {pts} (stable depth {rep.pc.stable_depth})"
-        locus = " ".join(str(_residue(r)) for r in rep.locus) or "(empty)"
+            pts = " ".join(_point_label(q) for q in pc.sorted_points()) or "(empty)"
+            yield f"postcritical set: {pts} (stable depth {pc.stable_depth})"
+        locus = " ".join(str(_residue(r)) for r in c2.locus) or "(empty)"
         yield f"good residue locus: {locus}"
-        yield f"degree-d etale fibers over the locus: {'yes' if rep.condition2.holds else 'no'}"
-        if rep.condition2.violations:
-            bad = " ".join(str(_residue(r)) for r in rep.condition2.violations)
+        yield f"degree-d etale fibers over the locus: {'yes' if c2.holds else 'no'}"
+        if c2.violations:
+            bad = " ".join(str(_residue(r)) for r in c2.violations)
             yield f"violating residues: {bad}"
     return payload, text, 0
 
@@ -301,14 +301,17 @@ def _cmd_orbit(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     if args.n < 0:
         raise InputError(f"-n: tower depth must be >= 0, got {args.n}")
     model = parse_map(args.map, args.prime)
-    mp = MapAtPrime(model, args.prime, cap_degree=args.cap_degree, cap_field=args.cap_field)
+    mp = MapAtPrime(
+        model, args.prime,
+        cap_degree=args.cap_degree, cap_field=args.cap_field, cap_height=args.cap_height,
+    )
     x = ProjPointQ.from_value(args.x)
     if args.n >= 1:
-        rep = orbital_report(mp, x, args.N, args.n, cap_height_bits=args.cap_height)
+        rep = orbital_report(mp, x, args.N, args.n)
         profile = rep.profile
     else:
         rep = None
-        profile = forward_orbit(mp, x, args.N, cap_height_bits=args.cap_height)
+        profile = forward_orbit(mp, x, args.N)
 
     orbit_payload = {
         "points": [str(pt) for pt in profile.points],

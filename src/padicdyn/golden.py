@@ -79,7 +79,7 @@ def run_battery(p: int) -> tuple:
     bat.expect(
         "z^2-1: postcritical set {-1, 0, inf}",
         frozenset({ClosedPoint.of_residue(p, p - 1), point0, point_inf}),
-        c2.pc.points,
+        mp.pc.points,
     )
     bat.expect("z^2-1: fiber criterion holds", True, c2.holds)
     rep = fiber_report(mp, 1, ProjPointQ.from_value("1"))
@@ -101,7 +101,7 @@ def run_battery(p: int) -> tuple:
     bat.expect(
         "z^2+p: postcritical set {0, inf}",
         frozenset({point0, point_inf}),
-        c2.pc.points,
+        mp.pc.points,
     )
     for x in (1, 2, 3):
         rep = fiber_report(mp, 1, ProjPointQ.from_value(str(x)))
@@ -136,7 +136,7 @@ def run_battery(p: int) -> tuple:
     bat.expect(
         "z^2/(1+p*z^2): postcritical set {0, inf}",
         frozenset({point0, point_inf}),
-        c2.pc.points,
+        mp.pc.points,
     )
     for n in (1, 2, 3):
         rep = fiber_report(mp, n, ProjPointQ.from_value("1"))
@@ -149,7 +149,7 @@ def run_battery(p: int) -> tuple:
     bat.expect("p*z^2+z: resultant valuation", 2, sgr.res_valuation)
     bat.expect("p*z^2+z: reduced degree drops to 1", 1, mp.rmap.reduced_degree)
     c2 = condition2_check(mp)
-    bat.expect("p*z^2+z: empty postcritical set", frozenset(), c2.pc.points)
+    bat.expect("p*z^2+z: empty postcritical set", frozenset(), mp.pc.points)
     bat.expect("p*z^2+z: fiber criterion fails", False, c2.holds)
     bat.expect("p*z^2+z: no passing residue", (), c2.witnesses)
     bat.expect(

@@ -211,13 +211,7 @@ class RationalMapModel:
         return binary_form_resultant(self.F, self.G, self.d)
 
     def map_str(self) -> str:
-        num = poly_str(self.F, var="z")
-        den = poly_str(self.G, var="z")
-        if den == "1":
-            return num
-        if any(c in num for c in "+-"):
-            num = f"({num})"
-        return f"{num}/({den})"
+        return map_str(self.F, self.G)
 
     def __eq__(self, other):
         return (
@@ -232,6 +226,17 @@ class RationalMapModel:
 
     def __repr__(self):
         return f"RationalMapModel({self.map_str()})"
+
+
+def map_str(F, G) -> str:
+    """The map [F : G] as an expression in z that ``parse_map`` reads back."""
+    num = poly_str(F, var="z")
+    den = poly_str(G, var="z")
+    if den == "1":
+        return num
+    if any(c in num for c in "+-"):
+        num = f"({num})"
+    return f"{num}/({den})"
 
 
 # -- parsing ------------------------------------------------------------------
@@ -253,9 +258,9 @@ def _tokenize(text: str, prime: int) -> list:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() reads: not isdigit, which takes '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("INT", _int_of_digits(text[i:j])))
             i = j
@@ -546,18 +551,14 @@ def eval_map(model: RationalMapModel, point: ProjPointQ) -> ProjPointQ:
 
 
 class ReducedMap(NamedTuple):
-    """The reduction of a p-primitive model: raw forms and the coprime core.
-
-    raw_F = common * F1 and raw_G = common * G1 as binary forms over F_p;
-    the self-map of P^1 over F_p that the model reduces to is [F1 : G1],
-    of degree reduced_degree = d - deg(common).
+    """The reduction of a p-primitive model: its forms mod p are common * F1
+    and common * G1, and the self-map of P^1 over F_p that the model
+    reduces to is [F1 : G1], of degree reduced_degree = d - deg(common).
     """
 
     field: FqField
     p: int
     d: int
-    raw_F: tuple
-    raw_G: tuple
     common: tuple
     F1: tuple
     G1: tuple
@@ -574,14 +575,7 @@ class ReducedMap(NamedTuple):
         return F1, G1
 
     def map_str(self) -> str:
-        F1, G1 = self.canonical_pair()
-        num = poly_str(F1, var="z")
-        den = poly_str(G1, var="z")
-        if den == "1":
-            return num
-        if any(c in num for c in "+-"):
-            num = f"({num})"
-        return f"{num}/({den})"
+        return map_str(*self.canonical_pair())
 
 
 def eval_reduced(field: FqField, F1, G1, point: int | None) -> int | None:
@@ -622,8 +616,6 @@ def reduce_map(integral: IntegralModel) -> ReducedMap:
         field=field,
         p=p,
         d=integral.d,
-        raw_F=rawF,
-        raw_G=rawG,
         common=common,
         F1=F1,
         G1=G1,

@@ -20,14 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceLimitError
-from .maps import (
-    HEIGHT_CAP_BITS,
-    Mobius,
-    ProjPointQ,
-    RationalMapModel,
-    conjugate_by_matrix,
-    eval_map,
-)
+from .maps import Mobius, ProjPointQ, RationalMapModel, conjugate_by_matrix, eval_map
 from .padics import require_prime, vp
 from .reduction import MapAtPrime
 from .towers import fiber_report, frobenius_cycle_type
@@ -39,23 +32,17 @@ class OrbitProfile(NamedTuple):
     points: tuple
     preperiod: int | None
     period: int | None
-    p: int
     reductions: tuple
     integral_flags: tuple
     in_pc_flags: tuple
 
 
-def forward_orbit(
-    mp: MapAtPrime,
-    x: ProjPointQ,
-    N: int,
-    *,
-    cap_height_bits: int = HEIGHT_CAP_BITS,
-) -> OrbitProfile:
+def forward_orbit(mp: MapAtPrime, x: ProjPointQ, N: int) -> OrbitProfile:
     """Exact orbit x_0..x_N; the first revisited point fixes (preperiod, period).
 
-    The residue columns are filled in at the session's prime; membership
-    in the postcritical set is None throughout when the reduction is
+    Every coordinate is bounded by the session's cap_height bits.  The
+    residue columns are filled in at the session's prime; membership in
+    the postcritical set is None throughout when the reduction is
     constant or the postcritical walk was refused by a cap.
     """
     if N < 1:
@@ -65,10 +52,8 @@ def forward_orbit(
     preperiod = period = None
     for j in range(1, N + 1):
         nxt = eval_map(mp.model, points[-1])
-        if nxt.height_bits() > cap_height_bits:
-            raise ResourceLimitError(
-                f"orbit coordinate exceeded {cap_height_bits} bits at step {j}"
-            )
+        if nxt.height_bits() > mp.cap_height:
+            raise ResourceLimitError(f"orbit coordinate exceeded {mp.cap_height} bits at step {j}")
         points.append(nxt)
         if period is None:
             if nxt in seen:
@@ -86,7 +71,6 @@ def forward_orbit(
         points=tuple(points),
         preperiod=preperiod,
         period=period,
-        p=p,
         reductions=reductions,
         integral_flags=tuple(pt.is_integral(p) for pt in points),
         in_pc_flags=in_pc_flags,
@@ -107,14 +91,7 @@ class OrbitalReport(NamedTuple):
     all_unramified_on_locus: bool | None
 
 
-def orbital_report(
-    mp: MapAtPrime,
-    x: ProjPointQ,
-    N: int,
-    n_max: int,
-    *,
-    cap_height_bits: int = HEIGHT_CAP_BITS,
-) -> OrbitalReport:
+def orbital_report(mp: MapAtPrime, x: ProjPointQ, N: int, n_max: int) -> OrbitalReport:
     """Tower data for every basepoint along the orbit of x.
 
     Non-integral basepoints and basepoints reducing into the postcritical
@@ -125,7 +102,7 @@ def orbital_report(
     """
     if n_max < 1:
         raise InputError("tower depth must be >= 1")
-    profile = forward_orbit(mp, x, N, cap_height_bits=cap_height_bits)
+    profile = forward_orbit(mp, x, N)
     basepoints = []
     all_ok = True
     for j, pt in enumerate(profile.points):
@@ -158,7 +135,6 @@ def orbital_report(
 
 
 class ModuliReport(NamedTuple):
-    p: int
     initial_valuation: int
     best_valuation: int
     best_mobius: Mobius
@@ -225,7 +201,6 @@ def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
     s = Fraction(p) ** a
     best_m = Mobius(*[(s, b, 0, 1), (b, s, 1, 0), (0, 1, s, b)][kind])
     return ModuliReport(
-        p=p,
         initial_valuation=initial,
         best_valuation=best_val,
         best_mobius=best_m,

@@ -1,17 +1,18 @@
 """Reduction-type analysis of a rational map at a prime.
 
 Everything here is about one object, the reduced map of phi at p, and a
-``MapAtPrime`` session holds it for one (map, p) pair.  The session
-proves p prime once and derives each artifact on first use and only
-once: the p-primitive integral model, the reduced map, the strict good
-reduction report, the critical divisor and the postcritical set, the
-iterates over Q and over F_p (extended one composition at a time), the
-fiber forms keyed by (n, x), and the factor degrees of polynomials over
-F_p keyed by their monic coefficients (read off squarefree and
-distinct-degree factorization; only the PC set, which needs the factors
-themselves, runs Cantor-Zassenhaus).  The analysis functions take a
-session, so the reduction, the PC set and the towers of one query share
-all of it; the memo lives on the session and is dropped with it.
+``MapAtPrime`` session holds it for one (map, p) pair, with every cap
+that bounds work on it.  The session proves p prime once and derives
+each artifact on first use and only once: the p-primitive integral
+model, the reduced map, the strict good reduction report, the critical
+divisor and the postcritical set, the iterates over Q and over F_p
+(extended one composition at a time), and the factor degrees of
+polynomials over F_p keyed by their monic coefficients (read off
+squarefree and distinct-degree factorization; only the PC set, which
+needs the factors themselves, runs Cantor-Zassenhaus).  Fiber forms are
+combined from the kept iterates on each call.  The analysis functions
+take a session, so the reduction, the PC set and the towers of one query
+share all of it; the memo lives on the session and is dropped with it.
 
 On top of the session this module decides strict good reduction (unit
 resultant of the p-primitive model, equivalently full reduced degree),
@@ -56,6 +57,7 @@ from .finitefield import (
 )
 from .maps import (
     DEGREE_CAP,
+    HEIGHT_CAP_BITS,
     IntegralModel,
     ProjPointQ,
     RationalMapModel,
@@ -79,22 +81,25 @@ PC_WORK_ABOVE_CAP = 4096
 class MapAtPrime:
     """One rational map at one prime, with everything derived from it once.
 
-    Properties are computed on first access and kept; iterates grow one
-    composition at a time; fiber forms and factor degrees are kept by
-    key.  cap_degree bounds the degree d^n of every iterate asked for;
-    cap_field bounds every field F_{p^k} a preimage tree needs, and the
-    length of a PC walk in a field above it.
+    Properties are computed on first access and kept; iterates over Q and
+    over F_p grow one composition at a time; factor degrees are kept by
+    key.  cap_degree bounds the degree d^n of every iterate asked for, over
+    Q or over F_p; cap_field bounds every field F_{p^k} a preimage tree
+    needs, and the length of a PC walk in a field above it; cap_height
+    bounds the bit size of every orbit coordinate.
     """
 
-    def __init__(self, model: RationalMapModel, p: int, *, cap_degree=DEGREE_CAP, cap_field=FIELD_SIZE_CAP):
+    def __init__(
+        self, model: RationalMapModel, p: int, *,
+        cap_degree=DEGREE_CAP, cap_field=FIELD_SIZE_CAP, cap_height=HEIGHT_CAP_BITS,
+    ):
         require_prime(p)
         self.model = model
         self.p = p
         self.cap_degree = cap_degree
         self.cap_field = cap_field
+        self.cap_height = cap_height
         self._iterates = [model]
-        self._fiber_forms = {}
-        self._reduced_fibers = {}
         self._factor_degrees = {}
 
     @property
@@ -134,12 +139,13 @@ class MapAtPrime:
             return str(exc)
         return None
 
+    def _check_degree(self, n: int) -> None:
+        if self.d**n > self.cap_degree:
+            raise ResourceLimitError(f"iterate degree {self.d}^{n} exceeds cap {self.cap_degree}")
+
     def iterate(self, n: int) -> RationalMapModel:
         """The canonical integer model of phi^n, extended as phi o phi^(n-1)."""
-        if self.d**n > self.cap_degree:
-            raise ResourceLimitError(
-                f"iterate degree {self.d}^{n} exceeds cap {self.cap_degree}"
-            )
+        self._check_degree(n)
         while len(self._iterates) < n:
             self._iterates.append(compose_map(self.model, self._iterates[-1]))
         return self._iterates[n - 1]
@@ -150,6 +156,7 @@ class MapAtPrime:
 
     def reduced_iterate(self, n: int) -> tuple:
         """Forms (F_n, G_n) over F_p of the n-th iterate of the reduced map."""
+        self._check_degree(n)
         rmap, its = self.rmap, self._reduced_iterates
         while len(its) < n:
             its.append(tuple(compose_forms(rmap.field, (rmap.F1, rmap.G1), its[-1])))
@@ -157,23 +164,16 @@ class MapAtPrime:
 
     def fiber_form(self, n: int, x: ProjPointQ) -> tuple:
         """Integer form b*P_n - a*Q_n of the canonical phi^n over x = [a : b]."""
-        key = (n, x)
-        if key not in self._fiber_forms:
-            it = self.iterate(n)
-            raw = tuple(x.b * f - x.a * g for f, g in zip(it.F, it.G))
-            if all(c == 0 for c in raw):
-                raise InputError("fiber form vanishes identically; the map is degenerate")
-            self._fiber_forms[key] = raw
-        return self._fiber_forms[key]
+        it = self.iterate(n)
+        raw = tuple(x.b * f - x.a * g for f, g in zip(it.F, it.G))
+        if not any(raw):
+            raise InputError("fiber form vanishes identically; the map is degenerate")
+        return raw
 
     def reduced_fiber(self, n: int, xbar: int | None) -> tuple:
         """Form over F_p cutting out the fiber of the reduced phi^n over xbar."""
-        key = (n, None if xbar is None else xbar % self.p)
-        if key not in self._reduced_fibers:
-            a, b = (1, 0) if key[1] is None else (key[1], 1)
-            Fn, Gn = self.reduced_iterate(n)
-            self._reduced_fibers[key] = fiber_form(self.rmap.field, Fn, Gn, a, b)
-        return self._reduced_fibers[key]
+        a, b = (1, 0) if xbar is None else (xbar % self.p, 1)
+        return fiber_form(self.rmap.field, *self.reduced_iterate(n), a, b)
 
     def factor_degrees(self, coeffs) -> tuple:
         """Sorted (degree, multiplicity) of each irreducible factor of the
@@ -330,7 +330,7 @@ class PostcriticalSet(NamedTuple):
         return sorted(self.points, key=lambda q: q.sort_key())
 
 
-def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
+def postcritical_set(mp: MapAtPrime) -> PostcriticalSet:
     """All forward images phi^m(c), m >= 1, of the critical closed points c.
 
     Each critical point c of degree k is walked from the class of T in
@@ -338,9 +338,10 @@ def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
     closed point that an earlier step or walk reached in as few steps;
     stable_depth, the least t with phi^(t+1)(C) in the union of phi^s(C)
     for s <= t, is the largest least step count.  A critical point is in
-    the set only when some forward image hits it.  A walk in a field
-    above the session's field cap may take PC_WORK_ABOVE_CAP // k^2
-    steps; one allowed none (k >= 65) is refused before its field is built.
+    the set only when some forward image hits it, and the set holds at
+    most PC_CAP points.  A walk in a field above the session's field cap
+    may take PC_WORK_ABOVE_CAP // k^2 steps; one allowed none (k >= 65)
+    is refused before its field is built.
     """
     rmap, crit, p = mp.rmap, mp.critical, mp.p
     if form_is_zero(crit):
@@ -364,8 +365,8 @@ def postcritical_set(mp: MapAtPrime, *, cap: int = PC_CAP) -> PostcriticalSet:
             if pt in least and least[pt] <= step:
                 break
             least[pt] = step
-            if len(least) > cap:
-                raise ResourceLimitError(f"postcritical set exceeded cap {cap}")
+            if len(least) > PC_CAP:
+                raise ResourceLimitError(f"postcritical set exceeded cap {PC_CAP}")
             if step == allowed:
                 raise refusal(f"did not close within {allowed} steps, and")
             step += 1
@@ -386,7 +387,6 @@ def good_locus(rmap: ReducedMap, pc: PostcriticalSet) -> tuple:
 
 
 class SGRReport(NamedTuple):
-    p: int
     d: int
     resultant: int
     res_valuation: int
@@ -410,7 +410,6 @@ def strict_good_reduction(mp: MapAtPrime) -> SGRReport:
         raise InternalError("resultant valuation and reduced degree disagree")
     insep = rmap.reduced_degree >= 1 and form_is_zero(mp.critical)
     return SGRReport(
-        p=p,
         d=mp.d,
         resultant=res,
         res_valuation=val,
@@ -438,8 +437,6 @@ class Condition2Report(NamedTuple):
     locus: tuple
     separable: bool
     reduced_degree_full: bool
-    sgr: SGRReport
-    pc: PostcriticalSet | None
 
 
 def pencil_discriminant(F, G) -> tuple:
@@ -474,7 +471,7 @@ def condition2_check(mp: MapAtPrime) -> Condition2Report:
     included).  The verdict at each point is exact and reads neither the
     critical divisor nor PC; infinity, the fiber G1, is tested directly.
     """
-    sgr, rmap, pc, p = mp.sgr, mp.rmap, mp.pc, mp.p
+    rmap, pc, p = mp.rmap, mp.pc, mp.p
     full = rmap.reduced_degree == mp.d
     # a constant reduction has no postcritical set and an empty locus
     locus = () if pc is None else good_locus(rmap, pc)
@@ -499,15 +496,13 @@ def condition2_check(mp: MapAtPrime) -> Condition2Report:
         locus=locus,
         separable=separable,
         reduced_degree_full=full,
-        sgr=sgr,
-        pc=pc,
     )
     _consistency_alarm(report, mp)
     return report
 
 
 def _consistency_alarm(report: Condition2Report, mp: MapAtPrime) -> None:
-    expected = report.sgr.is_strict_good_reduction and report.separable
+    expected = mp.sgr.is_strict_good_reduction and report.separable
     if report.holds != expected:
         raise InternalError(
             "internal consistency alarm: the fiber criterion and the "
@@ -516,12 +511,12 @@ def _consistency_alarm(report: Condition2Report, mp: MapAtPrime) -> None:
 
 
 class Degree1Report(NamedTuple):
-    p: int
+    """Every fiber polynomial has degree 1, so K(X_n(x)) = K for all n."""
+
     det: int
     det_valuation: int
     is_strict_good_reduction: bool
     towers_trivial: bool
-    note: str
 
 
 def degree_one_check(mp: MapAtPrime) -> Degree1Report:
@@ -533,34 +528,9 @@ def degree_one_check(mp: MapAtPrime) -> Degree1Report:
     det = prim.F[1] * prim.G[0] - prim.F[0] * prim.G[1]
     val = vp(mp.p, det)
     return Degree1Report(
-        p=mp.p,
         det=det,
         det_valuation=val,
         is_strict_good_reduction=val == 0,
         towers_trivial=True,
-        note="every fiber polynomial has degree 1, so K(X_n(x)) = K for all n",
     )
 
-
-class AnalyzeReport(NamedTuple):
-    model: RationalMapModel
-    p: int
-    sgr: SGRReport
-    rmap: ReducedMap
-    pc: PostcriticalSet | None
-    locus: tuple
-    condition2: Condition2Report
-
-
-def analyze_map(mp: MapAtPrime) -> AnalyzeReport:
-    """One-stop reduction analysis backing the command-line front end."""
-    c2 = condition2_check(mp)
-    return AnalyzeReport(
-        model=mp.model,
-        p=mp.p,
-        sgr=c2.sgr,
-        rmap=mp.rmap,
-        pc=c2.pc,
-        locus=c2.locus,
-        condition2=c2,
-    )

@@ -23,10 +23,11 @@ quadratic form is solved by one square root of its discriminant, a
 halved log in a table field; p = 2 and degree 3 and up run Cantor-Zassenhaus.
 
 Every function here takes a ``MapAtPrime`` session and reads its
-iterates, fiber forms and factor degrees from it, so the certificate,
-the Frobenius cycle type and the preimage tree of one level share one
-iterate and, whenever they read the same polynomial over F_p, one
-distinct-degree factorization.  Separability of a reduced fiber is read
+iterates, fiber forms, factor degrees and caps from it, so the
+certificate, the Frobenius cycle type and the preimage tree of one level
+share one iterate and, whenever they read the same polynomial over F_p,
+one distinct-degree factorization; a fiber form is combined afresh from
+the kept iterate on each call.  Separability of a reduced fiber is read
 from the same factorization: the session's fiber pattern lists the
 (degree, multiplicity) of each closed point, infinity included, and the
 fiber is separable exactly when every multiplicity is 1.
@@ -113,7 +114,6 @@ def newton_polygon(f: QPoly, p: int) -> tuple:
 class FiberReport(NamedTuple):
     n: int
     x: ProjPointQ
-    p: int
     lc: int
     lc_valuation: int
     disc: int | None
@@ -142,7 +142,6 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
         return FiberReport(
             n=fiber.n,
             x=fiber.x,
-            p=p,
             lc=lc,
             lc_valuation=lc_val,
             disc=None,
@@ -168,7 +167,6 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
     return FiberReport(
         n=fiber.n,
         x=fiber.x,
-        p=p,
         lc=lc,
         lc_valuation=lc_val,
         disc=disc,
@@ -191,8 +189,6 @@ def frobenius_cycle_type(mp: MapAtPrime, n: int, xbar: int | None) -> tuple:
     """
     if n < 1:
         raise InputError("fiber level must be >= 1")
-    if mp.d**n > mp.cap_degree:
-        raise ResourceLimitError(f"fiber degree {mp.d}^{n} exceeds cap {mp.cap_degree}")
     rmap = mp.rmap
     if rmap.reduced_degree < mp.d:
         raise InputError(
@@ -226,7 +222,6 @@ class PreimageTree(NamedTuple):
 
     p: int
     m: int
-    xbar: int | None
     levels: tuple
     parents: tuple
     frob: tuple
@@ -257,17 +252,9 @@ def _point_sort_key(pt):
     return (1, 0) if pt is None else (0, pt)
 
 
-def preimage_tree(
-    mp: MapAtPrime,
-    N: int,
-    xbar: int | None,
-    *,
-    m_cap: int = M_CAP,
-) -> PreimageTree:
+def preimage_tree(mp: MapAtPrime, N: int, xbar: int | None) -> PreimageTree:
     if N < 1:
         raise InputError("tree depth must be >= 1")
-    if mp.d**N > mp.cap_degree:
-        raise ResourceLimitError(f"fiber degree {mp.d}^{N} exceeds cap {mp.cap_degree}")
     p, rmap = mp.p, mp.rmap
     if rmap.reduced_degree < 1:
         raise InputError("reduced map is constant; no preimage tree")
@@ -286,9 +273,9 @@ def preimage_tree(
     m = 1
     for deg in degrees:
         m = math.lcm(m, deg)
-    if m > m_cap:
+    if m > M_CAP:
         raise ResourceLimitError(
-            f"splitting the tree needs F_{p}^{m}, above the extension cap {m_cap}"
+            f"splitting the tree needs F_{p}^{m}, above the extension cap {M_CAP}"
         )
     ext = fq_extension(p, m, cap=mp.cap_field)
 
@@ -309,7 +296,6 @@ def preimage_tree(
     return PreimageTree(
         p=p,
         m=m,
-        xbar=xbar,
         levels=tuple(levels),
         parents=tuple(parents),
         frob=tuple(frob),

@@ -244,6 +244,24 @@ def test_internal_alarms_exit_4(monkeypatch, capsys):
     assert "not 2^1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("residue,code", [(6, 4), (0, 0)])
+def test_analyze_alarm_cross_checks_the_postcritical_walk(residue, code, monkeypatch, capsys):
+    # a walk that loses the branch value -1 = phi(0) of z^2-1 at p = 7 puts it
+    # in the locus, where the fiber z^2 is not etale: the resultant criterion
+    # then contradicts the fiber criterion; losing 0, no branch value, is harmless
+    import padicdyn.reduction as reduction
+
+    postcritical_set, lost = reduction.postcritical_set, reduction.ClosedPoint.of_residue(7, residue)
+
+    def losing(mp):
+        pc = postcritical_set(mp)
+        return pc._replace(points=pc.points - {lost})
+
+    monkeypatch.setattr(reduction, "postcritical_set", losing)
+    assert cli.main(["analyze", "z^2-1", "-p", "7"]) == code
+    assert ("consistency alarm" in capsys.readouterr().err) == (code == 4)
+
+
 @pytest.mark.parametrize("command", [["analyze"], ["tower", "-x=-2/3", "-n", "2"]])
 def test_map_with_a_leading_minus_sign(command, capsys):
     # maps print that way (-7*z^2+3*z+6), so one read back must not pass for an option

@@ -65,6 +65,10 @@ def test_parse_rejections():
         parse_map("z + w", 5)
     with pytest.raises(InputError):
         parse_map("z^z", 5)
+    # a superscript is a digit to str.isdigit, but int() cannot read it
+    with pytest.raises(InputError, match="unexpected character '²'"):
+        parse_map("z^²", 5)
+    assert parse_map("z^2+٣", 5) == parse_map("z^2+3", 5)  # an Arabic-Indic 3
     with pytest.raises(InputError):
         parse_map("(z + 1", 5)
     with pytest.raises(InputError):
@@ -178,11 +182,12 @@ def test_reduce_map_splits_common_factor():
         field = prime_field_of(p)
         for m in random_models(p, 30, seed=17):
             rmap = reduce_map(normalize_integral(m, p))
-            if form_is_zero(rmap.raw_F) or form_is_zero(rmap.raw_G):
+            raw_F, raw_G = (tuple(c % p for c in f) for f in (m.F, m.G))
+            if form_is_zero(raw_F) or form_is_zero(raw_G):
                 assert rmap.reduced_degree == 0
                 continue
             # coprime parts really are coprime and rebuild the raw reduction
-            common, f1, g1 = form_gcd_split(field, rmap.raw_F, rmap.raw_G)
+            common, f1, g1 = form_gcd_split(field, raw_F, raw_G)
             assert (common, f1, g1) == (rmap.common, rmap.F1, rmap.G1)
             assert rmap.reduced_degree == m.d - (len(rmap.common) - 1)
             again, _, _ = form_gcd_split(field, rmap.F1, rmap.G1)
@@ -204,10 +209,10 @@ def test_reduced_map_evaluation_commutes_under_full_degree():
 
 
 def test_degenerate_reduction_shapes():
-    # numerator divisible by p: raw reduced F vanishes identically
+    # numerator divisible by p: the reduced F vanishes identically
     m = RationalMapModel([5, 10], [1, 0])
     rmap = reduce_map(normalize_integral(m, 5))
-    assert form_is_zero(rmap.raw_F)
+    assert form_is_zero(rmap.F1) and rmap.common == (1, 0)
     assert rmap.reduced_degree == 0
 
 

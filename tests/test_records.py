@@ -15,7 +15,7 @@ import padicdyn.towers
 from padicdyn.golden import run_battery
 from padicdyn.maps import ProjPointQ, parse_map
 from padicdyn.orbits import forward_orbit, moduli_search, orbital_report
-from padicdyn.reduction import ClosedPoint, MapAtPrime, analyze_map, degree_one_check
+from padicdyn.reduction import ClosedPoint, MapAtPrime, condition2_check, degree_one_check
 from padicdyn.towers import fiber_polynomial, fiber_report, preimage_tree
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -33,9 +33,8 @@ RECORDS = {
     "ClosedPoint": lambda: ClosedPoint(5, (2, 0, 1)),
     "PostcriticalSet": lambda: _session().pc,
     "SGRReport": lambda: _session().sgr,
-    "Condition2Report": lambda: analyze_map(_session()).condition2,
+    "Condition2Report": lambda: condition2_check(_session()),
     "Degree1Report": lambda: degree_one_check(_session("z+1")),
-    "AnalyzeReport": lambda: analyze_map(_session()),
     "FiberPolynomial": lambda: fiber_polynomial(_session(), 2, ProjPointQ(2, 1)),
     "FiberReport": lambda: fiber_report(_session(), 2, ProjPointQ(2, 1)),
     "PreimageTree": lambda: preimage_tree(_session("z^2+1"), 2, 3),
