@@ -125,6 +125,8 @@ CORPUS = [
     # refused before its field is built
     ["analyze", "z^128+z+1", "-p", "5"],
     ["analyze", "z^74+z+1", "-p", "5"],
+    # a superscript digit is no decimal digit: an input error (exit 2)
+    ["analyze", "z^²", "-p", "5"],
 ]
 
 
