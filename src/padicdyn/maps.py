@@ -523,16 +523,24 @@ def conjugate_map(model: RationalMapModel, M: Mobius) -> RationalMapModel:
     return conjugate_by_matrix(model, *(e.numerator * (den // e.denominator) for e in entries))
 
 
+def conjugate_forms(model: RationalMapModel, a: int, b: int, c: int, d: int) -> tuple:
+    """The unscaled integer forms of M o phi o M^{-1}, M = [[a, b], [c, d]].
+
+    Their resultant is det(M)^(d^2+d) Res(phi) for phi of degree d.
+    """
+    # M^{-1} acts on [X : Y] by (X, Y) -> (d X - b Y, -c X + a Y), up to det M
+    FU, GU = compose_forms((model.F, model.G), ((-b, d), (a, -c)))
+    return (
+        tuple(a * f + b * g for f, g in zip(FU, GU)),
+        tuple(c * f + d * g for f, g in zip(FU, GU)),
+    )
+
+
 def conjugate_by_matrix(
     model: RationalMapModel, a: int, b: int, c: int, d: int
 ) -> RationalMapModel:
     """The model of M o phi o M^{-1} for the integer matrix M = [[a, b], [c, d]]."""
-    # M^{-1} acts on [X : Y] by (X, Y) -> (d X - b Y, -c X + a Y), up to det M
-    FU, GU = compose_forms((model.F, model.G), ((-b, d), (a, -c)))
-    return RationalMapModel(
-        tuple(a * f + b * g for f, g in zip(FU, GU)),
-        tuple(c * f + d * g for f, g in zip(FU, GU)),
-    )
+    return RationalMapModel(*conjugate_forms(model, a, b, c, d))
 
 
 def eval_map(model: RationalMapModel, point: ProjPointQ) -> ProjPointQ:
@@ -558,7 +566,6 @@ class ReducedMap(NamedTuple):
 
     field: FqField
     p: int
-    d: int
     common: tuple
     F1: tuple
     G1: tuple
@@ -615,7 +622,6 @@ def reduce_map(integral: IntegralModel) -> ReducedMap:
     return ReducedMap(
         field=field,
         p=p,
-        d=integral.d,
         common=common,
         F1=F1,
         G1=G1,

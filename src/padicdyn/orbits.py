@@ -16,11 +16,12 @@ a witness; it never certifies a positive minimum.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceLimitError
-from .maps import Mobius, ProjPointQ, RationalMapModel, conjugate_by_matrix, eval_map
+from .maps import Mobius, ProjPointQ, RationalMapModel, conjugate_by_matrix, conjugate_forms, eval_map
 from .padics import require_prime, vp
 from .reduction import MapAtPrime
 from .towers import fiber_report, frobenius_cycle_type
@@ -154,50 +155,45 @@ def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
     enumeration order is too: plain affine maps over the whole grid first
     (a ascending, then b), then the affine maps composed with inversion
     on the right, then on the left, each grid by grid.  Candidates are
-    integer matrices, p^a z + b scaled to (1, b p^-a, 0, p^-a) when a < 0,
-    and the conjugate's canonical model is its own p-primitive model, so
-    one resultant valuation rates each.  Ties keep the earlier candidate.
-    The first conjugate reaching valuation 0 stops the search, and a zero
-    witness is re-verified through the full reduction report before being
-    returned.  Only the reported candidate is built as a Mobius map.
-    achieved_zero=False is inconclusive: the family is a bounded
-    heuristic, not a minimizer.
+    integer matrices M, p^a z + b scaled to (1, b p^-a, 0, p^-a) when
+    a < 0, so |det M| = p^|a|.  The unscaled conjugate's resultant is
+    det(M)^(d^2+d) Res(phi), and its canonical model divides out the
+    content g, so v_p(Res phi) + (d^2+d)|a| - 2d v_p(g) rates it exactly:
+    a query costs one resultant and at most 21p degree-d substitutions.
+    Ties keep the earlier candidate.  The first conjugate reaching
+    valuation 0 stops the search, and a zero witness is re-verified
+    through the full reduction report.  Only the reported candidate is
+    built, as a model and a Mobius map.  achieved_zero=False is
+    inconclusive: the family is a bounded heuristic, not a minimizer.
     """
     require_prime(p)
-    affine = []
-    for a in MODULI_EXPONENTS:
-        for b in range(p):
-            s, t, u = (p**a, b, 1) if a >= 0 else (1, b * p**-a, p**-a)
-            affine.append((a, b, s, t, u))
+    d, initial = model.d, vp(p, model.resultant())
 
     def candidates():
         # (kind, a, b, integer matrix): 0 for p^a z + b, 1 for it composed
         # with inversion on the right, 2 for inversion composed with it
-        for a, b, s, t, u in affine:
-            yield 0, a, b, (s, t, 0, u)
-        for a, b, s, t, u in affine:
-            yield 1, a, b, (t, s, u, 0)
-        for a, b, s, t, u in affine:
-            yield 2, a, b, (0, u, s, t)
+        for kind in range(3):
+            for a in MODULI_EXPONENTS:
+                s, u = (p**a, 1) if a >= 0 else (1, p**-a)
+                for b in range(p):
+                    t = b * u
+                    yield kind, a, b, ((s, t, 0, u), (t, s, u, 0), (0, u, s, t))[kind]
 
-    best_val = best = best_model = initial = None
+    best_val = best = None
     tried = 0
     for kind, a, b, matrix in candidates():
-        conj = conjugate_by_matrix(model, *matrix)
-        val = vp(p, conj.resultant())
+        F, G = conjugate_forms(model, *matrix)
+        val = initial + (d * d + d) * abs(a) - 2 * d * vp(p, math.gcd(*F, *G))
         tried += 1
-        if kind == a == b == 0:
-            initial = val
         if best_val is None or val < best_val:
-            best_val, best, best_model = val, (kind, a, b), conj
+            best_val, best = val, (kind, a, b, matrix)
         if best_val == 0:
             break
-    if initial is None:
-        initial = vp(p, model.resultant())
+    kind, a, b, matrix = best
+    best_model = conjugate_by_matrix(model, *matrix)
     achieved = best_val == 0
     if achieved and not MapAtPrime(best_model, p).sgr.is_strict_good_reduction:
         raise InternalError("zero witness failed re-verification")
-    kind, a, b = best
     s = Fraction(p) ** a
     best_m = Mobius(*[(s, b, 0, 1), (b, s, 1, 0), (0, 1, s, b)][kind])
     return ModuliReport(

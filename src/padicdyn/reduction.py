@@ -476,7 +476,7 @@ def condition2_check(mp: MapAtPrime) -> Condition2Report:
     # a constant reduction has no postcritical set and an empty locus
     locus = () if pc is None else good_locus(rmap, pc)
     separable = pc is not None and not pc.everything
-    disc = [c % p for c in reversed(pencil_discriminant(rmap.F1, rmap.G1))] if full else ()
+    disc = [c % p for c in reversed(pencil_discriminant(rmap.F1, rmap.G1))] if full and locus else ()
     witnesses, violations = [], []
     for xbar in locus:
         if not full:

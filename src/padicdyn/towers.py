@@ -57,7 +57,6 @@ class FiberPolynomial(NamedTuple):
 
     n: int
     x: ProjPointQ
-    p: int
     form: tuple
     poly: QPoly
     formal_degree: int
@@ -78,7 +77,6 @@ def fiber_polynomial(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberPolynomial:
     return FiberPolynomial(
         n=n,
         x=x,
-        p=p,
         form=form,
         poly=poly,
         formal_degree=formal,

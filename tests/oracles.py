@@ -235,14 +235,14 @@ def moduli_walk(F, G, p):
     return tried, initial, best[0], tuple(Fraction(e) for e in best[1]), _canonical(*best[2])
 
 
-def fiber_sweep(rmap: ReducedMap, locus) -> tuple:
+def fiber_sweep(rmap: ReducedMap, d: int, locus) -> tuple:
     """The fiber criterion point by point: (witnesses, violations).
 
-    A point of the locus passes when the reduced map has full degree d and
-    its fiber form over the point is squarefree, decided by one gcd over
-    F_p per point.
+    A point of the locus passes when the reduced map has the model's full
+    degree d and its fiber form over the point is squarefree, decided by
+    one gcd over F_p per point.
     """
-    full = rmap.reduced_degree == rmap.d
+    full = rmap.reduced_degree == d
     witnesses, violations = [], []
     for xbar in locus:
         a, b = (1, 0) if xbar is None else (xbar, 1)

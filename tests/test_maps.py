@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from padicdyn.maps import (
     Mobius,
     ProjPointQ,
     RationalMapModel,
+    conjugate_by_matrix,
+    conjugate_forms,
     conjugate_map,
     eval_map,
     eval_reduced,
@@ -24,8 +27,9 @@ from padicdyn.maps import (
 )
 from padicdyn.finitefield import form_gcd_split, form_is_zero, prime_field_of
 from padicdyn.padics import vp
+from padicdyn.qpolys import binary_form_resultant
 
-from oracles import mobius_apply, mobius_inverse
+from oracles import mobius_apply, mobius_inverse, sylvester_det
 
 
 def test_parse_basic_forms():
@@ -154,6 +158,48 @@ def test_conjugation_round_trip_and_composition():
         for _ in range(4):
             x = ProjPointQ(rng.randint(-4, 4), rng.randint(1, 4))
             assert eval_map(conjugate_map(m, M), mobius_apply(M, x)) == mobius_apply(M, eval_map(m, x))
+
+
+def _law_matrix(rng, p, shape):
+    """A nonsingular integer matrix: any, an inversion composite, or p | det."""
+    while True:
+        if shape == "any":
+            a, b, c, d = (rng.randint(-2 * p, 2 * p) for _ in range(4))
+        elif shape == "inversion":
+            # z -> p^e z + b with inversion on the right or on the left
+            e, t = rng.randint(-3, 3), rng.randint(-p, 3 * p)
+            s, u = (p**e, 1) if e >= 0 else (1, p**-e)
+            a, b, c, d = rng.choice([(t * u, s, u, 0), (0, u, s, t * u)])
+        else:
+            # second row = k * first row + p * (e, f): p | det, off the grid
+            a, b, k, e, f = (rng.randint(-2 * p, 2 * p) for _ in range(5))
+            c, d = k * a + p * e, k * b + p * f
+        if a * d - b * c != 0:
+            return a, b, c, d
+
+
+def test_conjugate_forms_obey_the_resultant_transformation_law():
+    # Res(M o phi o M^-1) = det(M)^(d^2+d) Res(phi) for the unscaled
+    # conjugate, and its model divides out the content g of its forms, so
+    # the model's resultant has valuation v + (d^2+d) v_p(det M) - 2d v_p(g)
+    rng = random.Random(23)
+    seen = Counter()
+    for p in (2, 3, 5, 7):
+        for m in random_models(p, 6, degrees=(2, 3, 4), seed=300 + p):
+            d, res = m.d, m.resultant()
+            assert res == sylvester_det(list(m.F), list(m.G)) != 0
+            seen["p | d"] += d % p == 0
+            for shape in ("any", "inversion", "p | det") * 2:
+                M = _law_matrix(rng, p, shape)
+                det = M[0] * M[3] - M[1] * M[2]
+                F, G = conjugate_forms(m, *M)
+                assert binary_form_resultant(F, G, d) == det ** (d * d + d) * res
+                g = math.gcd(*F, *G)
+                law = vp(p, res) + (d * d + d) * vp(p, det) - 2 * d * vp(p, g)
+                assert vp(p, conjugate_by_matrix(m, *M).resultant()) == law
+                seen["p | det"] += det % p == 0
+                seen["p | g"] += g % p == 0
+    assert seen["p | d"] >= 4 and seen["p | g"] >= 20, seen
 
 
 def test_conjugation_by_inversion_worked_example():

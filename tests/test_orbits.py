@@ -2,6 +2,7 @@
 a model with unit resultant."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,20 @@ def test_moduli_search_frozen_witnesses():
     assert (mr3.initial_valuation, mr3.best_valuation) == (0, 0)
     assert mr3.best_mobius.formula() == "z"
     assert mr3.best_model.map_str() == "z^2+5"
+
+
+def test_moduli_search_walks_its_grid_in_constant_memory():
+    # the 21p candidates are made as they are rated, not listed first:
+    # z^2 + 1 at p = 1009 rates 3p + 1 of them before the identity
+    m = parse_map("z^2+1", 1009)
+    moduli_search(m, 1009)  # the zero witness's re-verification fills caches
+    tracemalloc.start()
+    try:
+        assert moduli_search(m, 1009).tried == 3 * 1009 + 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_moduli_search_never_worsens_and_is_sound():

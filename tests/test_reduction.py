@@ -397,7 +397,7 @@ def test_condition2_matches_the_per_point_sweep():
             mp = MapAtPrime(m, p)
             c2 = condition2_check(mp)
             F1, G1 = mp.rmap.F1, mp.rmap.G1
-            swept = fiber_sweep(mp.rmap, c2.locus)
+            swept = fiber_sweep(mp.rmap, mp.d, c2.locus)
             assert (c2.witnesses, c2.violations) == swept, (m.map_str(), p)
             seen["p | d"] += mp.d % p == 0 and bool(c2.locus)
             seen["not full"] += bool(c2.violations)

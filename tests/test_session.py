@@ -141,6 +141,18 @@ def test_locus_check_evaluates_one_pencil_discriminant(monkeypatch, argv):
     assert len(pencils) == 1
 
 
+@pytest.mark.parametrize("argv", [["z^3", "-p", "3"], ["z^2", "-p", "2"]])
+def test_empty_locus_builds_no_pencil_discriminant(monkeypatch, argv):
+    # full reduced degree, but an inseparable reduction: nothing to evaluate
+    pencils = _count(monkeypatch, "reduction", "pencil_discriminant")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["analyze", *argv, "--format", "json"]) == 0
+    report = json.loads(out.getvalue())
+    assert report["locus"] == [] and report["condition2"]["reduced_degree_full"]
+    assert pencils == []
+
+
 def test_session_checks_the_prime():
     with pytest.raises(InputError, match="prime"):
         MapAtPrime(parse_map("z^2", 5), 6)
@@ -156,8 +168,9 @@ def test_valuations_do_not_reprove_the_prime(monkeypatch):
 
 
 def test_moduli_query_works_on_integers(monkeypatch):
-    # one Mobius map for the answer, one valuation per candidate besides
-    # the zero witness's re-verification, and none in normalize_integral
+    # one Mobius map for the answer; one resultant, that of the input, and
+    # its valuation, plus one valuation per candidate (of its content),
+    # besides the zero witness's re-verification; none in normalize_integral
     built = []
     original_init = Mobius.__init__
 
@@ -167,6 +180,7 @@ def test_moduli_query_works_on_integers(monkeypatch):
 
     monkeypatch.setattr(Mobius, "__init__", init)
     valuations = _count(monkeypatch, "padics", "vp")
+    resultants = _count(monkeypatch, "qpolys", "binary_form_resultant")
     inside = []
 
     def measure(original, *args):
@@ -180,13 +194,14 @@ def test_moduli_query_works_on_integers(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert cli.main(["moduli", "p*z^2+z", "-p", "5", "--format", "json"]) == 0
     report = json.loads(out.getvalue())["moduli"]
-    searched = len(valuations)
+    searched, res_searched = len(valuations), len(resultants)
 
-    del valuations[:]
+    del valuations[:], resultants[:]
     assert MapAtPrime(parse_map(report["conjugate"], 5), 5).sgr.is_strict_good_reduction
     assert (report["tried"], report["mobius"]) == (21, "5*z")
     assert len(built) == 1
-    assert searched <= report["tried"] + len(valuations)
+    assert searched == report["tried"] + 1 + len(valuations)
+    assert res_searched == 1 + len(resultants)
     assert inside and not any(inside)
 
 
