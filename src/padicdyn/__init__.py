@@ -33,7 +33,6 @@ from .reduction import (
     MapAtPrime,
     condition2_check,
     critical_divisor,
-    degree_one_check,
     good_locus,
     postcritical_set,
     pushforward,
@@ -66,7 +65,6 @@ __all__ = [
     "condition2_check",
     "conjugate_map",
     "critical_divisor",
-    "degree_one_check",
     "eval_map",
     "fiber_polynomial",
     "fiber_report",

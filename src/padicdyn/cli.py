@@ -42,7 +42,7 @@ from .maps import DEGREE_CAP, HEIGHT_CAP_BITS, ProjPointQ, parse_map
 from .orbits import forward_orbit, moduli_search, orbital_report
 from .padics import INFINITY
 from .qpolys import rational_str
-from .reduction import ClosedPoint, MapAtPrime, condition2_check, degree_one_check
+from .reduction import ClosedPoint, MapAtPrime, condition2_check
 from .towers import fiber_report, frobenius_cycle_type, preimage_tree
 
 __all__ = ["main"]
@@ -175,9 +175,9 @@ def _cmd_analyze(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
         },
     }
     if model.d == 1:
-        d1 = degree_one_check(mp)
-        payload["sgr"]["det"] = _big(d1.det)
-        payload["sgr"]["det_valuation"] = d1.det_valuation
+        # the 2x2 Sylvester determinant F[1]*G[0] - F[0]*G[1] is the resultant
+        payload["sgr"]["det"] = _big(sgr.resultant)
+        payload["sgr"]["det_valuation"] = sgr.res_valuation
 
     def text():
         yield f"map: {model.map_str()}"
@@ -223,6 +223,7 @@ def _cmd_tower(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     model = parse_map(args.map, args.prime)
     mp = MapAtPrime(model, args.prime, cap_degree=args.cap_degree, cap_field=args.cap_field)
     x = ProjPointQ.from_value(args.x)
+    mp.check_depth(args.n)
     xbar = x.reduce(args.prime)
     levels = []
     for n in range(1, args.n + 1):

@@ -37,7 +37,12 @@ HEIGHT_CAP_BITS = 10**6
 _RATIONAL_TEXT = re.compile(r"(?P<sign>[+-]?)(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?")
 
 
-class ProjPointQ:
+class _ProjPointQFields(NamedTuple):
+    a: int
+    b: int
+
+
+class ProjPointQ(_ProjPointQFields):
     """A point of P^1(Q) as a coprime integer pair [a : b], b >= 0.
 
     Built from two ints (a Fraction raises TypeError; ``from_value``
@@ -45,9 +50,9 @@ class ProjPointQ:
     except infinity which is exactly [1 : 0].
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ()
 
-    def __init__(self, a: int, b: int):
+    def __new__(cls, a: int, b: int):
         a, b = operator.index(a), operator.index(b)
         if a == 0 and b == 0:
             raise InputError("projective point needs a nonzero coordinate")
@@ -56,11 +61,7 @@ class ProjPointQ:
         b //= g
         if b < 0 or (b == 0 and a < 0):
             a, b = -a, -b
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ProjPointQ is immutable")
+        return super().__new__(cls, a, b)
 
     @classmethod
     def infinity(cls) -> "ProjPointQ":
@@ -107,14 +108,6 @@ class ProjPointQ:
     def height_bits(self) -> int:
         return max(abs(self.a).bit_length(), abs(self.b).bit_length())
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProjPointQ) and self.a == other.a and self.b == other.b
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
     def __str__(self):
         if self.b == 0:
             return "inf"
@@ -124,24 +117,27 @@ class ProjPointQ:
         return f"ProjPointQ({self})"
 
 
-class Mobius:
+class _MobiusFields(NamedTuple):
+    alpha: Fraction
+    beta: Fraction
+    gamma: Fraction
+    delta: Fraction
+
+
+class Mobius(_MobiusFields):
     """A fractional-linear map z -> (alpha z + beta)/(gamma z + delta).
 
     Entries are Fractions: a Mobius map names a conjugation in input and
     output, and ``conjugate_map`` clears its denominators before use.
     """
 
-    __slots__ = ("alpha", "beta", "gamma", "delta")
+    __slots__ = ()
 
-    def __init__(self, alpha, beta, gamma, delta):
+    def __new__(cls, alpha, beta, gamma, delta):
         vals = tuple(Fraction(v) for v in (alpha, beta, gamma, delta))
         if vals[0] * vals[3] - vals[1] * vals[2] == 0:
             raise InputError("Mobius matrix must have nonzero determinant")
-        for name, v in zip(self.__slots__, vals):
-            object.__setattr__(self, name, v)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Mobius is immutable")
+        return super().__new__(cls, *vals)
 
     @classmethod
     def inversion(cls) -> "Mobius":
@@ -153,13 +149,6 @@ class Mobius:
         if den == "1":
             return num
         return f"({num})/({den})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Mobius):
-            return False
-        return all(
-            getattr(self, n) == getattr(other, n) for n in self.__slots__
-        )
 
     def __repr__(self):
         return f"Mobius({self.formula()})"
@@ -188,41 +177,34 @@ def _canonical_integer_pair(F, G):
     return tuple(ints[:k]), tuple(ints[k:])
 
 
-class RationalMapModel:
+class _RationalMapModelFields(NamedTuple):
+    d: int
+    F: tuple
+    G: tuple
+
+
+class RationalMapModel(_RationalMapModelFields):
     """phi = [F : G] of degree d, canonical integer coefficients."""
 
-    __slots__ = ("d", "F", "G")
+    __slots__ = ()
 
-    def __init__(self, F_coeffs, G_coeffs):
+    def __new__(cls, F_coeffs, G_coeffs):
         if len(F_coeffs) != len(G_coeffs):
             raise InputError("F and G must share a formal degree")
         d = len(F_coeffs) - 1
         if d < 1:
             raise InputError("map must have degree >= 1")
-        F, G = _canonical_integer_pair(F_coeffs, G_coeffs)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "G", G)
+        return super().__new__(cls, d, *_canonical_integer_pair(F_coeffs, G_coeffs))
 
-    def __setattr__(self, *args):
-        raise AttributeError("RationalMapModel is immutable")
+    def __getnewargs__(self):
+        # copy and pickle rebuild a model as it is built: from its two forms
+        return self.F, self.G
 
     def resultant(self) -> int:
         return binary_form_resultant(self.F, self.G, self.d)
 
     def map_str(self) -> str:
         return map_str(self.F, self.G)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalMapModel)
-            and self.d == other.d
-            and self.F == other.F
-            and self.G == other.G
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.F, self.G))
 
     def __repr__(self):
         return f"RationalMapModel({self.map_str()})"

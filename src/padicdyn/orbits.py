@@ -104,6 +104,7 @@ def orbital_report(mp: MapAtPrime, x: ProjPointQ, N: int, n_max: int) -> Orbital
     if n_max < 1:
         raise InputError("tower depth must be >= 1")
     profile = forward_orbit(mp, x, N)
+    mp.check_depth(n_max)
     basepoints = []
     all_ok = True
     for j, pt in enumerate(profile.points):

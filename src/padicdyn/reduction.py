@@ -143,6 +143,14 @@ class MapAtPrime:
         if self.d**n > self.cap_degree:
             raise ResourceLimitError(f"iterate degree {self.d}^{n} exceeds cap {self.cap_degree}")
 
+    def check_depth(self, n: int) -> None:
+        """Refuse levels 1..n before any is built, naming the least level over
+        cap_degree; it takes O(log cap_degree) steps, and none at d = 1."""
+        k = 1
+        while k < n and self.d > 1 and self.d**k <= self.cap_degree:
+            k += 1
+        self._check_degree(k)
+
     def iterate(self, n: int) -> RationalMapModel:
         """The canonical integer model of phi^n, extended as phi o phi^(n-1)."""
         self._check_degree(n)
@@ -508,29 +516,4 @@ def _consistency_alarm(report: Condition2Report, mp: MapAtPrime) -> None:
             "internal consistency alarm: the fiber criterion and the "
             f"resultant criterion disagree for {mp.model.map_str()} at p={mp.p}"
         )
-
-
-class Degree1Report(NamedTuple):
-    """Every fiber polynomial has degree 1, so K(X_n(x)) = K for all n."""
-
-    det: int
-    det_valuation: int
-    is_strict_good_reduction: bool
-    towers_trivial: bool
-
-
-def degree_one_check(mp: MapAtPrime) -> Degree1Report:
-    """Good reduction for a Mobius map: unit determinant of the primitive model."""
-    if mp.d != 1:
-        raise InputError(f"degree_one_check needs a degree-1 map, got degree {mp.d}")
-    prim = mp.integral
-    # F = a X + b Y, G = c X + e Y stored ascending: F = (b, a), G = (e, c)
-    det = prim.F[1] * prim.G[0] - prim.F[0] * prim.G[1]
-    val = vp(mp.p, det)
-    return Degree1Report(
-        det=det,
-        det_valuation=val,
-        is_strict_good_reduction=val == 0,
-        towers_trivial=True,
-    )
 

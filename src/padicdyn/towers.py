@@ -53,15 +53,11 @@ NO_CERTIFICATE = "NO_CERTIFICATE"
 
 
 class FiberPolynomial(NamedTuple):
-    """The p-primitively scaled level-n fiber form over x and its affine part."""
+    """The affine part of the p-primitively scaled level-n fiber form over x;
+    formal_degree - poly.degree is the multiplicity of infinity in the fiber."""
 
-    n: int
-    x: ProjPointQ
-    form: tuple
     poly: QPoly
     formal_degree: int
-    inf_multiplicity: int
-    integral: bool
 
 
 def fiber_polynomial(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberPolynomial:
@@ -69,20 +65,8 @@ def fiber_polynomial(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberPolynomial:
         raise InputError("fiber level must be >= 1")
     p = mp.p
     raw = mp.fiber_form(n, x)
-    minv = min(vp(p, c) for c in raw if c != 0)
-    scale = p**minv
-    form = tuple(c // scale for c in raw)
-    poly = QPoly(form)
-    formal = mp.d**n
-    return FiberPolynomial(
-        n=n,
-        x=x,
-        form=form,
-        poly=poly,
-        formal_degree=formal,
-        inf_multiplicity=formal - poly.degree,
-        integral=x.is_integral(p),
-    )
+    scale = p ** min(vp(p, c) for c in raw if c != 0)
+    return FiberPolynomial(poly=QPoly(tuple(c // scale for c in raw)), formal_degree=mp.d**n)
 
 
 def newton_polygon(f: QPoly, p: int) -> tuple:
@@ -138,8 +122,8 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
     if poly.degree < 1:
         # every preimage is the point at infinity; no affine data to certify
         return FiberReport(
-            n=fiber.n,
-            x=fiber.x,
+            n=n,
+            x=x,
             lc=lc,
             lc_valuation=lc_val,
             disc=None,
@@ -148,7 +132,7 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
             certificate=NO_CERTIFICATE,
             reduced_factor_degrees=None,
             newton=None,
-            integral=fiber.integral,
+            integral=x.is_integral(p),
         )
     disc = discriminant(poly)
     disc_val = vp(p, disc)
@@ -163,8 +147,8 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
     else:
         newton = newton_polygon(poly, p)
     return FiberReport(
-        n=fiber.n,
-        x=fiber.x,
+        n=n,
+        x=x,
         lc=lc,
         lc_valuation=lc_val,
         disc=disc,
@@ -173,7 +157,7 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
         certificate=UNRAMIFIED if unramified else NO_CERTIFICATE,
         reduced_factor_degrees=factor_degrees,
         newton=newton,
-        integral=fiber.integral,
+        integral=x.is_integral(p),
     )
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import padicdyn.cli as cli
-from padicdyn.golden import GoldenCheck
+from padicdyn.golden import GoldenCheck, battery_passed, run_battery
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -105,6 +106,12 @@ def test_examples_command_passes():
     assert "56/56 worked-example checks passed" in text.stdout
 
 
+def test_battery_passes_at_every_odd_prime_to_101():
+    for p in (q for q in range(3, 102, 2) if all(q % r for r in range(3, q, 2))):
+        checks = run_battery(p)
+        assert len(checks) == 56 and battery_passed(checks), (p, [c for c in checks if not c.ok])
+
+
 def test_json_output_is_byte_deterministic():
     a = _run("analyze", "z^2-1", "-p", "7", "--format", "json")
     b = _run("analyze", "z^2-1", "-p", "7", "--format", "json")
@@ -142,6 +149,27 @@ def test_resource_caps_exit_3():
     assert res.returncode == 3
     res2 = _run("tower", "z^2+1", "-p", "3", "-x", "0", "-n", "9", "--cap-degree", "64")
     assert res2.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tower", "z^2+1", "-p", "5", "-x", "0", "-n", "13"], "iterate degree 2^13 exceeds cap 4096"),
+        (["orbit", "z^2+1", "-p", "5", "-x", "0", "-N", "3", "-n", "13"], "iterate degree 2^13 exceeds cap 4096"),
+        # the least level over the cap is named, not the depth asked for
+        (["tower", "z^3+1", "-p", "5", "-x", "0", "-n", "40", "--cap-degree", "100"], "iterate degree 3^5 exceeds cap 100"),
+        # the orbit is walked first, so its height cap still fires first
+        (
+            ["orbit", "z^2", "-p", "5", "-x", "2", "-N", "30", "-n", "13", "--cap-height", "16"],
+            "orbit coordinate exceeded 16 bits at step 4",
+        ),
+    ],
+)
+def test_depth_past_the_degree_cap_is_refused_before_any_level(argv, message, capsys):
+    start = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cap_flags_only_where_they_bind():

@@ -1,8 +1,11 @@
 """The result records: immutable values, and a start-up without dataclasses."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,9 +16,9 @@ import padicdyn.orbits
 import padicdyn.reduction
 import padicdyn.towers
 from padicdyn.golden import run_battery
-from padicdyn.maps import ProjPointQ, parse_map
+from padicdyn.maps import Mobius, ProjPointQ, RationalMapModel, parse_map
 from padicdyn.orbits import forward_orbit, moduli_search, orbital_report
-from padicdyn.reduction import ClosedPoint, MapAtPrime, condition2_check, degree_one_check
+from padicdyn.reduction import ClosedPoint, MapAtPrime, condition2_check
 from padicdyn.towers import fiber_polynomial, fiber_report, preimage_tree
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -27,6 +30,9 @@ def _session(text="z^2-1", p=5):
 
 # record class name -> a fresh computation of one record of that class
 RECORDS = {
+    "ProjPointQ": lambda: ProjPointQ(-4, 6),
+    "Mobius": lambda: Mobius(Fraction(1, 2), 3, 0, 1),
+    "RationalMapModel": lambda: RationalMapModel((Fraction(1, 2), 0, 1), (0, 3, 0)),
     "GoldenCheck": lambda: run_battery(3)[0],
     "IntegralModel": lambda: _session().integral,
     "ReducedMap": lambda: _session().rmap,
@@ -34,7 +40,6 @@ RECORDS = {
     "PostcriticalSet": lambda: _session().pc,
     "SGRReport": lambda: _session().sgr,
     "Condition2Report": lambda: condition2_check(_session()),
-    "Degree1Report": lambda: degree_one_check(_session("z+1")),
     "FiberPolynomial": lambda: fiber_polynomial(_session(), 2, ProjPointQ(2, 1)),
     "FiberReport": lambda: fiber_report(_session(), 2, ProjPointQ(2, 1)),
     "PreimageTree": lambda: preimage_tree(_session("z^2+1"), 2, 3),
@@ -43,7 +48,6 @@ RECORDS = {
     "OrbitalReport": lambda: orbital_report(_session(), ProjPointQ(2, 1), 2, 2),
     "ModuliReport": lambda: moduli_search(parse_map("5*z^2+z", 5), 5),
 }
-UNHASHABLE = {"ModuliReport"}  # its best_mobius: a Mobius map has no hash
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -68,11 +72,15 @@ def test_records_are_immutable_values(name):
     with pytest.raises(AttributeError):
         record.extra = None
     assert record == again
-    if name in UNHASHABLE:
-        with pytest.raises(TypeError):
-            hash(record)
-    else:
-        assert hash(record) == hash(again)
+    assert hash(record) == hash(again)
+
+
+@pytest.mark.parametrize("name", ["Mobius", "ProjPointQ", "RationalMapModel"])
+def test_value_records_survive_copy_and_pickle(name):
+    # a model holds (d, F, G) but is built from (F, G): copies must rebuild it so
+    record = RECORDS[name]()
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record
 
 
 def test_every_record_class_is_listed():
@@ -83,4 +91,5 @@ def test_every_record_class_is_listed():
         for name, obj in vars(mod).items()
         if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == mod.__name__
     }
-    assert found == set(RECORDS) | {"_ClosedPointFields"}
+    bases = {"_ClosedPointFields", "_MobiusFields", "_ProjPointQFields", "_RationalMapModelFields"}
+    assert found == set(RECORDS) | bases

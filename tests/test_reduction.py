@@ -1,6 +1,9 @@
 """Residual geometry: closed points, postcritical sets, the two good
 reduction criteria, and the brute-force etale fiber oracle."""
 
+import contextlib
+import io
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +11,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import padicdyn.cli as cli
 import padicdyn.reduction as reduction
 from padicdyn.errors import InputError, ResourceLimitError
 from padicdyn.finitefield import (
@@ -27,7 +31,6 @@ from padicdyn.reduction import (
     closed_points_of_form,
     condition2_check,
     critical_divisor,
-    degree_one_check,
     good_locus,
     pencil_discriminant,
     postcritical_set,
@@ -466,29 +469,38 @@ def test_etale_fiber_oracle_spot_checks():
         etale_fiber_oracle(r3, 0, 0)
 
 
-def test_degree_one_check_examples():
-    d1 = degree_one_check(MapAtPrime(parse_map("z + 1", 5), 5))
-    assert d1.is_strict_good_reduction and d1.det == 1 and d1.towers_trivial
-
-    d2 = degree_one_check(MapAtPrime(parse_map("p*z", 5), 5))
-    assert not d2.is_strict_good_reduction
-    assert (d2.det, d2.det_valuation) == (5, 1)
-
-    d3 = degree_one_check(MapAtPrime(parse_map("1/z", 5), 5))
-    assert d3.is_strict_good_reduction and d3.det == -1
-
-    with pytest.raises(InputError):
-        degree_one_check(MapAtPrime(parse_map("z^2", 5), 5))
+def _det(model):
+    """The 2x2 Sylvester determinant of a degree-1 model [F : G], by hand."""
+    (f0, f1), (g0, g1) = model.F, model.G
+    return f1 * g0 - f0 * g1
 
 
-def test_degree_one_check_agrees_with_resultant():
-    for p in (3, 7):
+def _analyze_json(text, p):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["analyze", text, "-p", str(p), "--format", "json"]) == 0
+    return json.loads(out.getvalue())["sgr"]
+
+
+def test_degree_one_examples():
+    for text, det, good in (("z + 1", 1, True), ("p*z", 5, False), ("1/z", -1, True)):
+        mp = MapAtPrime(parse_map(text, 5), 5)
+        assert _det(mp.model) == mp.sgr.resultant == det
+        assert (mp.sgr.res_valuation, mp.sgr.is_strict_good_reduction) == (vp(5, det), good)
+        sgr = _analyze_json(text, 5)
+        assert (sgr["det"], sgr["det_valuation"]) == (str(det), vp(5, det))
+    assert "det" not in _analyze_json("z^2", 5)
+
+
+def test_degree_one_resultant_is_the_determinant():
+    for p in (2, 3, 5, 7):
         for m in random_mobius_models(p, 25, seed=p):
-            agree = degree_one_check(MapAtPrime(m, p)).is_strict_good_reduction
-            assert agree == strict_good_reduction(MapAtPrime(m, p)).is_strict_good_reduction
-            # for Mobius maps the resultant is the determinant up to sign
-            prim = normalize_integral(m, p)
-            assert vp(p, prim.resultant()) == degree_one_check(MapAtPrime(m, p)).det_valuation
+            mp = MapAtPrime(m, p)
+            assert mp.sgr.resultant == _det(m)
+            assert mp.sgr.is_strict_good_reduction == (_det(m) % p != 0)
+            sgr = _analyze_json(m.map_str(), p)
+            assert sgr["det"] == sgr["resultant"] == str(_det(m))
+            assert sgr["det_valuation"] == sgr["res_valuation"] == vp(p, _det(m))
 
 
 def test_postcritical_walk_builds_no_polynomial_per_step(monkeypatch):

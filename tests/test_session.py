@@ -13,7 +13,7 @@ import padicdyn.cli as cli
 import padicdyn.reduction as reduction
 from corpus_util import random_models
 from oracles import poly_mul
-from padicdyn.errors import InputError
+from padicdyn.errors import InputError, ResourceLimitError
 from padicdyn.finitefield import FqPoly, iterate_forms, prime_field_of
 from padicdyn.maps import Mobius, iterate_map, parse_map
 from padicdyn.qpolys import QPoly
@@ -172,13 +172,13 @@ def test_moduli_query_works_on_integers(monkeypatch):
     # its valuation, plus one valuation per candidate (of its content),
     # besides the zero witness's re-verification; none in normalize_integral
     built = []
-    original_init = Mobius.__init__
+    original_new = Mobius.__new__
 
-    def init(self, *entries):
+    def new(cls, *entries):
         built.append(entries)
-        original_init(self, *entries)
+        return original_new(cls, *entries)
 
-    monkeypatch.setattr(Mobius, "__init__", init)
+    monkeypatch.setattr(Mobius, "__new__", new)
     valuations = _count(monkeypatch, "padics", "vp")
     resultants = _count(monkeypatch, "qpolys", "binary_form_resultant")
     inside = []
@@ -261,3 +261,12 @@ def test_factor_degrees_of_pth_powers():
         mp = MapAtPrime(parse_map("z^2", p), p)
         f = [c % p for c in coeffs]
         assert mp.factor_degrees(f) == want == _sympy_degrees(coeffs, p)
+
+
+def test_session_finds_the_least_level_over_the_cap_in_log_steps():
+    # no level is refused at d = 1, and depth 10^9 is not walked level by level
+    MapAtPrime(parse_map("z+1", 5), 5).check_depth(10**9)
+    mp = MapAtPrime(parse_map("z^2+1", 5), 5, cap_degree=10**300)
+    mp.check_depth(996)
+    with pytest.raises(ResourceLimitError, match=r"iterate degree 2\^997 exceeds"):
+        mp.check_depth(10**9)
