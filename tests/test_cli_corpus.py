@@ -127,6 +127,9 @@ CORPUS = [
     ["analyze", "z^74+z+1", "-p", "5"],
     # a superscript digit is no decimal digit: an input error (exit 2)
     ["analyze", "z^²", "-p", "5"],
+    # a depth past the degree cap is refused before any level, naming the
+    # least level over it (exit 3)
+    ["tower", "z^2+1", "-p", "5", "-x", "0", "-n", "13"],
 ]
 
 
