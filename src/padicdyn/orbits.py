@@ -9,13 +9,15 @@ basepoint reducing outside the postcritical set carried only UNRAMIFIED
 certificates.
 
 The moduli search is a bounded heuristic over conjugations
-z -> p^a z + b and their composites with inversion on either side.  It
+z -> p^a z + b and their composites with inversion on either side; the
+composites rate as affine maps, so only the affine ones are conjugated.  It
 can certify that the minimal resultant valuation is zero by exhibiting
 a witness; it never certifies a positive minimum.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -152,55 +154,50 @@ MODULI_EXPONENTS = range(-3, 4)
 def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
     """Search z -> p^a z + b (and inversion composites) for a unit resultant.
 
-    The grid is fixed: a in MODULI_EXPONENTS and b in range(p).  The
-    enumeration order is too: plain affine maps over the whole grid first
-    (a ascending, then b), then the affine maps composed with inversion
-    on the right, then on the left, each grid by grid.  Candidates are
-    integer matrices M, p^a z + b scaled to (1, b p^-a, 0, p^-a) when
-    a < 0, so |det M| = p^|a|.  The unscaled conjugate's resultant is
-    det(M)^(d^2+d) Res(phi), and its canonical model divides out the
-    content g, so v_p(Res phi) + (d^2+d)|a| - 2d v_p(g) rates it exactly:
-    a query costs one resultant and at most 21p degree-d substitutions.
-    Ties keep the earlier candidate.  The first conjugate reaching
-    valuation 0 stops the search, and a zero witness is re-verified
-    through the full reduction report.  Only the reported candidate is
-    built, as a model and a Mobius map.  achieved_zero=False is
-    inconclusive: the family is a bounded heuristic, not a minimizer.
+    The grid is fixed: a in MODULI_EXPONENTS and b in range(p), a
+    ascending, then b.  Its 7p affine maps come first, then their
+    composites with inversion on the right, then on the left: 21p
+    candidates.  Only the affine ones are conjugated.  A conjugate's resultant
+    valuation depends only on the vertex of the Bruhat-Tits tree that
+    M^-1 sends the Gauss point to, and inversion fixes the Gauss point,
+    so a composite rates as an affine map walked before it (at -a for
+    inversion on the right, at a on the left): it can neither beat the
+    best nor reach a zero the affine maps missed, and it only counts in
+    tried.  Candidates are integer matrices M, p^a z + b scaled to
+    (1, b p^-a, 0, p^-a) when a < 0, so |det M| = p^|a|.  The unscaled
+    conjugate's resultant is det(M)^(d^2+d) Res(phi), and its canonical
+    model divides out the content g, so v_p(Res phi) + (d^2+d)|a| -
+    2d v_p(g) rates it exactly: a query costs one resultant and at most
+    7p degree-d substitutions.  Ties keep the earlier candidate.  The
+    first conjugate reaching valuation 0 stops the search, and a zero
+    witness is re-verified through the full reduction report.  Only the
+    reported candidate is built, as a model and a Mobius map.
+    achieved_zero=False is inconclusive: the family is a bounded
+    heuristic, not a minimizer.
     """
     require_prime(p)
     d, initial = model.d, vp(p, model.resultant())
-
-    def candidates():
-        # (kind, a, b, integer matrix): 0 for p^a z + b, 1 for it composed
-        # with inversion on the right, 2 for inversion composed with it
-        for kind in range(3):
-            for a in MODULI_EXPONENTS:
-                s, u = (p**a, 1) if a >= 0 else (1, p**-a)
-                for b in range(p):
-                    t = b * u
-                    yield kind, a, b, ((s, t, 0, u), (t, s, u, 0), (0, u, s, t))[kind]
-
     best_val = best = None
-    tried = 0
-    for kind, a, b, matrix in candidates():
+    for tried, (a, b) in enumerate(itertools.product(MODULI_EXPONENTS, range(p)), 1):
+        s, u = (p**a, 1) if a >= 0 else (1, p**-a)
+        matrix = (s, b * u, 0, u)
         F, G = conjugate_forms(model, *matrix)
         val = initial + (d * d + d) * abs(a) - 2 * d * vp(p, math.gcd(*F, *G))
-        tried += 1
         if best_val is None or val < best_val:
-            best_val, best = val, (kind, a, b, matrix)
+            best_val, best = val, (a, b, matrix)
         if best_val == 0:
             break
-    kind, a, b, matrix = best
+    else:
+        tried *= 3  # the 14p inversion composites: counted, not built
+    a, b, matrix = best
     best_model = conjugate_by_matrix(model, *matrix)
     achieved = best_val == 0
     if achieved and not MapAtPrime(best_model, p).sgr.is_strict_good_reduction:
         raise InternalError("zero witness failed re-verification")
-    s = Fraction(p) ** a
-    best_m = Mobius(*[(s, b, 0, 1), (b, s, 1, 0), (0, 1, s, b)][kind])
     return ModuliReport(
         initial_valuation=initial,
         best_valuation=best_val,
-        best_mobius=best_m,
+        best_mobius=Mobius(Fraction(p) ** a, b, 0, 1),
         best_model=best_model,
         achieved_zero=achieved,
         tried=tried,

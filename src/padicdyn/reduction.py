@@ -145,7 +145,9 @@ class MapAtPrime:
 
     def check_depth(self, n: int) -> None:
         """Refuse levels 1..n before any is built, naming the least level over
-        cap_degree; it takes O(log cap_degree) steps, and none at d = 1."""
+        cap_degree in O(log cap_degree) steps, or at d = 1 a depth past it."""
+        if self.d == 1 and n > self.cap_degree:
+            raise ResourceLimitError(f"tower depth {n} exceeds cap {self.cap_degree} at degree 1")
         k = 1
         while k < n and self.d > 1 and self.d**k <= self.cap_degree:
             k += 1

@@ -163,6 +163,10 @@ def test_resource_caps_exit_3():
             ["orbit", "z^2", "-p", "5", "-x", "2", "-N", "30", "-n", "13", "--cap-height", "16"],
             "orbit coordinate exceeded 16 bits at step 4",
         ),
+        # at degree one no level's degree grows, so the depth itself is capped
+        (["tower", "z+1", "-p", "5", "-x", "0", "-n", "1000000000"], "tower depth 1000000000 exceeds cap 4096 at degree 1"),
+        (["orbit", "z+1", "-p", "5", "-x", "0", "-N", "2", "-n", "1000000000"], "tower depth 1000000000 exceeds cap 4096 at degree 1"),
+        (["tower", "2*z", "-p", "5", "-x", "1", "-n", "11", "--cap-degree", "10"], "tower depth 11 exceeds cap 10 at degree 1"),
     ],
 )
 def test_depth_past_the_degree_cap_is_refused_before_any_level(argv, message, capsys):

@@ -203,7 +203,7 @@ def test_moduli_search_frozen_witnesses():
 
 
 def test_moduli_search_walks_its_grid_in_constant_memory():
-    # the 21p candidates are made as they are rated, not listed first:
+    # the candidates are made as they are rated, not listed first:
     # z^2 + 1 at p = 1009 rates 3p + 1 of them before the identity
     m = parse_map("z^2+1", 1009)
     moduli_search(m, 1009)  # the zero witness's re-verification fills caches
@@ -226,13 +226,14 @@ def test_moduli_search_never_worsens_and_is_sound():
                 assert strict_good_reduction(MapAtPrime(mr.best_model, p)).is_strict_good_reduction
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_moduli_search_matches_a_sympy_walk_of_the_grid(p):
     # random degree-2 and -3 models (p | d at 2 and 3, poles included),
     # plus good maps moved off the identity by one candidate each (one
     # with a < 0 and one of each inversion composite) and by (z - 1)/p,
-    # which the grid does not reach
-    models = random_models(p, 4, degrees=(2, 3), seed=7 * p)
+    # which the grid does not reach; z^2 + 1/p finds no zero at any p,
+    # so the walk rates all 21p candidates, at p = 2 with p | d
+    models = random_models(p, 4, degrees=(2, 3), seed=7 * p) + [parse_map("z^2+1/p", p)]
     movers = [
         Mobius(Fraction(1, p), 1, 0, 1),
         Mobius(1, p, 1, 0),
@@ -257,7 +258,8 @@ def test_grid_candidates_rate_as_their_vertex():
     # every b in range(p), z -> p^a z + b reaches the disk about 0 of
     # radius |p^-a|; inversion on the right reflects it to a' = -a, and
     # inversion on the left does not move it.  So the 21p candidates of
-    # moduli_search rate as the seven plain affine maps with b = 0.
+    # moduli_search rate as the seven plain affine maps with b = 0, and it
+    # conjugates only the 7p affine ones.
     divides = 0
     for p in (2, 3, 5, 7):
         for m in random_models(p, 6, degrees=(2, 3), seed=11 * p):

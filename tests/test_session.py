@@ -169,7 +169,7 @@ def test_valuations_do_not_reprove_the_prime(monkeypatch):
 
 def test_moduli_query_works_on_integers(monkeypatch):
     # one Mobius map for the answer; one resultant, that of the input, and
-    # its valuation, plus one valuation per candidate (of its content),
+    # its valuation, plus one valuation per conjugated candidate (of its content),
     # besides the zero witness's re-verification; none in normalize_integral
     built = []
     original_new = Mobius.__new__
@@ -203,6 +203,21 @@ def test_moduli_query_works_on_integers(monkeypatch):
     assert searched == report["tried"] + 1 + len(valuations)
     assert res_searched == 1 + len(resultants)
     assert inside and not any(inside)
+
+
+def test_moduli_conjugates_only_the_affine_candidates(monkeypatch):
+    # a query with no zero witness counts all 21p candidates, but only the
+    # 7p affine ones are conjugated and rated: the inversion composites rate
+    # as affine maps walked before them (test_orbits.py pins that)
+    conjugated = _count(monkeypatch, "maps", "conjugate_forms")
+    valuations = _count(monkeypatch, "padics", "vp")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["moduli", "z^3+2/p", "-p", "5", "--format", "json"]) == 0
+    report = json.loads(out.getvalue())["moduli"]
+    assert (report["tried"], report["achieved_zero"], report["mobius"]) == (105, False, "z")
+    # 35 candidates and the reported model; Res(phi) and the 35 contents
+    assert (len(conjugated), len(valuations)) == (35 + 1, 1 + 35)
 
 
 def test_session_iterates_match_the_free_functions():
@@ -264,8 +279,14 @@ def test_factor_degrees_of_pth_powers():
 
 
 def test_session_finds_the_least_level_over_the_cap_in_log_steps():
-    # no level is refused at d = 1, and depth 10^9 is not walked level by level
-    MapAtPrime(parse_map("z+1", 5), 5).check_depth(10**9)
+    # at d = 1 no level is over the cap, so the depth itself is refused past
+    # it; a depth of 10^9 is refused at once, not walked level by level
+    line = MapAtPrime(parse_map("z+1", 5), 5)
+    line.check_depth(4096)
+    with pytest.raises(ResourceLimitError, match=r"^tower depth 4097 exceeds cap 4096 at degree 1$"):
+        line.check_depth(4097)
+    with pytest.raises(ResourceLimitError, match=r"^tower depth 1000000000 exceeds"):
+        line.check_depth(10**9)
     mp = MapAtPrime(parse_map("z^2+1", 5), 5, cap_degree=10**300)
     mp.check_depth(996)
     with pytest.raises(ResourceLimitError, match=r"iterate degree 2\^997 exceeds"):
