@@ -130,6 +130,8 @@ CORPUS = [
     # a depth past the degree cap is refused before any level, naming the
     # least level over it (exit 3)
     ["tower", "z^2+1", "-p", "5", "-x", "0", "-n", "13"],
+    # at degree one the depth itself is capped (exit 3)
+    ["tower", "z+1", "-p", "5", "-x", "0", "-n", "1000000000"],
 ]
 
 
