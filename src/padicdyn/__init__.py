@@ -21,7 +21,6 @@ from .maps import (
     RationalMapModel,
     conjugate_map,
     eval_map,
-    iterate_map,
     normalize_integral,
     parse_map,
     reduce_map,
@@ -44,7 +43,7 @@ from .towers import (
     frobenius_cycle_type,
     newton_polygon,
     preimage_tree,
-    shift_divisibility_check,
+    tower_levels,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +71,6 @@ __all__ = [
     "frobenius_cycle_type",
     "good_locus",
     "is_prime",
-    "iterate_map",
     "moduli_search",
     "newton_polygon",
     "normalize_integral",
@@ -83,8 +81,8 @@ __all__ = [
     "pushforward",
     "reduce_map",
     "run_battery",
-    "shift_divisibility_check",
     "strict_good_reduction",
+    "tower_levels",
     "vp",
     "__version__",
 ]

@@ -43,7 +43,7 @@ from .orbits import forward_orbit, moduli_search, orbital_report
 from .padics import INFINITY
 from .qpolys import rational_str
 from .reduction import ClosedPoint, MapAtPrime, condition2_check
-from .towers import fiber_report, frobenius_cycle_type, preimage_tree
+from .towers import preimage_tree, tower_levels
 
 __all__ = ["main"]
 
@@ -136,11 +136,7 @@ def _fiber_json(rep) -> dict:
         "disc_valuation": _val(rep.disc_valuation),
         "degree_full": rep.degree_full,
         "certificate": rep.certificate,
-        "reduced_factor_degrees": (
-            None
-            if rep.reduced_factor_degrees is None
-            else list(rep.reduced_factor_degrees)
-        ),
+        "reduced_factor_degrees": rep.reduced_factor_degrees,
         "newton_polygon": _newton_json(rep.newton),
     }
 
@@ -223,28 +219,17 @@ def _cmd_tower(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
     model = parse_map(args.map, args.prime)
     mp = MapAtPrime(model, args.prime, cap_degree=args.cap_degree, cap_field=args.cap_field)
     x = ProjPointQ.from_value(args.x)
-    mp.check_depth(args.n)
+    levels = [_fiber_json(rep) | {"cycle_type": cycle} for rep, cycle in tower_levels(mp, x, args.n)]
     xbar = x.reduce(args.prime)
-    levels = []
-    for n in range(1, args.n + 1):
-        entry = _fiber_json(fiber_report(mp, n, x))
-        try:
-            entry["cycle_type"] = list(frobenius_cycle_type(mp, n, xbar))
-        except InputError:
-            entry["cycle_type"] = None
-        levels.append(entry)
 
     warnings = []
     if not x.is_integral(args.prime):
         warnings.append("basepoint is not integral; its reduction is inf")
     if mp.pc_refusal is not None:
         warnings.append(f"basepoint not checked against the postcritical set: {mp.pc_refusal}")
-    elif mp.pc is not None and mp.pc.contains_residue(xbar):
-        warnings.append(
-            "basepoint reduces into the postcritical set; no certificate is expected"
-        )
-    tree_payload = None
-    tree_note = None
+    elif mp.in_pc(xbar):
+        warnings.append("basepoint reduces into the postcritical set; no certificate is expected")
+    tree_payload = tree_note = None
     try:
         tree = preimage_tree(mp, args.n, xbar)
     except (InputError, ResourceLimitError) as exc:
@@ -329,9 +314,7 @@ def _cmd_orbit(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
                 "index": bp.index,
                 "point": str(bp.point),
                 "levels": [_fiber_json(r) for r in bp.fiber_reports],
-                "cycle_types": [
-                    None if c is None else list(c) for c in bp.cycle_types
-                ],
+                "cycle_types": bp.cycle_types,
             }
             for bp in rep.basepoints
         ]

@@ -159,11 +159,11 @@ def run_battery(p: int) -> tuple:
             mp.sgr.is_strict_good_reduction,
             own % p != 0,
         )
-        trivial = fiber_polynomial(mp, 3, ProjPointQ.from_value("2")).formal_degree == 1
+        trivial = fiber_polynomial(mp, 3, ProjPointQ.from_value("2")).degree <= 1
         expect(f"{name}: trivial towers", True, trivial)
     mp = MapAtPrime(parse_map("z + 1", p), p)
     fib = fiber_polynomial(mp, 4, ProjPointQ.from_value("2"))
-    expect("z+1: level-4 fiber is a single point", 1, fib.formal_degree)
+    expect("z+1: level-4 fiber is a single point", 1, fib.degree)
     expect(
         "z+1: level-4 certificate",
         "UNRAMIFIED",

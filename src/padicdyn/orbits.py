@@ -1,12 +1,12 @@
 """Forward orbits and orbit-level aggregation.
 
-An orbit profile is the exact sequence x, phi(x), phi^2(x), ... in
-P^1(Q) with cycle detection by canonical equality, plus per-point
-residue data at a prime when one is supplied.  The orbital report
-aggregates per-basepoint fiber certificates and Frobenius cycle types
-along the orbit; its headline flag says whether every integral
-basepoint reducing outside the postcritical set carried only UNRAMIFIED
-certificates.
+An orbit profile is the exact sequence x, phi(x), ..., phi^N(x) in
+P^1(Q), N at most ORBIT_CAP, with cycle detection by canonical equality,
+plus per-point residue data at the session's prime.  The orbital report
+reads each basepoint's fiber certificates and Frobenius cycle types from
+``tower_levels``, as ``tower`` does for its one basepoint; its headline
+flag says whether every integral basepoint reducing outside the
+postcritical set carried only UNRAMIFIED certificates.
 
 The moduli search is a bounded heuristic over conjugations
 z -> p^a z + b and their composites with inversion on either side; the
@@ -26,7 +26,10 @@ from .errors import InputError, InternalError, ResourceLimitError
 from .maps import Mobius, ProjPointQ, RationalMapModel, conjugate_by_matrix, conjugate_forms, eval_map
 from .padics import require_prime, vp
 from .reduction import MapAtPrime
-from .towers import fiber_report, frobenius_cycle_type
+from .towers import tower_levels
+
+# the longest orbit walked, on the scale of the postcritical set's point cap
+ORBIT_CAP = 100_000
 
 
 class OrbitProfile(NamedTuple):
@@ -43,13 +46,16 @@ class OrbitProfile(NamedTuple):
 def forward_orbit(mp: MapAtPrime, x: ProjPointQ, N: int) -> OrbitProfile:
     """Exact orbit x_0..x_N; the first revisited point fixes (preperiod, period).
 
-    Every coordinate is bounded by the session's cap_height bits.  The
-    residue columns are filled in at the session's prime; membership in
-    the postcritical set is None throughout when the reduction is
-    constant or the postcritical walk was refused by a cap.
+    N is at most ORBIT_CAP and every coordinate is bounded by the session's
+    cap_height bits.  The residue columns are filled in at the session's
+    prime; membership in the postcritical set is the session's ``in_pc``,
+    None throughout when the reduction is constant or the postcritical
+    walk was refused by a cap.
     """
     if N < 1:
         raise InputError("orbit length must be >= 1")
+    if N > ORBIT_CAP:
+        raise ResourceLimitError(f"orbit length {N} exceeds cap {ORBIT_CAP}")
     points = [x]
     seen = {x: 0}
     preperiod = period = None
@@ -66,17 +72,13 @@ def forward_orbit(mp: MapAtPrime, x: ProjPointQ, N: int) -> OrbitProfile:
                 seen[nxt] = j
     p = mp.p
     reductions = tuple(pt.reduce(p) for pt in points)
-    if mp.pc_refusal is not None or mp.pc is None:
-        in_pc_flags = tuple(None for _ in points)
-    else:
-        in_pc_flags = tuple(mp.pc.contains_residue(r) for r in reductions)
     return OrbitProfile(
         points=tuple(points),
         preperiod=preperiod,
         period=period,
         reductions=reductions,
         integral_flags=tuple(pt.is_integral(p) for pt in points),
-        in_pc_flags=in_pc_flags,
+        in_pc_flags=tuple(mp.in_pc(r) for r in reductions),
     )
 
 
@@ -106,26 +108,11 @@ def orbital_report(mp: MapAtPrime, x: ProjPointQ, N: int, n_max: int) -> Orbital
     if n_max < 1:
         raise InputError("tower depth must be >= 1")
     profile = forward_orbit(mp, x, N)
-    mp.check_depth(n_max)
     basepoints = []
     all_ok = True
     for j, pt in enumerate(profile.points):
-        reports = []
-        cycles = []
-        for n in range(1, n_max + 1):
-            reports.append(fiber_report(mp, n, pt))
-            try:
-                cycles.append(frobenius_cycle_type(mp, n, profile.reductions[j]))
-            except InputError:
-                cycles.append(None)
-        basepoints.append(
-            BasepointReport(
-                index=j,
-                point=pt,
-                fiber_reports=tuple(reports),
-                cycle_types=tuple(cycles),
-            )
-        )
+        reports, cycles = zip(*tower_levels(mp, pt, n_max))
+        basepoints.append(BasepointReport(index=j, point=pt, fiber_reports=reports, cycle_types=cycles))
         on_locus = profile.integral_flags[j] and profile.in_pc_flags[j] is False
         if on_locus and any(r.certificate != "UNRAMIFIED" for r in reports):
             all_ok = False
@@ -134,7 +121,7 @@ def orbital_report(mp: MapAtPrime, x: ProjPointQ, N: int, n_max: int) -> Orbital
         profile=profile,
         n_max=n_max,
         basepoints=tuple(basepoints),
-        all_unramified_on_locus=all_ok if mp.pc_refusal is None and mp.pc is not None else None,
+        all_unramified_on_locus=None if profile.in_pc_flags[0] is None else all_ok,
     )
 
 

@@ -139,6 +139,13 @@ class MapAtPrime:
             return str(exc)
         return None
 
+    def in_pc(self, xbar: int | None) -> bool | None:
+        """Does xbar lie in the postcritical set?  None when there is none to
+        be in: the reduction is constant, or its walk was refused by a cap."""
+        if self.pc_refusal is not None or self.pc is None:
+            return None
+        return self.pc.contains_residue(xbar)
+
     def _check_degree(self, n: int) -> None:
         if self.d**n > self.cap_degree:
             raise ResourceLimitError(f"iterate degree {self.d}^{n} exceeds cap {self.cap_degree}")

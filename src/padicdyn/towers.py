@@ -2,8 +2,10 @@
 
 The level-n fiber of phi over x = [a : b] is cut out by the form
 b*P_n - a*Q_n built from the p-primitive model of the n-th iterate; the
-form is itself rescaled p-primitively, so "unit leading coefficient and
-unit discriminant" of its dehomogenization is a well-posed certificate.
+form is itself rescaled p-primitively, and ``fiber_polynomial`` returns
+its dehomogenization as a QPoly (the form has degree d^n, so infinity is
+a fiber point d^n - deg times), on which "unit leading coefficient and
+unit discriminant" is a well-posed certificate.
 A passing certificate (UNRAMIFIED) proves the splitting field of the
 fiber is unramified over Q_p; a failing one is inconclusive, never a
 ramification claim, and carries the Newton polygon as a diagnostic.
@@ -30,7 +32,11 @@ one distinct-degree factorization; a fiber form is combined afresh from
 the kept iterate on each call.  Separability of a reduced fiber is read
 from the same factorization: the session's fiber pattern lists the
 (degree, multiplicity) of each closed point, infinity included, and the
-fiber is separable exactly when every multiplicity is 1.
+fiber is separable exactly when every multiplicity is 1; where it is not,
+or the reduction has degree below d, the cycle type is None.
+``tower_levels`` pairs the report and cycle type of every level over one
+basepoint: the ``tower`` command reads it for its basepoint, and
+``orbital_report`` for each point of the orbit.
 """
 
 from __future__ import annotations
@@ -52,21 +58,15 @@ UNRAMIFIED = "UNRAMIFIED"
 NO_CERTIFICATE = "NO_CERTIFICATE"
 
 
-class FiberPolynomial(NamedTuple):
+def fiber_polynomial(mp: MapAtPrime, n: int, x: ProjPointQ) -> QPoly:
     """The affine part of the p-primitively scaled level-n fiber form over x;
-    formal_degree - poly.degree is the multiplicity of infinity in the fiber."""
-
-    poly: QPoly
-    formal_degree: int
-
-
-def fiber_polynomial(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberPolynomial:
+    mp.d**n minus its degree is the multiplicity of infinity in the fiber."""
     if n < 1:
         raise InputError("fiber level must be >= 1")
     p = mp.p
     raw = mp.fiber_form(n, x)
     scale = p ** min(vp(p, c) for c in raw if c != 0)
-    return FiberPolynomial(poly=QPoly(tuple(c // scale for c in raw)), formal_degree=mp.d**n)
+    return QPoly(tuple(c // scale for c in raw))
 
 
 def newton_polygon(f: QPoly, p: int) -> tuple:
@@ -114,38 +114,24 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
     NO_CERTIFICATE (the unit-discriminant test is sufficient, not
     necessary, so no negative claim is ever reported).
     """
-    fiber = fiber_polynomial(mp, n, x)
+    poly = fiber_polynomial(mp, n, x)
     p = mp.p
-    poly = fiber.poly
     lc = poly.coeffs[-1]  # b*F_n - a*G_n is not 0, as F_n and G_n are coprime
     lc_val = vp(p, lc)
-    if poly.degree < 1:
-        # every preimage is the point at infinity; no affine data to certify
-        return FiberReport(
-            n=n,
-            x=x,
-            lc=lc,
-            lc_valuation=lc_val,
-            disc=None,
-            disc_valuation=INFINITY,
-            degree_full=False,
-            certificate=NO_CERTIFICATE,
-            reduced_factor_degrees=None,
-            newton=None,
-            integral=x.is_integral(p),
-        )
-    disc = discriminant(poly)
-    disc_val = vp(p, disc)
-    unramified = lc_val == 0 and disc_val == 0
-    factor_degrees = None
-    newton = None
-    if unramified:
-        degs = mp.factor_degrees([c % p for c in poly.coeffs])
-        if any(mult != 1 for _, mult in degs):
-            raise InternalError("unit discriminant forces a squarefree reduction")
-        factor_degrees = tuple(e for e, _ in degs)
-    else:
-        newton = newton_polygon(poly, p)
+    # a constant affine part (every preimage at infinity) has nothing to certify
+    disc, disc_val, unramified = None, INFINITY, False
+    factor_degrees = newton = None
+    if poly.degree >= 1:
+        disc = discriminant(poly)
+        disc_val = vp(p, disc)
+        unramified = lc_val == 0 and disc_val == 0
+        if unramified:
+            degs = mp.factor_degrees([c % p for c in poly.coeffs])
+            if any(mult != 1 for _, mult in degs):
+                raise InternalError("unit discriminant forces a squarefree reduction")
+            factor_degrees = tuple(e for e, _ in degs)
+        else:
+            newton = newton_polygon(poly, p)
     return FiberReport(
         n=n,
         x=x,
@@ -153,7 +139,7 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
         lc_valuation=lc_val,
         disc=disc,
         disc_valuation=disc_val,
-        degree_full=poly.degree == fiber.formal_degree,
+        degree_full=poly.degree == mp.d**n,
         certificate=UNRAMIFIED if unramified else NO_CERTIFICATE,
         reduced_factor_degrees=factor_degrees,
         newton=newton,
@@ -161,33 +147,38 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
     )
 
 
-def frobenius_cycle_type(mp: MapAtPrime, n: int, xbar: int | None) -> tuple:
+def frobenius_cycle_type(mp: MapAtPrime, n: int, xbar: int | None) -> tuple | None:
     """Cycle type of Frobenius on the level-n reduced fiber over xbar.
 
     Equals the sorted multiset of irreducible-factor degrees of the affine
     fiber polynomial over F_p, plus a 1-cycle for infinity when infinity
     is a (simple) fiber point; the entries sum to d^n.  All of it is read
     off the session's fiber pattern, which also decides separability.
+    None when there is no cycle type: the reduction has degree below d, so
+    every reduced fiber is degree-deficient, or the reduced fiber is not
+    separable (xbar lies in the reduced postcritical set or maps into it).
     """
     if n < 1:
         raise InputError("fiber level must be >= 1")
-    rmap = mp.rmap
-    if rmap.reduced_degree < mp.d:
-        raise InputError(
-            f"reduction has degree {rmap.reduced_degree} < {mp.d}; "
-            "every reduced fiber is degree-deficient"
-        )
+    if mp.rmap.reduced_degree < mp.d:
+        return None
     pattern = mp.fiber_pattern(n, xbar)
     if any(mult != 1 for _, mult in pattern):
-        raise InputError(
-            f"reduced fiber over {render_residue(xbar)} at level {n} is not "
-            "separable; the point lies in the reduced postcritical set "
-            "(or maps into it)"
-        )
+        return None
     out = tuple(e for e, _ in pattern)
     if sum(out) != mp.d**n:
         raise InternalError(f"level-{n} cycle type {out} does not sum to {mp.d}^{n}")
     return out
+
+
+def tower_levels(mp: MapAtPrime, x: ProjPointQ, n_max: int) -> tuple:
+    """(fiber report, Frobenius cycle type or None) of each level 1..n_max
+    over x, the depth checked against the session's caps before any is built."""
+    mp.check_depth(n_max)
+    xbar = x.reduce(mp.p)
+    return tuple(
+        (fiber_report(mp, n, x), frobenius_cycle_type(mp, n, xbar)) for n in range(1, n_max + 1)
+    )
 
 
 def render_residue(xbar: int | None) -> str:

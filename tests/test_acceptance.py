@@ -28,6 +28,7 @@ from padicdyn.towers import (
     UNRAMIFIED,
     fiber_polynomial,
     fiber_report,
+    frobenius_cycle_type,
     preimage_tree,
 )
 
@@ -292,8 +293,12 @@ def test_criterion_10(capsys):
             assert sgr.resultant == det
             assert sgr.is_strict_good_reduction == (vp(p, det) == 0)
             for n in (1, 2, 3):
-                fp = fiber_polynomial(MapAtPrime(m, p), n, ProjPointQ(2, 1))
-                assert fp.formal_degree == 1 and fp.poly.degree <= 1
+                mp = MapAtPrime(m, p)
+                poly = fiber_polynomial(mp, n, ProjPointQ(2, 1))
+                assert mp.d**n == 1 and poly.degree <= 1
+                # one reduced fiber point, or no cycle type at a constant reduction
+                cycle = frobenius_cycle_type(mp, n, 2)
+                assert cycle == ((1,) if sgr.is_strict_good_reduction else None)
         assert count == 100
 
     _verdict(capsys, 10, "100 Mobius maps: determinant test agrees, towers stay trivial", body)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 import padicdyn.cli as cli
 from padicdyn.golden import GoldenCheck, battery_passed, run_battery
+
+from corpus_util import random_models
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -80,6 +83,26 @@ def test_orbit_json_payload():
     assert len(orb["basepoints"]) == 3
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tower_levels_are_the_orbit_basepoint_levels(p, capsys):
+    # tower over x and orbit's basepoint x_0 report the same levels, cycle
+    # types included, for integral, non-integral and infinite x; p = 2, 3
+    # include p | d, and bad reductions leave some cycle types null
+    rng = random.Random(500 + p)
+    cycles = set()
+    for m in random_models(p, 12, seed=500 + p):
+        x = rng.choice(["inf", str(rng.randint(-p, 2 * p)), f"{rng.choice([-1, 1, 2])}/{p}"])
+        common = [m.map_str(), "-p", str(p), f"-x={x}", "-n", "2", "--format", "json"]
+        assert cli.main(["tower", *common]) == 0
+        levels = json.loads(capsys.readouterr().out)["towers"]["levels"]
+        assert cli.main(["orbit", *common, "-N", "1"]) == 0
+        basepoint = json.loads(capsys.readouterr().out)["orbit"]["basepoints"][0]
+        assert basepoint["levels"] == [{k: v for k, v in lev.items() if k != "cycle_type"} for lev in levels]
+        assert basepoint["cycle_types"] == [lev["cycle_type"] for lev in levels]
+        cycles.update(c is None for c in basepoint["cycle_types"])
+    assert cycles == {True, False}
+
+
 def test_moduli_json_payload():
     res = _run("moduli", "p*z^2+z", "-p", "5", "--format", "json")
     assert res.returncode == 0
@@ -144,9 +167,15 @@ def test_depths_the_commands_cannot_serve_exit_2(argv, message, capsys):
     assert cli.main(["orbit", "z^2+1", "-p", "5", "-x", "2", "-N", "2", "-n", "0"]) == 0
 
 
-def test_resource_caps_exit_3():
+def test_resource_caps_exit_3(capsys):
     res = _run("orbit", "z^2", "-p", "5", "-x", "2", "-N", "30", "--cap-height", "16")
     assert res.returncode == 3
+    # a cycling orbit grows no coordinate: its length is capped, before any step
+    for n in ("0", "1"):
+        start = time.perf_counter()
+        assert cli.main(["orbit", "z^2", "-p", "5", "-x", "0", "-N", "1000000", "-n", n]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", "error: orbit length 1000000 exceeds cap 100000\n")
     res2 = _run("tower", "z^2+1", "-p", "3", "-x", "0", "-n", "9", "--cap-degree", "64")
     assert res2.returncode == 3
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import padicdyn.orbits as orbits
 from padicdyn.errors import ResourceLimitError
 from padicdyn.maps import (
     Mobius,
@@ -64,6 +65,21 @@ def test_forward_orbit_nonintegral():
 def test_forward_orbit_height_cap():
     with pytest.raises(ResourceLimitError, match="exceeded 16 bits"):
         forward_orbit(MapAtPrime(parse_map("z^2", 5), 5, cap_height=16), _pt("2"), 20)
+
+
+def test_forward_orbit_length_cap(monkeypatch):
+    # a cycling orbit bounds no coordinate, so only the cap bounds its length;
+    # it is refused before the first step, and orbital_report goes through it
+    mp = MapAtPrime(parse_map("z^2", 5), 5)
+    with pytest.raises(ResourceLimitError, match="^orbit length 100001 exceeds cap 100000$"):
+        forward_orbit(mp, _pt("0"), 100_001)
+    monkeypatch.setattr(orbits, "ORBIT_CAP", 5)
+    monkeypatch.setattr(orbits, "eval_map", None)  # no step may be taken
+    with pytest.raises(ResourceLimitError, match="^orbit length 6 exceeds cap 5$"):
+        orbital_report(mp, _pt("0"), 6, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(orbits, "ORBIT_CAP", 5)
+    assert forward_orbit(mp, _pt("0"), 5).points == (_pt("0"),) * 6
 
 
 def test_forward_orbit_tail_consistency():

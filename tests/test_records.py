@@ -13,6 +13,7 @@ import pytest
 import padicdyn.golden
 import padicdyn.maps
 import padicdyn.orbits
+import padicdyn.qpolys
 import padicdyn.reduction
 import padicdyn.towers
 from padicdyn.golden import run_battery
@@ -37,10 +38,10 @@ RECORDS = {
     "IntegralModel": lambda: _session().integral,
     "ReducedMap": lambda: _session().rmap,
     "ClosedPoint": lambda: ClosedPoint(5, (2, 0, 1)),
+    "QPoly": lambda: fiber_polynomial(_session(), 2, ProjPointQ(2, 1)),
     "PostcriticalSet": lambda: _session().pc,
     "SGRReport": lambda: _session().sgr,
     "Condition2Report": lambda: condition2_check(_session()),
-    "FiberPolynomial": lambda: fiber_polynomial(_session(), 2, ProjPointQ(2, 1)),
     "FiberReport": lambda: fiber_report(_session(), 2, ProjPointQ(2, 1)),
     "PreimageTree": lambda: preimage_tree(_session("z^2+1"), 2, 3),
     "OrbitProfile": lambda: forward_orbit(_session(), ProjPointQ(2, 1), 3),
@@ -84,12 +85,14 @@ def test_value_records_survive_copy_and_pickle(name):
 
 
 def test_every_record_class_is_listed():
-    modules = (padicdyn.golden, padicdyn.maps, padicdyn.orbits, padicdyn.reduction, padicdyn.towers)
+    modules = (
+        padicdyn.golden, padicdyn.maps, padicdyn.orbits, padicdyn.qpolys, padicdyn.reduction, padicdyn.towers,
+    )
     found = {
         name
         for mod in modules
         for name, obj in vars(mod).items()
         if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == mod.__name__
     }
-    bases = {"_ClosedPointFields", "_MobiusFields", "_ProjPointQFields", "_RationalMapModelFields"}
+    bases = {"_ClosedPointFields", "_MobiusFields", "_ProjPointQFields", "_QPolyFields", "_RationalMapModelFields"}
     assert found == set(RECORDS) | bases

@@ -37,29 +37,29 @@ def _pt(text):
     return ProjPointQ.from_value(text)
 
 
-def _form(fp):
+def _form(mp, n, x):
     """The fiber form of formal degree d^n: the affine part, padded at the top."""
-    return fp.poly.coeffs + (0,) * (fp.formal_degree - fp.poly.degree)
+    poly = fiber_polynomial(mp, n, x)
+    return poly.coeffs + (0,) * (mp.d**n - poly.degree)
 
 
 def test_fiber_polynomial_forms():
     m = parse_map("z^2 + p", 5)
     fp = fiber_polynomial(MapAtPrime(m, 5), 1, _pt("1"))
-    assert _form(fp) == (4, 0, 1)
-    assert fp.poly == QPoly((4, 0, 1))
-    assert (fp.formal_degree, fp.formal_degree - fp.poly.degree) == (2, 0)
+    assert type(fp) is QPoly and fp == QPoly((4, 0, 1))
+    assert _form(MapAtPrime(m, 5), 1, _pt("1")) == (4, 0, 1)
+    assert fiber_report(MapAtPrime(m, 5), 1, _pt("1")).degree_full
 
     # non-integral basepoint: the p-primitive form keeps a p in the top slot
-    fp2 = fiber_polynomial(MapAtPrime(m, 5), 1, _pt("1/5"))
-    assert _form(fp2) == (24, 0, 5)
+    assert _form(MapAtPrime(m, 5), 1, _pt("1/5")) == (24, 0, 5)
     integral = [fiber_report(MapAtPrime(m, 5), 1, _pt(x)).integral for x in ("1", "1/5")]
     assert integral == [True, False]
 
-    # over infinity the affine part collapses to a constant
-    fp3 = fiber_polynomial(MapAtPrime(parse_map("z^2", 5), 5), 1, _pt("inf"))
-    assert _form(fp3) == (-1, 0, 0)
-    assert fp3.poly.degree == 0
-    assert fp3.formal_degree - fp3.poly.degree == 2
+    # over infinity the affine part collapses to a constant: infinity twice
+    mp = MapAtPrime(parse_map("z^2", 5), 5)
+    assert fiber_polynomial(mp, 1, _pt("inf")) == QPoly((-1,))
+    assert _form(mp, 1, _pt("inf")) == (-1, 0, 0)
+    assert not fiber_report(mp, 1, _pt("inf")).degree_full
 
     with pytest.raises(InputError):
         fiber_polynomial(MapAtPrime(m, 5), 0, _pt("1"))
@@ -73,8 +73,7 @@ def test_fiber_polynomial_is_p_primitive():
     rng = random.Random(13)
     for m in random_models(5, 12, seed=61):
         x = ProjPointQ(rng.randint(-8, 8), rng.randint(1, 8))
-        fp = fiber_polynomial(MapAtPrime(m, 5), 2, x)
-        assert min(vp(5, c) for c in _form(fp)) == 0
+        assert min(vp(5, c) for c in _form(MapAtPrime(m, 5), 2, x)) == 0
 
 
 def test_newton_polygon_cases():
@@ -144,10 +143,16 @@ def test_frobenius_cycle_type_preconditions():
         frobenius_cycle_type(MapAtPrime(parse_map("z^2", 5), 5), 0, 2)
     with pytest.raises(ResourceLimitError):
         frobenius_cycle_type(MapAtPrime(parse_map("z^2", 5), 5, cap_degree=32), 6, 2)
-    with pytest.raises(InputError, match="not\\s+separable|postcritical"):
-        frobenius_cycle_type(MapAtPrime(parse_map("z^2", 5), 5), 1, 0)
-    with pytest.raises(InputError, match="degree"):
-        frobenius_cycle_type(MapAtPrime(parse_map("p*z^2 + z", 5), 5), 1, 0)
+    # no cycle type: 0 is critical, so its fiber is z^2, not separable ...
+    mp = MapAtPrime(parse_map("z^2", 5), 5)
+    assert mp.fiber_pattern(1, 0) == ((1, 2),)
+    assert frobenius_cycle_type(mp, 1, 0) is None
+    # ... and a reduction of degree 1 < 2 leaves every fiber degree-deficient,
+    # separable or not, so not even the fiber pattern is read
+    mp = MapAtPrime(parse_map("p*z^2 + z", 5), 5)
+    assert mp.rmap.reduced_degree == 1
+    assert all(frobenius_cycle_type(mp, 1, r) is None for r in (*range(5), None))
+    assert "_reduced_iterates" not in vars(mp) and not mp._factor_degrees
 
 
 def test_frobenius_cycle_type_sums_to_fiber_degree():
@@ -164,12 +169,9 @@ def test_frobenius_cycle_type_sums_to_fiber_degree():
                 if pc.contains_residue(xbar):
                     continue
                 for n in (1, 2):
-                    try:
-                        ct = frobenius_cycle_type(mp, n, xbar)
-                    except InputError:
-                        # level-n fibers can still meet the postcritical set
-                        continue
-                    assert sum(ct) == m.d**n
+                    # off the postcritical set every level's fiber is separable
+                    ct = frobenius_cycle_type(mp, n, xbar)
+                    assert ct is not None and sum(ct) == m.d**n
 
 
 def _branch_sets(mp, n_max):
@@ -210,26 +212,20 @@ def test_fiber_certificates_agree_with_the_theorem(p):
             xbar = x.reduce(p)
             point = ClosedPoint.of_residue(p, xbar)
             for n in range(1, n_max + 1):
-                rep, fiber = fiber_report(mp, n, x), fiber_polynomial(mp, n, x)
+                rep, poly = fiber_report(mp, n, x), fiber_polynomial(mp, n, x)
                 off = branch is not None and all(point not in b for b in branch[:n])
-                if fiber.formal_degree - fiber.poly.degree > 1:
+                if mp.d**n - poly.degree > 1:
                     # infinity is a multiple root over Q itself, so x-bar is
                     # a branch value; the certificate speaks of the affine roots
                     assert not off
                     seen["inf"] += 1
                 else:
                     assert (rep.certificate == UNRAMIFIED) == (rep.lc_valuation == 0 and off)
-                poly = fiber.poly
                 if poly.degree < 1:
                     assert rep.disc is None
                 else:
                     assert rep.disc == sympy.discriminant(sympy.Poly(poly.coeffs[::-1], z))
-                try:
-                    frobenius_cycle_type(mp, n, xbar)
-                except InputError:
-                    assert not off
-                else:
-                    assert off
+                assert (frobenius_cycle_type(mp, n, xbar) is not None) == off
                 if not off:
                     assert mp.pc.contains_residue(xbar)
                 seen[UNRAMIFIED] += rep.certificate == UNRAMIFIED
