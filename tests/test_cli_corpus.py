@@ -132,6 +132,8 @@ CORPUS = [
     ["tower", "z^2+1", "-p", "5", "-x", "0", "-n", "13"],
     # at degree one the depth itself is capped (exit 3)
     ["tower", "z+1", "-p", "5", "-x", "0", "-n", "1000000000"],
+    # an orbit that cycles bounds no coordinate, so its length is capped (exit 3)
+    ["orbit", "z^2", "-p", "5", "-x", "0", "-N", "1000000", "-n", "0", "--format", "json"],
 ]
 
 
