@@ -134,6 +134,8 @@ CORPUS = [
     ["tower", "z+1", "-p", "5", "-x", "0", "-n", "1000000000"],
     # an orbit that cycles bounds no coordinate, so its length is capped (exit 3)
     ["orbit", "z^2", "-p", "5", "-x", "0", "-N", "1000000", "-n", "0", "--format", "json"],
+    # a 2-cycle revisits its points: each repeat prints the levels of its first visit
+    ["orbit", "z^2-1", "-p", "5", "-x", "0", "-N", "12", "-n", "3", "--format", "json"],
 ]
 
 
