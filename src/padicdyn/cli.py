@@ -308,15 +308,15 @@ def _cmd_orbit(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
         "in_postcritical_set": list(profile.in_pc_flags),
     }
     if rep is not None:
-        orbit_payload["n_max"] = rep.n_max
+        orbit_payload["n_max"] = args.n
         orbit_payload["basepoints"] = [
             {
-                "index": bp.index,
-                "point": str(bp.point),
-                "levels": [_fiber_json(r) for r in bp.fiber_reports],
-                "cycle_types": bp.cycle_types,
+                "index": j,
+                "point": str(pt),
+                "levels": [_fiber_json(r) for r, _ in pt_levels],
+                "cycle_types": [c for _, c in pt_levels],
             }
-            for bp in rep.basepoints
+            for j, (pt, pt_levels) in enumerate(zip(profile.points, rep.levels))
         ]
         orbit_payload["all_unramified_on_locus"] = rep.all_unramified_on_locus
     if mp.pc_refusal is not None:
@@ -336,9 +336,9 @@ def _cmd_orbit(args) -> tuple[dict, Callable[[], Iterator[str]], int]:
         if mp.pc_refusal is not None:
             yield f"note: no postcritical flags: {mp.pc_refusal}"
         if rep is not None:
-            for bp in rep.basepoints:
-                certs = " ".join(r.certificate for r in bp.fiber_reports)
-                yield f"x_{bp.index} = {bp.point}: {certs}"
+            for j, (pt, pt_levels) in enumerate(zip(profile.points, rep.levels)):
+                certs = " ".join(r.certificate for r, _ in pt_levels)
+                yield f"x_{j} = {pt}: {certs}"
             yield (
                 "all basepoints off the postcritical set certified unramified: "
                 + {True: "yes", False: "no", None: "unknown"}[rep.all_unramified_on_locus]

@@ -3,10 +3,13 @@
 An orbit profile is the exact sequence x, phi(x), ..., phi^N(x) in
 P^1(Q), N at most ORBIT_CAP, with cycle detection by canonical equality,
 plus per-point residue data at the session's prime.  The orbital report
-reads each basepoint's fiber certificates and Frobenius cycle types from
-``tower_levels``, as ``tower`` does for its one basepoint; its headline
-flag says whether every integral basepoint reducing outside the
-postcritical set carried only UNRAMIFIED certificates.
+reads the fiber certificates and Frobenius cycle types over each orbit
+point from ``tower_levels``, as ``tower`` does for its one basepoint.  The
+levels depend on the point, not on its index, so they are built once for
+each distinct point: a cycling orbit of length N costs as many towers as
+it has distinct points, not N + 1.  Its headline flag says whether every
+integral point reducing outside the postcritical set carried only
+UNRAMIFIED certificates.
 
 The moduli search is a bounded heuristic over conjugations
 z -> p^a z + b and their composites with inversion on either side; the
@@ -82,25 +85,20 @@ def forward_orbit(mp: MapAtPrime, x: ProjPointQ, N: int) -> OrbitProfile:
     )
 
 
-class BasepointReport(NamedTuple):
-    index: int
-    point: ProjPointQ
-    fiber_reports: tuple
-    cycle_types: tuple
-
-
 class OrbitalReport(NamedTuple):
+    """levels[j] is tower_levels' tuple for profile.points[j]; a revisited
+    point shares the tuple of its first visit."""
+
     profile: OrbitProfile
-    n_max: int
-    basepoints: tuple
+    levels: tuple
     all_unramified_on_locus: bool | None
 
 
 def orbital_report(mp: MapAtPrime, x: ProjPointQ, N: int, n_max: int) -> OrbitalReport:
-    """Tower data for every basepoint along the orbit of x.
+    """Tower data for every point along the orbit of x, built once per distinct point.
 
-    Non-integral basepoints and basepoints reducing into the postcritical
-    set are still profiled, but only the rest count toward
+    Non-integral points and points reducing into the postcritical set are
+    still profiled, but only the rest count toward
     all_unramified_on_locus.  That flag is None when there is no
     postcritical set to be off: the reduction is constant, or its walk
     was refused by a cap.
@@ -108,19 +106,15 @@ def orbital_report(mp: MapAtPrime, x: ProjPointQ, N: int, n_max: int) -> Orbital
     if n_max < 1:
         raise InputError("tower depth must be >= 1")
     profile = forward_orbit(mp, x, N)
-    basepoints = []
+    built = {pt: tower_levels(mp, pt, n_max) for pt in dict.fromkeys(profile.points)}
+    levels = tuple(built[pt] for pt in profile.points)
     all_ok = True
-    for j, pt in enumerate(profile.points):
-        reports, cycles = zip(*tower_levels(mp, pt, n_max))
-        basepoints.append(BasepointReport(index=j, point=pt, fiber_reports=reports, cycle_types=cycles))
-        on_locus = profile.integral_flags[j] and profile.in_pc_flags[j] is False
-        if on_locus and any(r.certificate != "UNRAMIFIED" for r in reports):
+    for pt_levels, integral, in_pc in zip(levels, profile.integral_flags, profile.in_pc_flags):
+        if integral and in_pc is False and any(r.certificate != "UNRAMIFIED" for r, _ in pt_levels):
             all_ok = False
-
     return OrbitalReport(
         profile=profile,
-        n_max=n_max,
-        basepoints=tuple(basepoints),
+        levels=levels,
         all_unramified_on_locus=None if profile.in_pc_flags[0] is None else all_ok,
     )
 

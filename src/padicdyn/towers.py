@@ -20,7 +20,8 @@ split into its roots over F_{p^m} (infinity when its affine degree
 drops), and the preimages of y's conjugates are the Frobenius images of
 y's.  So no level polynomial is ever factored over F_{p^m}, and every
 point is born with its parent.  F_{p^m} is ``fq_extension``'s, built by
-``residue_field``, with log tables up to 2^12 elements.  At odd p a
+``residue_field``, with log tables up to 2^12 elements; the session's
+cap_field bounds its size, and so m.  At odd p a
 quadratic form is solved by one square root of its discriminant, a
 halved log in a table field; p = 2 and degree 3 and up run Cantor-Zassenhaus.
 
@@ -36,7 +37,7 @@ fiber is separable exactly when every multiplicity is 1; where it is not,
 or the reduction has degree below d, the cycle type is None.
 ``tower_levels`` pairs the report and cycle type of every level over one
 basepoint: the ``tower`` command reads it for its basepoint, and
-``orbital_report`` for each point of the orbit.
+``orbital_report`` once for each distinct point of the orbit.
 """
 
 from __future__ import annotations
@@ -45,14 +46,12 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InputError, InternalError, ResourceLimitError
+from .errors import InputError, InternalError
 from .finitefield import fiber_form, form_dehomogenize, fq_extension, split_roots
 from .maps import ProjPointQ, eval_map
 from .padics import INFINITY, vp
 from .qpolys import QPoly, discriminant
 from .reduction import MapAtPrime
-
-M_CAP = 24
 
 UNRAMIFIED = "UNRAMIFIED"
 NO_CERTIFICATE = "NO_CERTIFICATE"
@@ -246,10 +245,6 @@ def preimage_tree(mp: MapAtPrime, N: int, xbar: int | None) -> PreimageTree:
     m = 1
     for deg in degrees:
         m = math.lcm(m, deg)
-    if m > M_CAP:
-        raise ResourceLimitError(
-            f"splitting the tree needs F_{p}^{m}, above the extension cap {M_CAP}"
-        )
     ext = fq_extension(p, m, cap=mp.cap_field)
 
     e = rmap.reduced_degree

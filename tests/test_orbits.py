@@ -97,10 +97,10 @@ def test_forward_orbit_tail_consistency():
 def test_orbital_report_unramified_everywhere_on_orbit():
     rep = orbital_report(MapAtPrime(parse_map("z^2 + p", 5), 5), _pt("1"), 2, 2)
     assert rep.all_unramified_on_locus
-    assert len(rep.basepoints) == 3
-    for bp in rep.basepoints:
-        assert [fr.certificate for fr in bp.fiber_reports] == [UNRAMIFIED, UNRAMIFIED]
-        assert bp.cycle_types == ((1, 1), (1, 1, 1, 1))
+    assert len(rep.levels) == 3
+    for pt_levels in rep.levels:
+        assert [fr.certificate for fr, _ in pt_levels] == [UNRAMIFIED, UNRAMIFIED]
+        assert [c for _, c in pt_levels] == [(1, 1), (1, 1, 1, 1)]
 
 
 def test_orbital_report_off_locus_is_not_a_failure():
@@ -108,8 +108,8 @@ def test_orbital_report_off_locus_is_not_a_failure():
     # expected there and the overall flag must not trip
     rep = orbital_report(MapAtPrime(parse_map("z^2 + p", 5), 5), _pt("5"), 1, 1)
     assert rep.all_unramified_on_locus
-    assert rep.basepoints[0].fiber_reports[0].certificate == NO_CERTIFICATE
-    assert rep.basepoints[0].cycle_types == (None,)
+    assert rep.levels[0][0][0].certificate == NO_CERTIFICATE
+    assert [c for _, c in rep.levels[0]] == [None]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -139,10 +139,10 @@ def test_orbital_report_agrees_with_the_theorem(p):
         if not mp.sgr.is_strict_good_reduction:
             continue
         on_locus_lc_units = True
-        for bp, xbar, integral, in_pc in zip(
-            rep.basepoints, prof.reductions, prof.integral_flags, prof.in_pc_flags
+        for pt_levels, xbar, integral, in_pc in zip(
+            rep.levels, prof.reductions, prof.integral_flags, prof.in_pc_flags
         ):
-            for n, fr in enumerate(bp.fiber_reports, 1):
+            for n, (fr, _) in enumerate(pt_levels, 1):
                 etale = etale_fiber_oracle(mp.rmap, xbar, n)
                 assert (fr.certificate == UNRAMIFIED) == (fr.lc_valuation == 0 and etale)
                 seen[fr.certificate] += 1
@@ -188,12 +188,10 @@ def test_orbit_report_is_invariant_under_affine_unit_conjugation():
         except ResourceLimitError:
             continue
         assert a.all_unramified_on_locus == b.all_unramified_on_locus
-        for bpa, bpb in zip(a.basepoints, b.basepoints):
-            assert bpb.point == mobius_apply(M, bpa.point)
-            assert [fr.certificate for fr in bpa.fiber_reports] == [
-                fr.certificate for fr in bpb.fiber_reports
-            ]
-            assert bpa.cycle_types == bpb.cycle_types
+        assert b.profile.points == tuple(mobius_apply(M, pt) for pt in a.profile.points)
+        for la, lb in zip(a.levels, b.levels):
+            assert [fr.certificate for fr, _ in la] == [fr.certificate for fr, _ in lb]
+            assert [c for _, c in la] == [c for _, c in lb]
         checked += 1
     assert checked >= 8
 

@@ -78,6 +78,17 @@ def test_each_query_derives_its_artifacts_once(monkeypatch, argv, n_max):
     assert len(keys) == len(set(keys)) > 0
 
 
+def test_orbit_builds_one_tower_per_distinct_point(monkeypatch):
+    # 0 -> -1 -> 0 -> ... under z^2-1: 41 orbit points, 2 distinct, so 2 towers
+    # of 3 levels however long the orbit runs
+    reports = _count(monkeypatch, "towers", "fiber_report")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["orbit", "z^2-1", "-p", "5", "-x", "0", "-N", "40", "-n", "3"]) == 0
+    assert [(str(x), n) for _, n, x in reports] == [
+        ("0", 1), ("0", 2), ("0", 3), ("-1", 1), ("-1", 2), ("-1", 3),
+    ]
+
+
 def test_tower_factors_nothing_but_the_critical_divisor(monkeypatch):
     # fibers need only factor degrees; the one fq_factor call is the PC
     # set's, on the critical divisor 2z of the reduced map z^2

@@ -11,7 +11,6 @@ import sympy
 
 import padicdyn.cli as cli
 import padicdyn.reduction as reduction
-import padicdyn.towers as towers
 from padicdyn.errors import InputError, ResourceLimitError
 from padicdyn.finitefield import FqPoly, form_is_zero, fq_extension
 from padicdyn.maps import ProjPointQ, eval_map, eval_reduced, parse_map
@@ -314,7 +313,7 @@ def test_preimage_tree_against_brute_force(text, p, xbar, N):
             assert any(ext.pow(z, p**k) != z for z in points)
 
 
-def test_preimage_tree_errors_and_caps(monkeypatch):
+def test_preimage_tree_errors_and_caps():
     with pytest.raises(InputError):
         preimage_tree(MapAtPrime(parse_map("z^2", 5), 5), 0, 2)
     with pytest.raises(InputError, match="constant"):
@@ -326,9 +325,9 @@ def test_preimage_tree_errors_and_caps(monkeypatch):
     # the session's degree cap binds the iterates over F_p as it does those over Q
     with pytest.raises(ResourceLimitError, match="iterate degree 2\\^6 exceeds cap 32"):
         MapAtPrime(parse_map("z^2", 5), 5, cap_degree=32).fiber_pattern(6, 2)
-    monkeypatch.setattr(towers, "M_CAP", 1)
-    with pytest.raises(ResourceLimitError, match="extension cap 1"):
-        preimage_tree(MapAtPrime(parse_map("z^2", 5), 5), 1, 2)
+    # the fiber z^2 = 2 splits only in F_{5^2}: the session's field cap bounds the tree
+    with pytest.raises(ResourceLimitError, match="field size 5\\^2 exceeds cap 24"):
+        preimage_tree(MapAtPrime(parse_map("z^2", 5), 5, cap_field=24), 1, 2)
 
 
 def test_shift_divisibility_examples():
