@@ -205,6 +205,17 @@ def test_depth_past_the_degree_cap_is_refused_before_any_level(argv, message, ca
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, degree",
+    [(["z^2000+z+1", "-p", "7"], "1999 over F_7"), (["z^128+z+1", "-p", "1000003"], "127 over F_1000003")],
+)
+def test_critical_divisor_past_the_work_cap_exits_3_at_once(argv, degree, capsys):
+    start = time.perf_counter()
+    assert cli.main(["analyze", *argv]) == 3
+    assert time.perf_counter() - start < 1
+    assert f"postcritical set: factoring the critical divisor of degree {degree} " in capsys.readouterr().err
+
+
 def test_cap_flags_only_where_they_bind():
     assert _run("moduli", "z^2", "-p", "5", "--cap-degree", "5").returncode == 2
     offered = {

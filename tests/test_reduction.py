@@ -264,6 +264,24 @@ def test_walk_allowed_no_step_is_refused_before_its_field(monkeypatch):
     assert built == [] and mp.pc_refusal == str(exc.value)
 
 
+def test_critical_divisor_past_the_work_cap_is_refused_before_factoring(monkeypatch):
+    # 3z^2+1, the critical divisor of z^3+z+1 over F_7, takes 2^3 * 3 steps to factor
+    want = postcritical_set(_mp("z^3+z+1", 7))
+    monkeypatch.setattr(reduction, "PC_FACTOR_WORK_CAP", 2**3 * 3)
+    assert postcritical_set(_mp("z^3+z+1", 7)) == want
+    monkeypatch.setattr(reduction, "PC_FACTOR_WORK_CAP", 2**3 * 3 - 1)
+    factored = []
+    monkeypatch.setattr(reduction, "closed_points_of_form", lambda *args: factored.append(args))
+    mp = _mp("z^3+z+1", 7)
+    with pytest.raises(ResourceLimitError) as exc:
+        postcritical_set(mp)
+    assert str(exc.value) == (
+        "postcritical set: factoring the critical divisor of degree 2 over F_7 "
+        "takes 2^3 * 3 (bits of p) steps, above cap 23"
+    )
+    assert factored == [] and mp.pc_refusal == str(exc.value)
+
+
 def _rand_monic_irreducible(rng, p):
     field = prime_field_of(p)
     while True:
