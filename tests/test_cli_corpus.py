@@ -136,6 +136,8 @@ CORPUS = [
     ["orbit", "z^2", "-p", "5", "-x", "0", "-N", "1000000", "-n", "0", "--format", "json"],
     # a 2-cycle revisits its points: each repeat prints the levels of its first visit
     ["orbit", "z^2-1", "-p", "5", "-x", "0", "-N", "12", "-n", "3", "--format", "json"],
+    # a critical divisor of degree 1999 over F_7 is refused before it is factored (exit 3)
+    ["analyze", "z^2000+z+1", "-p", "7"],
 ]
 
 
