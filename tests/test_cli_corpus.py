@@ -138,6 +138,8 @@ CORPUS = [
     ["orbit", "z^2-1", "-p", "5", "-x", "0", "-N", "12", "-n", "3", "--format", "json"],
     # a critical divisor of degree 1999 over F_7 is refused before it is factored (exit 3)
     ["analyze", "z^2000+z+1", "-p", "7"],
+    # a tree that needs F_{3^32} is refused by the field cap, and the levels still print
+    ["tower", "z^2+2*z+1", "-p", "3", "-x=-1", "-n", "5"],
 ]
 
 
