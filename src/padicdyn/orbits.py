@@ -3,13 +3,10 @@
 An orbit profile is the exact sequence x, phi(x), ..., phi^N(x) in
 P^1(Q), N at most ORBIT_CAP, with cycle detection by canonical equality,
 plus per-point residue data at the session's prime.  The orbital report
-reads the fiber certificates and Frobenius cycle types over each orbit
-point from ``tower_levels``, as ``tower`` does for its one basepoint.  The
-levels depend on the point, not on its index, so they are built once for
-each distinct point: a cycling orbit of length N costs as many towers as
-it has distinct points, not N + 1.  Its headline flag says whether every
-integral point reducing outside the postcritical set carried only
-UNRAMIFIED certificates.
+reads the fiber certificates and Frobenius cycle types over each distinct
+orbit point from ``tower_levels`` once, as ``tower`` does for its one
+basepoint; its headline flag says whether every integral point reducing
+outside the postcritical set carried only UNRAMIFIED certificates.
 
 The moduli search is a bounded heuristic over conjugations
 z -> p^a z + b and their composites with inversion on either side; the
@@ -86,9 +83,6 @@ def forward_orbit(mp: MapAtPrime, x: ProjPointQ, N: int) -> OrbitProfile:
 
 
 class OrbitalReport(NamedTuple):
-    """levels[j] is tower_levels' tuple for profile.points[j]; a revisited
-    point shares the tuple of its first visit."""
-
     profile: OrbitProfile
     levels: tuple
     all_unramified_on_locus: bool | None
@@ -97,6 +91,9 @@ class OrbitalReport(NamedTuple):
 def orbital_report(mp: MapAtPrime, x: ProjPointQ, N: int, n_max: int) -> OrbitalReport:
     """Tower data for every point along the orbit of x, built once per distinct point.
 
+    levels[j] is ``tower_levels``' tuple for profile.points[j], and a
+    revisited point shares its first visit's tuple, so a cycling orbit of
+    N steps builds as many towers as it has distinct points, not N + 1.
     Non-integral points and points reducing into the postcritical set are
     still profiled, but only the rest count toward
     all_unramified_on_locus.  That flag is None when there is no

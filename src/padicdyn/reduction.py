@@ -71,10 +71,8 @@ from .padics import require_prime, vp
 from .qpolys import _add, _form_mul, form_discriminant, poly_str
 
 PC_CAP = 100_000
-# The critical divisor, of affine degree D over F_p, is factored only when
-# D^3 * bits(p) is at most PC_FACTOR_WORK_CAP: distinct-degree and
-# Cantor-Zassenhaus factoring take about that many steps, 20 to 330 ns each
-# on a 2-core VM, so 0.2 to 2.7 s near the cap (D = 127 at p = 5: 0.5 s).
+# factoring a critical divisor of affine degree D over F_p takes about D^3 * bits(p)
+# steps, 20 to 330 ns each on a 2-core VM: 0.2 to 2.7 s near this cap
 PC_FACTOR_WORK_CAP = 1 << 23
 # Above the field cap a walk from a critical point of degree k may take
 # PC_WORK_ABOVE_CAP // k^2 steps, about 0.3 s (a step in F_p[T]/(c) takes 0.15 ms
@@ -361,9 +359,8 @@ def postcritical_set(mp: MapAtPrime) -> PostcriticalSet:
     stable_depth, the least t with phi^(t+1)(C) in the union of phi^s(C)
     for s <= t, is the largest least step count.  A critical point is in
     the set only when some forward image hits it, and the set holds at
-    most PC_CAP points.  A critical divisor of affine degree D is refused
-    before it is factored when D^3 * bits(p) passes PC_FACTOR_WORK_CAP.  A
-    walk in a field above the session's field cap
+    most PC_CAP points; a critical divisor past PC_FACTOR_WORK_CAP is not
+    factored.  A walk in a field above the session's field cap
     may take PC_WORK_ABOVE_CAP // k^2 steps; one allowed none (k >= 65)
     is refused before its field is built.
     """

@@ -108,8 +108,9 @@ def test_orbital_report_off_locus_is_not_a_failure():
     # expected there and the overall flag must not trip
     rep = orbital_report(MapAtPrime(parse_map("z^2 + p", 5), 5), _pt("5"), 1, 1)
     assert rep.all_unramified_on_locus
-    assert rep.levels[0][0][0].certificate == NO_CERTIFICATE
-    assert [c for _, c in rep.levels[0]] == [None]
+    [(fr, cycle)] = rep.levels[0]
+    assert fr.certificate == NO_CERTIFICATE
+    assert cycle is None
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
