@@ -331,7 +331,7 @@ def fq_extension(p: int, m: int, *, cap: int = FIELD_SIZE_CAP) -> FqField:
     require_prime(p)
     if m < 1:
         raise InputError("extension degree must be >= 1")
-    if p**m > cap:
+    if m >= cap.bit_length() or p**m > cap:  # p^m >= 2^m, so huge m never builds p^m
         raise ResourceLimitError(f"field size {p}^{m} exceeds cap {cap}")
     return residue_field(p, _first_modulus(p, m))
 

@@ -167,6 +167,16 @@ def test_bad_modulus_rejected():
         fq_extension(2, 25)
 
 
+def test_huge_extension_degree_is_refused_without_its_field_size():
+    # 5^(10^12) has 2.3e12 bits; the refusal must not compute it
+    message = r"^field size 5\^1000000000000 exceeds cap 1048576$"
+    with pytest.raises(ResourceLimitError, match=message):
+        fq_extension(5, 10**12)
+    assert fq_extension(2, 20).q == 2**20  # m = 20 = bit_length(2^20) - 1 still builds
+    with pytest.raises(ResourceLimitError):
+        fq_extension(2, 21)
+
+
 def _to_sympy(poly: FqPoly):
     T = sympy.Symbol("T")
     return sympy.Poly(list(reversed(list(poly.coeffs))), T, modulus=poly.field.p)
