@@ -127,6 +127,9 @@ class ModuliReport(NamedTuple):
 
 # the exponents a of the search's conjugations z -> p^a z + b, b in range(p)
 MODULI_EXPONENTS = range(-3, 4)
+# the most affine conjugations, 7p, a search makes (so p <= 18,719): a wider
+# grid is refused before its first conjugation
+MODULI_WIDTH_CAP = 1 << 17
 
 
 def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
@@ -154,6 +157,10 @@ def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
     heuristic, not a minimizer.
     """
     require_prime(p)
+    if (width := len(MODULI_EXPONENTS) * p) > MODULI_WIDTH_CAP:
+        raise ResourceLimitError(
+            f"moduli search at p={p}: {width} affine conjugations exceed cap {MODULI_WIDTH_CAP}"
+        )
     d, initial = model.d, vp(p, model.resultant())
     best_val = best = None
     for tried, (a, b) in enumerate(itertools.product(MODULI_EXPONENTS, range(p)), 1):

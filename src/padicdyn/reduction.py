@@ -48,7 +48,6 @@ from .finitefield import (
     fiber_form,
     form_dehomogenize,
     form_from_poly,
-    form_is_squarefree,
     form_is_zero,
     fq_factor,
     prime_field_of,
@@ -495,8 +494,9 @@ def condition2_check(mp: MapAtPrime) -> Condition2Report:
     lift, reduced.  Hence one D(t) = Disc_d(F1 - t*G1) over Z, computed
     from the integer lifts of F1 and G1, decides every affine residue by
     one evaluation D(a) mod p, in every characteristic (p = 2 and p | d
-    included).  The verdict at each point is exact and reads neither the
-    critical divisor nor PC; infinity, the fiber G1, is tested directly.
+    included), and infinity: Disc_d is homogeneous of degree 2d - 2, so D's
+    t^(2d-2) coefficient, 0 if D has lower degree, is Disc_d(G1).  Each
+    verdict is exact and reads neither the critical divisor nor PC.
     """
     rmap, pc, p = mp.rmap, mp.pc, mp.p
     full = rmap.reduced_degree == mp.d
@@ -509,7 +509,7 @@ def condition2_check(mp: MapAtPrime) -> Condition2Report:
         if not full:
             ok = False
         elif xbar is None:
-            ok = form_is_squarefree(rmap.field, rmap.G1)
+            ok = len(disc) == 2 * mp.d - 1 and disc[0] != 0
         else:
             value = 0
             for c in disc:

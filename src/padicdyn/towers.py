@@ -19,7 +19,8 @@ each Frobenius orbit of level n - 1, the degree-d form b*F1 - a*G1 is
 split into its roots over F_{p^m} (infinity when its affine degree
 drops), and the preimages of y's conjugates are the Frobenius images of
 y's.  So no level polynomial is ever factored over F_{p^m}, and every
-point is born with its parent.  F_{p^m} is ``fq_extension``'s, built by
+point is born with its parent and its Frobenius image, which give the
+level's Frobenius permutation.  F_{p^m} is ``fq_extension``'s, built by
 ``residue_field``, with log tables up to 2^12 elements; the session's
 cap_field bounds its size, and so m.  At odd p a
 quadratic form is solved by one square root of its discriminant, a
@@ -62,9 +63,8 @@ def fiber_polynomial(mp: MapAtPrime, n: int, x: ProjPointQ) -> QPoly:
     mp.d**n minus its degree is the multiplicity of infinity in the fiber."""
     if n < 1:
         raise InputError("fiber level must be >= 1")
-    p = mp.p
     raw = mp.fiber_form(n, x)
-    scale = p ** min(vp(p, c) for c in raw if c != 0)
+    scale = mp.p ** vp(mp.p, math.gcd(*raw))
     return QPoly(tuple(c // scale for c in raw))
 
 
@@ -248,18 +248,19 @@ def preimage_tree(mp: MapAtPrime, N: int, xbar: int | None) -> PreimageTree:
     ext = fq_extension(p, m, cap=mp.cap_field)
 
     e = rmap.reduced_degree
-    levels, parents, frob = [(xbar,)], [()], [_frobenius_row(ext, (xbar,))]
+    levels, parents, frob = [(xbar,)], [()], [(0,)]  # Frobenius fixes xbar
     for n in range(1, N + 1):
-        parent_of = _climb(ext, rmap, levels[-1], frob[-1])
-        level = tuple(sorted(parent_of, key=_point_sort_key))
+        climbed = _climb(ext, rmap, levels[-1], frob[-1])
+        level = tuple(sorted(climbed, key=_point_sort_key))
         if len(level) != e**n:
             raise InternalError(
                 f"level {n} of the preimage tree over {render_residue(xbar)} has "
                 f"{len(level)} points, not {e}^{n}"
             )
+        idx = {pt: i for i, pt in enumerate(level)}
         levels.append(level)
-        parents.append(tuple(parent_of[pt] for pt in level))
-        frob.append(_frobenius_row(ext, level))
+        parents.append(tuple(climbed[pt][0] for pt in level))
+        frob.append(tuple(idx[climbed[pt][1]] for pt in level))
 
     return PreimageTree(
         p=p,
@@ -271,12 +272,13 @@ def preimage_tree(mp: MapAtPrime, N: int, xbar: int | None) -> PreimageTree:
 
 
 def _climb(ext, rmap, level: tuple, frob_row: tuple) -> dict:
-    """Map each reduced preimage of a point of level to that point's index.
+    """Map each reduced preimage z of a point of level to (its index, sigma(z)).
 
     Splits b*F1 - a*G1 for one y = [a : b] per Frobenius orbit; the reduced
-    map has F_p coefficients, so sigma^k carries y's preimages to sigma^k(y)'s.
+    map has F_p coefficients, so sigma^k carries y's preimages to sigma^k(y)'s,
+    and sigma^L, L the orbit's length, must give back y's own.
     """
-    parent_of = {}
+    climbed = {}
     done = [False] * len(level)
     for i, y in enumerate(level):
         if done[i]:
@@ -286,26 +288,16 @@ def _climb(ext, rmap, level: tuple, frob_row: tuple) -> dict:
         kids = split_roots(ext, poly)
         if inf_mult:
             kids.append(None)
-        j = i
+        first, j = set(kids), i
         while not done[j]:
             done[j] = True
-            for z in kids:
-                parent_of[z] = j
-            kids = [None if z is None else ext.frobenius(z) for z in kids]
-            j = frob_row[j]
-    return parent_of
-
-
-def _frobenius_row(ext, level: tuple) -> tuple:
-    """Index in level of the p-power Frobenius image of each of its points."""
-    idx = {pt: i for i, pt in enumerate(level)}
-    row = []
-    for pt in level:
-        img = None if pt is None else ext.frobenius(pt)
-        if img not in idx:
+            images = [None if z is None else ext.frobenius(z) for z in kids]
+            for z, img in zip(kids, images):
+                climbed[z] = (j, img)
+            kids, j = images, frob_row[j]
+        if set(kids) != first:
             raise InternalError("a level of the preimage tree is not Frobenius-stable")
-        row.append(idx[img])
-    return tuple(row)
+    return climbed
 
 
 def shift_divisibility_check(mp: MapAtPrime, n: int, x: ProjPointQ) -> bool:

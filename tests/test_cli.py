@@ -216,6 +216,15 @@ def test_critical_divisor_past_the_work_cap_exits_3_at_once(argv, degree, capsys
     assert f"postcritical set: factoring the critical divisor of degree {degree} " in capsys.readouterr().err
 
 
+def test_moduli_search_past_the_width_cap_exits_3_at_once(capsys):
+    # 7p = 700,021 affine conjugations, above 2^17: refused before the first
+    start = time.perf_counter()
+    assert cli.main(["moduli", "z^2+1", "-p", "100003"]) == 3
+    assert time.perf_counter() - start < 1
+    message = "moduli search at p=100003: 700021 affine conjugations exceed cap 131072"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cap_flags_only_where_they_bind():
     assert _run("moduli", "z^2", "-p", "5", "--cap-degree", "5").returncode == 2
     offered = {
@@ -315,12 +324,23 @@ def test_internal_alarms_exit_4(monkeypatch, capsys):
     assert cli.main(["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "2"]) == 4
     assert "not 2^1" in capsys.readouterr().err
 
+    # a climb that trades the root r of z^2 = 2 over F_5 for r + 1, no root,
+    # keeps 2 points but a level that Frobenius does not map to itself
+    def shifted(field, f):
+        roots = split_roots(field, f)
+        return [field.add(roots[0], 1)] + roots[1:]
 
-@pytest.mark.parametrize("residue,code", [(6, 4), (0, 0)])
+    monkeypatch.setattr(towers, "split_roots", shifted)
+    assert cli.main(["tower", "z^2+p", "-p", "5", "-x", "2", "-n", "1"]) == 4
+    assert "Frobenius-stable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("residue,code", [(6, 4), (None, 4), (0, 0)])
 def test_analyze_alarm_cross_checks_the_postcritical_walk(residue, code, monkeypatch, capsys):
     # a walk that loses the branch value -1 = phi(0) of z^2-1 at p = 7 puts it
     # in the locus, where the fiber z^2 is not etale: the resultant criterion
-    # then contradicts the fiber criterion; losing 0, no branch value, is harmless
+    # then contradicts the fiber criterion.  So does losing infinity, critical
+    # and fixed, whose fiber is Y^2; losing 0, no branch value, is harmless
     import padicdyn.reduction as reduction
 
     postcritical_set, lost = reduction.postcritical_set, reduction.ClosedPoint.of_residue(7, residue)

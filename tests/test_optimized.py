@@ -57,6 +57,14 @@ ALARMS = [
     (["analyze", "z^2+p", "-p", "5"], reduction, "pencil_discriminant", lambda f: lambda F, G: ()),
     # a climb that loses a root leaves a tree level short of d^n points
     (["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "2"], towers, "split_roots", lambda f: lambda field, g: f(field, g)[1:]),
+    # a climb that trades the root r of z^2 = 2 over F_5 for r + 1, no root,
+    # keeps 2 points but a level that Frobenius does not map to itself
+    (
+        ["tower", "z^2+p", "-p", "5", "-x", "2", "-n", "1"],
+        towers,
+        "split_roots",
+        lambda f: lambda field, g: [field.add(r, 1) if i == 0 else r for i, r in enumerate(f(field, g))],
+    ),
     # a tree field of half the degree holds no roots of some quadratic fiber
     (
         ["tower", "z^2+z+1", "-p", "5", "-x=-4", "-n", "3"],
@@ -106,6 +114,7 @@ def test_optimized_interpreter_gives_identical_output():
     stored = {tuple(e["argv"]): e for e in json.loads(STORE.read_text())}
     alarms = _script(optimized=False)
     assert [e["exit"] for e in alarms] == [4] * len(ALARMS)
+    assert any("Frobenius-stable" in e["stderr"] for e in alarms)
     assert _script("cases", optimized=True) == [stored[tuple(argv)] for argv in CASES] + alarms
 
 

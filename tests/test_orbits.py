@@ -217,6 +217,19 @@ def test_moduli_search_frozen_witnesses():
     assert mr3.best_model.map_str() == "z^2+5"
 
 
+def test_moduli_search_refuses_a_grid_past_the_width_cap(monkeypatch):
+    # the cap bounds the 7p affine conjugations, and binds before the first
+    m = parse_map("z^2/p", 5)
+    monkeypatch.setattr(orbits, "MODULI_WIDTH_CAP", 7 * 5)
+    assert moduli_search(m, 5).achieved_zero
+    monkeypatch.setattr(orbits, "MODULI_WIDTH_CAP", 7 * 5 - 1)
+    conjugated = []
+    monkeypatch.setattr(orbits, "conjugate_forms", lambda *args: conjugated.append(args))
+    with pytest.raises(ResourceLimitError, match="^moduli search at p=5: 35 affine conjugations exceed cap 34$"):
+        moduli_search(m, 5)
+    assert conjugated == []
+
+
 def test_moduli_search_walks_its_grid_in_constant_memory():
     # the candidates are made as they are rated, not listed first:
     # z^2 + 1 at p = 1009 rates 3p + 1 of them before the identity

@@ -140,15 +140,19 @@ def test_tree_climb_searches_only_above_degree_two(monkeypatch, argv, searches):
 )
 def test_locus_check_evaluates_one_pencil_discriminant(monkeypatch, argv):
     # D(t) once for the map, one evaluation per affine residue, and the
-    # fiber over infinity as the only squarefree test
+    # fiber over infinity, in the rational map's locus, read off D's top
+    # coefficient: no squarefree test
     squarefree = _count(monkeypatch, "finitefield", "form_is_squarefree")
     pencils = _count(monkeypatch, "reduction", "pencil_discriminant")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["analyze", *argv, "--format", "json"]) == 0
-    locus = json.loads(out.getvalue())["locus"]
+    report = json.loads(out.getvalue())
+    locus = report["locus"]
     assert len(locus) > 50
-    assert len(squarefree) == ("inf" in locus)
+    assert ("inf" in locus) == ("/" in argv[0])
+    assert report["condition2"]["witnesses"] == locus
+    assert squarefree == []
     assert len(pencils) == 1
 
 

@@ -313,6 +313,33 @@ def test_preimage_tree_against_brute_force(text, p, xbar, N):
             assert any(ext.pow(z, p**k) != z for z in points)
 
 
+@pytest.mark.parametrize(
+    "text,p,xbar,N",
+    [
+        ("z^2+1", 3, 0, 3),  # a digit field, F_{3^8}
+        ("(z^2+2)/(z+1)", 5, None, 4),  # a log-table field, inf on every level
+        ("z^3-z+1", 3, 1, 3),  # cubic fibers, split by Cantor-Zassenhaus
+    ],
+)
+def test_preimage_tree_takes_one_frobenius_image_per_point(monkeypatch, text, p, xbar, N):
+    # the climb keeps sigma(z) of each affine point it finds, and the levels'
+    # permutations are read off those images: none is taken twice, and
+    # xbar, in F_p, needs none
+    mp = MapAtPrime(parse_map(text, p), p)
+    field = type(fq_extension(p, preimage_tree(mp, N, xbar).m))
+    images = []
+    frobenius = field.frobenius
+
+    def counting(self, a):
+        images.append(a)
+        return frobenius(self, a)
+
+    monkeypatch.setattr(field, "frobenius", counting)
+    t = preimage_tree(mp, N, xbar)
+    affine = [z for level in t.levels[1:] for z in level if z is not None]
+    assert sorted(images) == sorted(affine)
+
+
 def test_preimage_tree_errors_and_caps():
     with pytest.raises(InputError):
         preimage_tree(MapAtPrime(parse_map("z^2", 5), 5), 0, 2)
