@@ -140,6 +140,9 @@ CORPUS = [
     ["analyze", "z^2000+z+1", "-p", "7"],
     # a tree that needs F_{3^32} is refused by the field cap, and the levels still print
     ["tower", "z^2+2*z+1", "-p", "3", "-x=-1", "-n", "5"],
+    # a moduli search of 7p = 700,021 affine conjugations is refused before
+    # the first (exit 3)
+    ["moduli", "z^2+1", "-p", "100003"],
 ]
 
 
