@@ -15,13 +15,11 @@ over residue fields.
 from .errors import InputError, InternalError, PadicDynError, ResourceLimitError
 from .golden import battery_passed, run_battery
 from .maps import (
-    IntegralModel,
     Mobius,
     ProjPointQ,
     RationalMapModel,
     conjugate_map,
     eval_map,
-    normalize_integral,
     parse_map,
     reduce_map,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "INFINITY",
     "ClosedPoint",
     "InputError",
-    "IntegralModel",
     "InternalError",
     "MapAtPrime",
     "Mobius",
@@ -73,7 +70,6 @@ __all__ = [
     "is_prime",
     "moduli_search",
     "newton_polygon",
-    "normalize_integral",
     "orbital_report",
     "parse_map",
     "postcritical_set",

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceLimitError
-from .maps import Mobius, ProjPointQ, RationalMapModel, conjugate_by_matrix, conjugate_forms, eval_map
+from .maps import Mobius, ProjPointQ, RationalMapModel, conjugate_forms, conjugate_map, eval_map
 from .padics import require_prime, vp
 from .reduction import MapAtPrime
 from .towers import tower_levels
@@ -127,8 +127,8 @@ class ModuliReport(NamedTuple):
 
 # the exponents a of the search's conjugations z -> p^a z + b, b in range(p)
 MODULI_EXPONENTS = range(-3, 4)
-# the most affine conjugations, 7p, a search makes (so p <= 18,719): a wider
-# grid is refused before its first conjugation
+# the most affine conjugations, 7p, a search makes at d <= 2 (p <= 18,719); at
+# degree d the cap is MODULI_WIDTH_CAP * 4 // d^2 (p <= 4,681 at d = 4, 73 at d = 32)
 MODULI_WIDTH_CAP = 1 << 17
 
 
@@ -152,37 +152,40 @@ def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
     7p degree-d substitutions.  Ties keep the earlier candidate.  The
     first conjugate reaching valuation 0 stops the search, and a zero
     witness is re-verified through the full reduction report.  Only the
-    reported candidate is built, as a model and a Mobius map.
-    achieved_zero=False is inconclusive: the family is a bounded
-    heuristic, not a minimizer.
+    reported candidate is built, as a Mobius map and by ``conjugate_map``
+    as a model.  A grid past the width cap at degree d is refused before
+    its first conjugation.  achieved_zero=False is inconclusive: the
+    family is a bounded heuristic, not a minimizer.
     """
     require_prime(p)
-    if (width := len(MODULI_EXPONENTS) * p) > MODULI_WIDTH_CAP:
+    d = model.d
+    if (width := len(MODULI_EXPONENTS) * p) > (cap := MODULI_WIDTH_CAP * 4 // max(d, 2) ** 2):
         raise ResourceLimitError(
-            f"moduli search at p={p}: {width} affine conjugations exceed cap {MODULI_WIDTH_CAP}"
+            f"moduli search at p={p}: {width} affine conjugations exceed cap {cap}"
+            + (f" at degree {d}" if d > 2 else "")
         )
-    d, initial = model.d, vp(p, model.resultant())
+    initial = vp(p, model.resultant())
     best_val = best = None
     for tried, (a, b) in enumerate(itertools.product(MODULI_EXPONENTS, range(p)), 1):
         s, u = (p**a, 1) if a >= 0 else (1, p**-a)
-        matrix = (s, b * u, 0, u)
-        F, G = conjugate_forms(model, *matrix)
+        F, G = conjugate_forms(model, s, b * u, 0, u)
         val = initial + (d * d + d) * abs(a) - 2 * d * vp(p, math.gcd(*F, *G))
         if best_val is None or val < best_val:
-            best_val, best = val, (a, b, matrix)
+            best_val, best = val, (a, b)
         if best_val == 0:
             break
     else:
         tried *= 3  # the 14p inversion composites: counted, not built
-    a, b, matrix = best
-    best_model = conjugate_by_matrix(model, *matrix)
+    a, b = best
+    best_mobius = Mobius(Fraction(p) ** a, b, 0, 1)
+    best_model = conjugate_map(model, best_mobius)
     achieved = best_val == 0
     if achieved and not MapAtPrime(best_model, p).sgr.is_strict_good_reduction:
         raise InternalError("zero witness failed re-verification")
     return ModuliReport(
         initial_valuation=initial,
         best_valuation=best_val,
-        best_mobius=Mobius(Fraction(p) ** a, b, 0, 1),
+        best_mobius=best_mobius,
         best_model=best_model,
         achieved_zero=achieved,
         tried=tried,

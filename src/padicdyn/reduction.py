@@ -2,17 +2,17 @@
 
 Everything here is about one object, the reduced map of phi at p, and a
 ``MapAtPrime`` session holds it for one (map, p) pair, with every cap
-that bounds work on it.  The session proves p prime once and derives
-each artifact on first use and only once: the p-primitive integral
-model, the reduced map, the strict good reduction report, the critical
-divisor and the postcritical set, the iterates over Q and over F_p
-(extended one composition at a time), and the factor degrees of
-polynomials over F_p keyed by their monic coefficients (read off
-squarefree and distinct-degree factorization; only the PC set, which
-needs the factors themselves, runs Cantor-Zassenhaus).  Fiber forms are
-combined from the kept iterates on each call.  The analysis functions
-take a session, so the reduction, the PC set and the towers of one query
-share all of it; the memo lives on the session and is dropped with it.
+that bounds work on it; its canonical model is its own p-primitive
+model.  The session proves p prime once and derives each artifact on
+first use and only once: the reduced map, the strict good reduction
+report, the critical divisor and the postcritical set, the iterates
+over Q and over F_p (extended one composition at a time), and the
+factor degrees of polynomials over F_p keyed by their monic coefficients
+(read off squarefree and distinct-degree factorization; only the PC set,
+which needs the factors themselves, runs Cantor-Zassenhaus).  Fiber
+forms are combined from the kept iterates on each call.  The analysis
+functions take a session, so the reduction, the PC set and the towers of
+one query share all of it; the memo lives on the session and is dropped with it.
 
 On top of the session this module decides strict good reduction (unit
 resultant of the p-primitive model, equivalently full reduced degree),
@@ -57,13 +57,11 @@ from .finitefield import (
 from .maps import (
     DEGREE_CAP,
     HEIGHT_CAP_BITS,
-    IntegralModel,
     ProjPointQ,
     RationalMapModel,
     ReducedMap,
     compose_map,
     eval_reduced,
-    normalize_integral,
     reduce_map,
 )
 from .padics import require_prime, vp
@@ -109,12 +107,8 @@ class MapAtPrime:
         return self.model.d
 
     @cached_property
-    def integral(self) -> IntegralModel:
-        return normalize_integral(self.model, self.p)
-
-    @cached_property
     def rmap(self) -> ReducedMap:
-        return reduce_map(self.integral)
+        return reduce_map(self.model, self.p)
 
     @cached_property
     def sgr(self) -> SGRReport:
@@ -429,7 +423,7 @@ def strict_good_reduction(mp: MapAtPrime) -> SGRReport:
     valuation computed here is an invariant of the map.
     """
     p, rmap = mp.p, mp.rmap
-    res = mp.integral.resultant()
+    res = mp.model.resultant()
     val = vp(p, res)
     sgr = val == 0
     if sgr != (rmap.reduced_degree == mp.d):

@@ -9,7 +9,6 @@ from padicdyn.finitefield import form_is_zero
 from padicdyn.maps import (
     ProjPointQ,
     iterate_map,
-    normalize_integral,
     parse_map,
     reduce_map,
 )
@@ -57,7 +56,7 @@ def test_criterion_01(capsys):
             m = parse_map("z^2 + p", p)
             sgr = strict_good_reduction(MapAtPrime(m, p))
             assert sgr.res_valuation == 0 and sgr.is_strict_good_reduction
-            rmap = reduce_map(normalize_integral(m, p))
+            rmap = reduce_map(m, p)
             assert (rmap.F1, rmap.G1) == ((0, 0, 1), (1, 0, 0))  # z^2
             assert _pc_points(m, p) == frozenset(
                 {ClosedPoint.of_residue(p, 0), ClosedPoint.infinity(p)}
@@ -115,11 +114,10 @@ def test_criterion_04(capsys):
     def body():
         for p in (3, 5, 7):
             m = parse_map("z^2/(1 + p*z^2)", p)
-            prim = normalize_integral(m, p)
-            assert prim.resultant() == 1
+            assert m.resultant() == 1
             sgr = strict_good_reduction(MapAtPrime(m, p))
             assert sgr.res_valuation == 0
-            rmap = reduce_map(prim)
+            rmap = reduce_map(m, p)
             assert (rmap.F1, rmap.G1) == ((0, 0, 1), (1, 0, 0))
             assert _pc_points(m, p) == frozenset(
                 {ClosedPoint.of_residue(p, 0), ClosedPoint.infinity(p)}
@@ -186,8 +184,8 @@ def test_criterion_07(capsys):
                     continue
                 checked += 1
                 for n in (2, 3):
-                    prim = normalize_integral(iterate_map(m, n), p)
-                    rm = reduce_map(prim)
+                    prim = iterate_map(m, n)
+                    rm = reduce_map(prim, p)
                     # unit resultant iff the reduced resultant is nonzero;
                     # fall back to the exact valuation before failing
                     raw_F, raw_G = (tuple(c % p for c in f) for f in (prim.F, prim.G))

@@ -225,6 +225,28 @@ def test_moduli_search_past_the_width_cap_exits_3_at_once(capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 7p = 28,693 conjugations at degree 32, above 2^17 * 4 // 32^2 = 512
+        (
+            ["moduli", "z^32+1/p", "-p", "4099"],
+            "moduli search at p=4099: 28693 affine conjugations exceed cap 512 at degree 32",
+        ),
+        # a coefficient of about 11,230,000 bits, refused before its power is formed
+        (
+            ["analyze", "(7^4000)^1000*z^2+1", "-p", "5"],
+            "map parser: a coefficient of up to 11230000 bits exceeds cap 100000",
+        ),
+    ],
+)
+def test_work_past_the_degree_and_height_caps_exits_3_at_once(argv, message, capsys):
+    start = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cap_flags_only_where_they_bind():
     assert _run("moduli", "z^2", "-p", "5", "--cap-degree", "5").returncode == 2
     offered = {

@@ -15,7 +15,6 @@ from padicdyn.maps import (
     Mobius,
     ProjPointQ,
     RationalMapModel,
-    conjugate_by_matrix,
     conjugate_forms,
     conjugate_map,
     eval_map,
@@ -196,7 +195,7 @@ def test_conjugate_forms_obey_the_resultant_transformation_law():
                 assert binary_form_resultant(F, G, d) == det ** (d * d + d) * res
                 g = math.gcd(*F, *G)
                 law = vp(p, res) + (d * d + d) * vp(p, det) - 2 * d * vp(p, g)
-                assert vp(p, conjugate_by_matrix(m, *M).resultant()) == law
+                assert vp(p, RationalMapModel(F, G).resultant()) == law
                 seen["p | det"] += det % p == 0
                 seen["p | g"] += g % p == 0
     assert seen["p | d"] >= 4 and seen["p | g"] >= 20, seen
@@ -211,23 +210,22 @@ def test_conjugation_by_inversion_worked_example():
 def test_normalize_integral_is_p_primitive():
     for p in (3, 5):
         for m in random_models(p, 20, seed=13):
-            prim = normalize_integral(m, p)
-            assert min(vp(p, c) for c in prim.F + prim.G) == 0
-            assert (prim.F, prim.G) == (m.F, m.G)  # content 1 is p-primitive
+            # content 1 is p-primitive: the canonical model is its own
+            assert normalize_integral(m, p) is m
+            assert min(vp(p, c) for c in m.F + m.G) == 0
 
 
 def test_resultant_degree_consistency():
     m = parse_map("z^2 + p", 5)
-    prim = normalize_integral(m, 5)
-    assert prim.resultant() == 1
-    assert vp(5, normalize_integral(parse_map("p*z^2 + z", 5), 5).resultant()) == 2
+    assert m.resultant() == 1
+    assert vp(5, parse_map("p*z^2 + z", 5).resultant()) == 2
 
 
 def test_reduce_map_splits_common_factor():
     for p in (3, 5):
         field = prime_field_of(p)
         for m in random_models(p, 30, seed=17):
-            rmap = reduce_map(normalize_integral(m, p))
+            rmap = reduce_map(m, p)
             raw_F, raw_G = (tuple(c % p for c in f) for f in (m.F, m.G))
             if form_is_zero(raw_F) or form_is_zero(raw_G):
                 assert rmap.reduced_degree == 0
@@ -245,7 +243,7 @@ def test_reduced_map_evaluation_commutes_under_full_degree():
     rng = random.Random(19)
     p = 5
     for m in random_models(p, 40, seed=23):
-        rmap = reduce_map(normalize_integral(m, p))
+        rmap = reduce_map(m, p)
         if rmap.reduced_degree < m.d:
             continue
         for _ in range(8):
@@ -257,7 +255,7 @@ def test_reduced_map_evaluation_commutes_under_full_degree():
 def test_degenerate_reduction_shapes():
     # numerator divisible by p: the reduced F vanishes identically
     m = RationalMapModel([5, 10], [1, 0])
-    rmap = reduce_map(normalize_integral(m, 5))
+    rmap = reduce_map(m, 5)
     assert form_is_zero(rmap.F1) and rmap.common == (1, 0)
     assert rmap.reduced_degree == 0
 
@@ -286,6 +284,62 @@ def test_parser_refuses_a_product_past_the_cap_before_forming_it(monkeypatch):
             parse_map(text, 5)
     assert formed and max(formed) <= DEGREE_CAP
     assert parse_map("z^4096 + 1", 5).d == DEGREE_CAP
+
+
+def test_parser_refuses_a_coefficient_past_the_height_cap_before_forming_it(monkeypatch):
+    # the bound on a product's coefficients adds its factors' bit sizes, and
+    # a power's multiplies the base's by the exponent: neither is formed past it
+    import padicdyn.maps as maps
+
+    formed = []
+    kernel = maps._form_mul
+
+    def counting(a, b):
+        formed.append(maps._bits(a) + maps._bits(b))
+        return kernel(a, b)
+
+    monkeypatch.setattr(maps, "_form_mul", counting)
+    cases = {
+        "(7^4000)^1000*z^2+1": (7**4000).bit_length() * 1000,
+        "(7^4000)^400*z^2+1": (7**4000).bit_length() * 400,
+        "2^50001*z^2+1": 2 * 50001,
+        "(2^50000)*(2^50000)*z+z^2": 50001 + 50001,
+        "z^2+1/0^100001": 100001,  # a zero base still has a denominator of one bit
+    }
+    for text, bits in cases.items():
+        message = f"^map parser: a coefficient of up to {bits} bits exceeds cap 100000$"
+        with pytest.raises(ResourceLimitError, match=message):
+            parse_map(text, 5)
+    assert formed and max(formed) <= maps.PARSE_HEIGHT_CAP_BITS
+    # 22,460 bits, and a constant power past the degree cap, are read
+    assert parse_map("z^2+7^4000*7^4000", 5).F[0] == 7**8000
+    assert parse_map("2^4097*z^2", 5).F == (0, 0, 2**4097)
+    # the degree bound still covers the power of z alone
+    with pytest.raises(ResourceLimitError, match="^expression degree exceeds cap 4096$"):
+        parse_map("z^4097", 5)
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("z^2+", 2, "error: map expression ended unexpectedly"),
+        ("z^2+*3", 2, "error: unexpected token '*' in map expression"),
+        ("z^2 3", 2, "error: unexpected token '3' after a complete expression (note: there is no implicit multiplication)"),
+        ("z^2)", 2, "error: unexpected token ')' after a complete expression (note: there is no implicit multiplication)"),
+        ("(z^2", 2, "error: unbalanced parentheses in map expression"),
+        ("z^4097", 3, "error: expression degree exceeds cap 4096"),
+    ],
+)
+def test_parser_error_paths_exit_with_their_messages(text, code, message, capsys):
+    import padicdyn.cli as cli
+
+    assert cli.main(["analyze", text, "-p", "5"]) == code
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+def test_unary_plus_is_read_as_nothing():
+    assert parse_map("+z^2", 5) == parse_map("z^2", 5) == parse_map("+(+z)^2", 5)
+    assert parse_map("z^+2-+3", 5) == parse_map("z^2-3", 5)
 
 
 _Z = sympy.Symbol("z")

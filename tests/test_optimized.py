@@ -2,8 +2,8 @@
 
 ``-O`` strips ``assert`` statements, so an invariant check written as one
 would vanish there; the package raises ``InternalError`` instead.  A few
-frozen corpus invocations and a few forced internal alarms run in an
-optimized subprocess and must match; the alarms run in a plain one too,
+frozen corpus invocations and every internal alarm, each forced by a fault,
+run in an optimized subprocess and must match; the alarms run in a plain one too,
 each with a timeout, since a fault that breaks an invariant can also
 leave a loop that never ends.
 """
@@ -14,8 +14,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import padicdyn.cli as cli
+import padicdyn.maps as maps
+import padicdyn.orbits as orbits
 import padicdyn.reduction as reduction
 import padicdyn.towers as towers
+from padicdyn.finitefield import FqField
+from padicdyn.maps import RationalMapModel
+from padicdyn.qpolys import _form_mul
+from padicdyn.reduction import MapAtPrime
 from test_cli_corpus import CORPUS, STORE, run
 
 TESTS = Path(__file__).resolve().parent
@@ -51,12 +58,30 @@ CASES = [
     ["analyze", "z^74+z+1", "-p", "5"],
 ]
 
-# (argv, module, attribute, fault): each fault trips an internal alarm
+def _scaled(model, p):
+    # a model left with content p: not p-primitive, it reduces to the zero pair
+    return model._replace(F=tuple(p * c for c in model.F), G=tuple(p * c for c in model.G))
+
+
+# (argv, module, attribute, fault, message): each fault trips the internal
+# alarm whose message it names
 ALARMS = [
     # a zero pencil discriminant rejects every fiber and contradicts the resultant
-    (["analyze", "z^2+p", "-p", "5"], reduction, "pencil_discriminant", lambda f: lambda F, G: ()),
+    (
+        ["analyze", "z^2+p", "-p", "5"],
+        reduction,
+        "pencil_discriminant",
+        lambda f: lambda F, G: (),
+        "the fiber criterion and the resultant criterion disagree",
+    ),
     # a climb that loses a root leaves a tree level short of d^n points
-    (["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "2"], towers, "split_roots", lambda f: lambda field, g: f(field, g)[1:]),
+    (
+        ["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "2"],
+        towers,
+        "split_roots",
+        lambda f: lambda field, g: f(field, g)[1:],
+        "has 1 points, not 2^1",
+    ),
     # a climb that trades the root r of z^2 = 2 over F_5 for r + 1, no root,
     # keeps 2 points but a level that Frobenius does not map to itself
     (
@@ -64,6 +89,7 @@ ALARMS = [
         towers,
         "split_roots",
         lambda f: lambda field, g: [field.add(r, 1) if i == 0 else r for i, r in enumerate(f(field, g))],
+        "a level of the preimage tree is not Frobenius-stable",
     ),
     # a tree field of half the degree holds no roots of some quadratic fiber
     (
@@ -71,6 +97,73 @@ ALARMS = [
         towers,
         "fq_extension",
         lambda f: lambda p, m, **kw: f(p, m // 2, **kw),
+        "has no two distinct roots there",
+    ),
+    # a parser that lets the shared factor z - 1 through: both forms vanish at 1
+    (
+        ["orbit", "z^2-1", "-p", "5", "-x", "1", "-N", "2", "-n", "0"],
+        cli,
+        "parse_map",
+        lambda f: lambda text, p: RationalMapModel(*(_form_mul(g, (-1, 1)) for g in f(text, p)[1:])),
+        "coprime forms cannot vanish together",
+    ),
+    # a gcd split that misses the common factor Y of p*z^2+z mod p: the
+    # reduced forms X*Y and Y^2 both vanish at infinity, a critical point
+    (
+        ["tower", "p*z^2+z", "-p", "5", "-x", "1", "-n", "1"],
+        maps,
+        "form_gcd_split",
+        lambda f: lambda field, F, G: ((1,), F, G),
+        "coprime reduced forms cannot vanish together",
+    ),
+    (
+        ["analyze", "z^2+p", "-p", "5"],
+        reduction,
+        "reduce_map",
+        lambda f: lambda model, p: f(_scaled(model, p), p),
+        "a p-primitive model cannot reduce to the zero pair",
+    ),
+    # a conjugation that ignores its Mobius map hands back the bad model as the witness
+    (
+        ["moduli", "p*z^2+z", "-p", "5"],
+        orbits,
+        "conjugate_map",
+        lambda f: lambda model, M: model,
+        "zero witness failed re-verification",
+    ),
+    # a Frobenius that fixes everything closes the orbit of the image 2T of
+    # the critical point T (T^2 = -1 over F_103) at once, so T - 2T is its product
+    (
+        ["analyze", "z^3+3*z", "-p", "103"],
+        FqField,
+        "frobenius",
+        lambda f: lambda self, a: a,
+        "orbit product must have F_p coefficients",
+    ),
+    # a resultant off by a factor of p, beside a reduction of full degree
+    (
+        ["analyze", "z^2+p", "-p", "5"],
+        RationalMapModel,
+        "resultant",
+        lambda f: lambda self: 5 * f(self),
+        "resultant valuation and reduced degree disagree",
+    ),
+    # factor degrees that report a double factor of the fiber z^2-1 over 1,
+    # whose discriminant is a unit
+    (
+        ["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "1"],
+        MapAtPrime,
+        "factor_degrees",
+        lambda f: lambda self, c: tuple((e, m + (i == 0)) for i, (e, m) in enumerate(f(self, c))),
+        "unit discriminant forces a squarefree reduction",
+    ),
+    # factor degrees that lose a factor of that fiber
+    (
+        ["tower", "z^2+p", "-p", "5", "-x", "1", "-n", "1"],
+        MapAtPrime,
+        "factor_degrees",
+        lambda f: lambda self, c: f(self, c)[:-1],
+        "level-1 cycle type (1,) does not sum to 2^1",
     ),
 ]
 
@@ -84,7 +177,7 @@ print(json.dumps({"debug": __debug__, "runs": [run(argv) for argv in cases] + al
 
 def alarm_outputs():
     out = []
-    for argv, module, attr, fault in ALARMS:
+    for argv, module, attr, fault, _ in ALARMS:
         original = getattr(module, attr)
         setattr(module, attr, fault(original))
         try:
@@ -114,7 +207,8 @@ def test_optimized_interpreter_gives_identical_output():
     stored = {tuple(e["argv"]): e for e in json.loads(STORE.read_text())}
     alarms = _script(optimized=False)
     assert [e["exit"] for e in alarms] == [4] * len(ALARMS)
-    assert any("Frobenius-stable" in e["stderr"] for e in alarms)
+    for entry, (*_, message) in zip(alarms, ALARMS):
+        assert entry["stderr"].startswith("internal error: ") and message in entry["stderr"]
     assert _script("cases", optimized=True) == [stored[tuple(argv)] for argv in CASES] + alarms
 
 

@@ -6,13 +6,15 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import padicdyn.orbits as orbits
 from padicdyn.errors import ResourceLimitError
 from padicdyn.maps import (
     Mobius,
     ProjPointQ,
-    conjugate_by_matrix,
+    RationalMapModel,
+    conjugate_forms,
     conjugate_map,
     eval_map,
     parse_map,
@@ -230,6 +232,27 @@ def test_moduli_search_refuses_a_grid_past_the_width_cap(monkeypatch):
     assert conjugated == []
 
 
+def test_moduli_search_cap_falls_with_the_degree(monkeypatch):
+    # a conjugation at degree d costs about d^2 products, so 7p is capped at
+    # MODULI_WIDTH_CAP * 4 // d^2; d <= 2 keeps the width cap itself.  A search
+    # the cap lets through reaches its first conjugation; a refused one does not
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(orbits, "conjugate_forms", reached)
+    for d, cap in ((1, 131072), (2, 131072), (3, 58254), (4, 32768), (32, 512)):
+        last = sympy.prevprime(cap // 7 + 1)
+        with pytest.raises(Reached):
+            moduli_search(parse_map(f"z^{d}+1/p", last), last)
+        beyond = sympy.nextprime(last)
+        message = f"^moduli search at p={beyond}: {7 * beyond} affine conjugations exceed cap {cap}"
+        with pytest.raises(ResourceLimitError, match=message + (f" at degree {d}$" if d > 2 else "$")):
+            moduli_search(parse_map(f"z^{d}+1/p", beyond), beyond)
+
+
 def test_moduli_search_walks_its_grid_in_constant_memory():
     # the candidates are made as they are rated, not listed first:
     # z^2 + 1 at p = 1009 rates 3p + 1 of them before the identity
@@ -294,7 +317,7 @@ def test_grid_candidates_rate_as_their_vertex():
             divides += m.d % p == 0
 
             def rate(matrix):
-                return vp(p, conjugate_by_matrix(m, *matrix).resultant())
+                return vp(p, RationalMapModel(*conjugate_forms(m, *matrix)).resultant())
 
             vertex = {}
             for a in MODULI_EXPONENTS:

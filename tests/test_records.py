@@ -35,7 +35,6 @@ RECORDS = {
     "Mobius": lambda: Mobius(Fraction(1, 2), 3, 0, 1),
     "RationalMapModel": lambda: RationalMapModel((Fraction(1, 2), 0, 1), (0, 3, 0)),
     "GoldenCheck": lambda: run_battery(3)[0],
-    "IntegralModel": lambda: _session().integral,
     "ReducedMap": lambda: _session().rmap,
     "ClosedPoint": lambda: ClosedPoint(5, (2, 0, 1)),
     "QPoly": lambda: fiber_polynomial(_session(), 2, ProjPointQ(2, 1)),

@@ -23,7 +23,7 @@ from padicdyn.finitefield import (
     prime_field_of,
     split_roots,
 )
-from padicdyn.maps import normalize_integral, parse_map, reduce_map
+from padicdyn.maps import parse_map, reduce_map
 from padicdyn.padics import vp
 from padicdyn.reduction import (
     ClosedPoint,
@@ -51,7 +51,7 @@ from oracles import (
 
 
 def _rmap(text, p):
-    return reduce_map(normalize_integral(parse_map(text, p), p))
+    return reduce_map(parse_map(text, p), p)
 
 
 def _mp(text, p):
@@ -177,7 +177,7 @@ def test_pushforward_examples():
 def test_pushforward_never_raises_degree():
     rng = random.Random(3)
     for m in random_models(5, 12, seed=41):
-        r = reduce_map(normalize_integral(m, 5))
+        r = reduce_map(m, 5)
         if r.reduced_degree < 1:
             continue
         for _ in range(4):

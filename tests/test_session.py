@@ -50,6 +50,7 @@ def _count(monkeypatch, module, attr, *, hook=None):
     ],
 )
 def test_each_query_derives_its_artifacts_once(monkeypatch, argv, n_max):
+    # the canonical model is its own p-primitive model: none is built beside it
     normalized = _count(monkeypatch, "maps", "normalize_integral")
     reduced = _count(monkeypatch, "maps", "reduce_map")
     composed_q = _count(monkeypatch, "maps", "compose_map")
@@ -68,8 +69,8 @@ def test_each_query_derives_its_artifacts_once(monkeypatch, argv, n_max):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv + ["--format", "json"]) == 0
 
-    assert [args[0] for args in normalized] == [parse_map(argv[1], 5)]
-    assert len(reduced) == 1
+    assert normalized == []
+    assert reduced == [(parse_map(argv[1], 5), 5)]
     assert len(composed_q) <= n_max - 1
     # one composition of the reduced map substitutes into both of its forms
     assert len(composed_fp) <= n_max - 1
@@ -185,7 +186,8 @@ def test_valuations_do_not_reprove_the_prime(monkeypatch):
 def test_moduli_query_works_on_integers(monkeypatch):
     # one Mobius map for the answer; one resultant, that of the input, and
     # its valuation, plus one valuation per conjugated candidate (of its content),
-    # besides the zero witness's re-verification; none in normalize_integral
+    # besides the zero witness's re-verification; the reported model is built
+    # once, by conjugate_map, with none
     built = []
     original_new = Mobius.__new__
 
@@ -204,7 +206,7 @@ def test_moduli_query_works_on_integers(monkeypatch):
         inside.append(len(valuations) - before)
         return out
 
-    _count(monkeypatch, "maps", "normalize_integral", hook=measure)
+    _count(monkeypatch, "maps", "conjugate_map", hook=measure)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["moduli", "p*z^2+z", "-p", "5", "--format", "json"]) == 0
@@ -217,7 +219,7 @@ def test_moduli_query_works_on_integers(monkeypatch):
     assert len(built) == 1
     assert searched == report["tried"] + 1 + len(valuations)
     assert res_searched == 1 + len(resultants)
-    assert inside and not any(inside)
+    assert inside == [0]
 
 
 def test_moduli_conjugates_only_the_affine_candidates(monkeypatch):

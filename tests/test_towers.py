@@ -295,7 +295,7 @@ def test_preimage_tree_against_brute_force(text, p, xbar, N):
     t = preimage_tree(mp, N, xbar)
     ext = fq_extension(p, t.m)
     assert ext.q <= 729
-    table = map_table(ext, mp.integral.F, mp.integral.G)
+    table = map_table(ext, mp.model.F, mp.model.G)
     # level n is exactly {z in P^1(F_q) : phi~^n(z) = xbar}, in sort order
     level = [xbar]
     for n in range(N + 1):
