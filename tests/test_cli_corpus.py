@@ -143,6 +143,9 @@ CORPUS = [
     # a moduli search of 7p = 700,021 affine conjugations is refused before
     # the first (exit 3)
     ["moduli", "z^2+1", "-p", "100003"],
+    # at degree 32 the cap on 7p is 2^19 // 32^2 = 512: 28,693 conjugations
+    # are refused before the first (exit 3)
+    ["moduli", "z^32+1/p", "-p", "4099"],
 ]
 
 
