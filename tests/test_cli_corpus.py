@@ -146,6 +146,9 @@ CORPUS = [
     # at degree 32 the cap on 7p is 2^19 // 32^2 = 512: 28,693 conjugations
     # are refused before the first (exit 3)
     ["moduli", "z^32+1/p", "-p", "4099"],
+    # a coefficient of about 11,230,000 bits is refused before the parser
+    # forms it (exit 3)
+    ["analyze", "(7^4000)^1000*z^2+1", "-p", "5"],
 ]
 
 
