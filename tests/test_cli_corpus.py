@@ -149,6 +149,10 @@ CORPUS = [
     # a coefficient of about 11,230,000 bits is refused before the parser
     # forms it (exit 3)
     ["analyze", "(7^4000)^1000*z^2+1", "-p", "5"],
+    # analyze's text lines for an inseparable reduction whose postcritical
+    # set is all of P^1, and for a constant reduction
+    ["analyze", "z^3", "-p", "3"],
+    ["analyze", "p^2*z^2", "-p", "5"],
 ]
 
 
