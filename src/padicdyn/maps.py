@@ -273,7 +273,7 @@ def _tokenize(text: str, prime: int) -> list:
 
 
 def _bits(a) -> int:
-    return max((abs(c).bit_length() for c in a), default=0)
+    return max(map(abs, a)).bit_length() if a else 0
 
 
 def _check_caps(degree: int, bits: int) -> None:
@@ -289,6 +289,8 @@ def _mul(a, b) -> tuple:
     """a * b, refused before it is formed when it would pass a cap."""
     if not a or not b:
         return ()
+    if a == (1,) or b == (1,):  # most products the parser asks for are by a denominator of 1
+        return b if a == (1,) else a
     _check_caps(len(a) + len(b) - 2, _bits(a) + _bits(b))
     return _form_mul(a, b)
 
@@ -316,9 +318,6 @@ class _RatFunc:
         return _RatFunc(
             _add(_mul(self.num, other.den), _mul(other.num, self.den)), _mul(self.den, other.den)
         )
-
-    def sub(self, other):
-        return self.add(other.neg())
 
     def mul(self, other):
         return _RatFunc(_mul(self.num, other.num), _mul(self.den, other.den))
@@ -368,7 +367,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()[0]
             rhs = self.term()
-            out = out.add(rhs) if op == "+" else out.sub(rhs)
+            out = out.add(rhs if op == "+" else rhs.neg())
         return out
 
     def term(self) -> _RatFunc:

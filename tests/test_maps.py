@@ -53,6 +53,9 @@ def test_parse_rational_coefficients_cleared():
 def test_parse_unary_minus_and_powers():
     m = parse_map("-z^3 + 2", 5)
     assert (m.F, m.G) == ((2, 0, 0, -1), (1, 0, 0, 0))
+    # a unary plus is read as nothing, before a factor and in an exponent
+    assert parse_map("+z^2", 5) == parse_map("+(+z)^2", 5) == parse_map("z^2", 5)
+    assert parse_map("z^+2-+3", 5) == parse_map("z^2-3", 5)
     with pytest.raises(InputError):
         parse_map("z^2^3", 5)  # exponent chains are ambiguous, rejected
 
@@ -314,9 +317,6 @@ def test_parser_refuses_a_coefficient_past_the_height_cap_before_forming_it(monk
     # 22,460 bits, and a constant power past the degree cap, are read
     assert parse_map("z^2+7^4000*7^4000", 5).F[0] == 7**8000
     assert parse_map("2^4097*z^2", 5).F == (0, 0, 2**4097)
-    # the degree bound still covers the power of z alone
-    with pytest.raises(ResourceLimitError, match="^expression degree exceeds cap 4096$"):
-        parse_map("z^4097", 5)
 
 
 @pytest.mark.parametrize(
@@ -326,7 +326,7 @@ def test_parser_refuses_a_coefficient_past_the_height_cap_before_forming_it(monk
         ("z^2+*3", 2, "error: unexpected token '*' in map expression"),
         ("z^2 3", 2, "error: unexpected token '3' after a complete expression (note: there is no implicit multiplication)"),
         ("z^2)", 2, "error: unexpected token ')' after a complete expression (note: there is no implicit multiplication)"),
-        ("(z^2", 2, "error: unbalanced parentheses in map expression"),
+        # a power of z past the degree cap; a constant power is bounded by its height
         ("z^4097", 3, "error: expression degree exceeds cap 4096"),
     ],
 )
@@ -335,11 +335,6 @@ def test_parser_error_paths_exit_with_their_messages(text, code, message, capsys
 
     assert cli.main(["analyze", text, "-p", "5"]) == code
     assert capsys.readouterr() == ("", message + "\n")
-
-
-def test_unary_plus_is_read_as_nothing():
-    assert parse_map("+z^2", 5) == parse_map("z^2", 5) == parse_map("+(+z)^2", 5)
-    assert parse_map("z^+2-+3", 5) == parse_map("z^2-3", 5)
 
 
 _Z = sympy.Symbol("z")
