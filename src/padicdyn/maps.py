@@ -34,7 +34,8 @@ from .qpolys import poly_str, rational_str
 
 DEGREE_CAP = 4096
 HEIGHT_CAP_BITS = 10**6
-# the most bits of a parsed coefficient: a degree-4 map this high analyzes in about 5 s
+# the most bits of a parsed coefficient: a degree-4 map this high analyzes in about
+# 5 s on a 2-core VM, most of it in its resultant
 PARSE_HEIGHT_CAP_BITS = 10**5
 
 _RATIONAL_TEXT = re.compile(r"(?P<sign>[+-]?)(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?")
@@ -462,7 +463,8 @@ def parse_map(text: str, prime: int) -> RationalMapModel:
 
 
 def normalize_integral(model: RationalMapModel, p: int) -> RationalMapModel:
-    """The canonical model; only the benchmark's span list, which wraps it by name, calls it."""
+    """The canonical model itself.  Nothing in the package calls it; it stays only because
+    the benchmark's span list wraps it by name, and goes when that list does."""
     return model
 
 
