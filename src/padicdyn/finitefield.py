@@ -39,11 +39,11 @@ fields split off z^2 - a by Cantor-Zassenhaus.
 
 Binary forms of a fixed formal degree D are ascending tuples of length
 D + 1 (entry i is the coefficient of X^i Y^(D-i)); they are never trimmed,
-since vanishing top coefficients encode roots at infinity.  They are the
-F_q twin of the integer forms of ``qpolys``: forms and polynomials share
-one product routine, ``_mul``, and ``compose_forms`` substitutes one pair
-(A, B) into several forms at once, building the monomials A^i B^(D-i)
-once.
+since vanishing top coefficients encode roots at infinity.  Forms and
+polynomials share one product routine, ``_mul``, and forms over F_p are
+composed by ``qpolys.compose_forms`` with ``_mul`` as the ring's product;
+the integer sums are then reduced mod p.  Encoded elements of F_{p^m}
+do not add as integers, so ``iterate_forms`` refuses an extension field.
 The multiplicity of infinity, D minus the affine degree, is read in one
 place, ``form_dehomogenize``.
 """
@@ -51,12 +51,12 @@ place, ``form_dehomogenize``.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceLimitError
 from .padics import require_prime
-from .qpolys import poly_str
+from .qpolys import compose_forms, poly_str
 
 FIELD_SIZE_CAP = 1 << 20
 TABLE_Q = 1 << 12
@@ -275,13 +275,6 @@ class _LogField(FqField):
         if not a or not b:
             return 0
         return self._exp[self._log[a] + self._log[b]]
-
-    def pow(self, a: int, e: int) -> int:
-        if not a:
-            if e < 0:
-                raise ZeroDivisionError("inverse of zero in a finite field")
-            return 0 if e else 1
-        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if not a:
@@ -669,29 +662,6 @@ def form_is_zero(coeffs) -> bool:
     return all(c == 0 for c in coeffs)
 
 
-def compose_forms(field: FqField, forms, pair) -> list[tuple]:
-    """Each form F of degree d in ``forms`` at (X, Y) = (A, B).
-
-    A and B are forms of one formal degree e; the monomials A^i B^(d-i)
-    are built once and shared by all the forms.
-    """
-    A, B = pair
-    d = len(forms[0]) - 1
-    pa, pb = [(1,)], [(1,)]
-    for _ in range(d):
-        pa.append(_mul(field, pa[-1], A))
-        pb.append(_mul(field, pb[-1], B))
-    monomials = [_mul(field, pa[i], pb[d - i]) for i in range(d + 1)]
-    out = []
-    for coeffs in forms:
-        acc = [0] * (d * (len(A) - 1) + 1)
-        for c, term in zip(coeffs, monomials):
-            if c:
-                field.addmul(acc, 0, c, term)
-        out.append(tuple(acc))
-    return out
-
-
 def form_dehomogenize(coeffs) -> tuple[list, int]:
     """(trimmed list in t = X/Y, multiplicity of the root at infinity)."""
     poly = _trim(coeffs)
@@ -746,10 +716,14 @@ def fiber_form(field: FqField, F, G, a: int, b: int):
 
 
 def iterate_forms(field: FqField, F, G, n: int):
-    """Forms of the n-th iterate of the self-map [F : G] of P^1."""
+    """Forms of the n-th iterate of [F : G] over F_p.  The package's own are built by
+    ``MapAtPrime.reduced_iterate``; this stays as the benchmark's spans wrap it by name."""
     if n < 1:
         raise InputError("iteration depth must be >= 1")
+    if field.m != 1:
+        raise InputError("iterate_forms composes over a prime field only")
+    mul, p = partial(_mul, field), field.p
     Fn, Gn = F, G
     for _ in range(n - 1):
-        Fn, Gn = compose_forms(field, (F, G), (Fn, Gn))
+        Fn, Gn = (tuple(c % p for c in f) for f in compose_forms((F, G), (Fn, Gn), mul))
     return Fn, Gn

@@ -128,8 +128,10 @@ class ModuliReport(NamedTuple):
 # the exponents a of the search's conjugations z -> p^a z + b, b in range(p)
 MODULI_EXPONENTS = range(-3, 4)
 # the most affine conjugations, 7p, a search makes at d <= 2 (p <= 18,719); at
-# degree d the cap is MODULI_WIDTH_CAP * 4 // d^2 (p <= 4,681 at d = 4, 73 at d = 32)
+# degree d the cap is MODULI_WIDTH_CAP * 4 // d^2 (p <= 4,681 at d = 4, 73 at d = 32),
+# and each conjugation counts 1 + h // MODULI_HEIGHT_BITS for coefficients of h bits
 MODULI_WIDTH_CAP = 1 << 17
+MODULI_HEIGHT_BITS = 8192
 
 
 def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
@@ -153,15 +155,19 @@ def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
     first conjugate reaching valuation 0 stops the search, and a zero
     witness is re-verified through the full reduction report.  Only the
     reported candidate is built, as a Mobius map and by ``conjugate_map``
-    as a model.  A grid past the width cap at degree d is refused before
-    its first conjugation.  achieved_zero=False is inconclusive: the
-    family is a bounded heuristic, not a minimizer.
+    as a model.  A grid past the width cap at degree d, each conjugation
+    weighted by the coefficient height, is refused before its first.
+    achieved_zero=False is inconclusive: the family is a bounded
+    heuristic, not a minimizer.
     """
     require_prime(p)
-    d = model.d
-    if (width := len(MODULI_EXPONENTS) * p) > (cap := MODULI_WIDTH_CAP * 4 // max(d, 2) ** 2):
+    d, h = model.d, max(abs(c).bit_length() for c in model.F + model.G)
+    width, weight = len(MODULI_EXPONENTS) * p, 1 + h // MODULI_HEIGHT_BITS
+    if width * weight > (cap := MODULI_WIDTH_CAP * 4 // max(d, 2) ** 2):
         raise ResourceLimitError(
-            f"moduli search at p={p}: {width} affine conjugations exceed cap {cap}"
+            f"moduli search at p={p}: {width} affine conjugations"
+            + (f" of {h}-bit coefficients, each counted {weight} times," if weight > 1 else "")
+            + f" exceed cap {cap}"
             + (f" at degree {d}" if d > 2 else "")
         )
     initial = vp(p, model.resultant())

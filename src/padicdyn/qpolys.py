@@ -11,7 +11,9 @@ zeros; the zero polynomial is the empty tuple.  Binary forms of a fixed
 formal degree are int tuples whose entry i is the coefficient of
 X^i Y^(d-i), which keep their length.  Both multiply with ``_form_mul``,
 polynomials add with ``_add``, and ``QPoly`` is only a record around a
-trimmed tuple.
+trimmed tuple.  ``compose_forms`` is the package's one substitution of
+a pair of forms into forms; it takes the ring's product, so the reduced
+iterates over F_p are composed by it too, with ``finitefield._mul``.
 
 ``QPoly.gcd`` is the primitive polynomial remainder sequence (Cohen, GTM
 138, Ch. 3): pseudo-remainders, each divided by its content, so the gcd
@@ -77,19 +79,22 @@ def _add(a, b) -> tuple[int, ...]:
     return tuple(out)
 
 
-def compose_forms(forms, pair) -> list[tuple[int, ...]]:
+def compose_forms(forms, pair, mul=_form_mul) -> list[tuple[int, ...]]:
     """Each integer form F of degree d in ``forms`` at (X, Y) = (A, B).
 
-    A and B are integer forms of one formal degree e; the monomials
-    A^i B^(d-i) are built once and shared by all the forms.
+    A and B are forms of one formal degree e; the monomials A^i B^(d-i)
+    are built once by ``mul`` and shared by all the forms, which add up
+    c * monomial as integers.  ``mul`` is the product of the coefficient
+    ring: over Z the default; over F_p ``partial(finitefield._mul, field)``,
+    which keeps the monomials reduced, and the caller reduces each sum.
     """
     A, B = pair
     d = len(forms[0]) - 1
     pa, pb = [(1,)], [(1,)]
     for _ in range(d):
-        pa.append(_form_mul(pa[-1], A))
-        pb.append(_form_mul(pb[-1], B))
-    monomials = [_form_mul(pa[i], pb[d - i]) for i in range(d + 1)]
+        pa.append(mul(pa[-1], A))
+        pb.append(mul(pb[-1], B))
+    monomials = [mul(pa[i], pb[d - i]) for i in range(d + 1)]
     out = []
     for coeffs in forms:
         acc = [0] * (d * (len(A) - 1) + 1)

@@ -31,7 +31,7 @@ exactly one closed point, whichever model of F_{p^k} the walk runs in.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from math import factorial
 from typing import NamedTuple
 
@@ -43,7 +43,6 @@ from .finitefield import (
     _derivative,
     _mul,
     _sub,
-    compose_forms,
     distinct_degree,
     fiber_form,
     form_dehomogenize,
@@ -65,7 +64,7 @@ from .maps import (
     reduce_map,
 )
 from .padics import require_prime, vp
-from .qpolys import _add, _form_mul, form_discriminant, poly_str
+from .qpolys import _add, _form_mul, compose_forms, form_discriminant, poly_str
 
 PC_CAP = 100_000
 # factoring a critical divisor of affine degree D over F_p takes about D^3 * bits(p)
@@ -171,8 +170,10 @@ class MapAtPrime:
         """Forms (F_n, G_n) over F_p of the n-th iterate of the reduced map."""
         self._check_degree(n)
         rmap, its = self.rmap, self._reduced_iterates
+        mul = partial(_mul, rmap.field)
         while len(its) < n:
-            its.append(tuple(compose_forms(rmap.field, (rmap.F1, rmap.G1), its[-1])))
+            composed = compose_forms((rmap.F1, rmap.G1), its[-1], mul)
+            its.append(tuple(tuple(c % self.p for c in f) for f in composed))
         return its[n - 1]
 
     def fiber_form(self, n: int, x: ProjPointQ) -> tuple:

@@ -13,7 +13,6 @@ from padicdyn.finitefield import (
     form_is_squarefree,
     form_is_zero,
     fq_extension,
-    iterate_forms,
 )
 from padicdyn.maps import Mobius, ProjPointQ, ReducedMap, eval_reduced
 from padicdyn.reduction import ClosedPoint, PostcriticalSet, closed_points_of_form
@@ -281,6 +280,28 @@ def separable_oracle(rmap: ReducedMap) -> bool:
     return False
 
 
+def iterate_forms_oracle(field: FqField, F, G, n: int) -> tuple:
+    """Forms of the n-th iterate of [F : G]: each step substitutes the last
+    iterate into F and G term by term with ``poly_mul``, padded back to its
+    formal degree."""
+    d = len(F) - 1
+    Fn, Gn = F, G
+    for _ in range(n - 1):
+        size = d * (len(Fn) - 1) + 1
+        composed = []
+        for form in (F, G):
+            acc = [0] * size
+            for i, c in enumerate(form):
+                term = [c]
+                for factor in [Fn] * i + [Gn] * (d - i):
+                    term = poly_mul(field, term, factor)
+                for k, v in enumerate(term):
+                    acc[k] = field.add(acc[k], v)
+            composed.append(tuple(acc))
+        Fn, Gn = composed
+    return Fn, Gn
+
+
 def etale_fiber_oracle(rmap: ReducedMap, xbar: int | None, n: int) -> bool:
     """Brute force: does the fiber of the n-th reduced iterate over xbar
     consist of deg^n distinct points?
@@ -294,7 +315,7 @@ def etale_fiber_oracle(rmap: ReducedMap, xbar: int | None, n: int) -> bool:
         return False
     if not separable_oracle(rmap):
         return False
-    Fn, Gn = iterate_forms(rmap.field, rmap.F1, rmap.G1, n)
+    Fn, Gn = iterate_forms_oracle(rmap.field, rmap.F1, rmap.G1, n)
     a, b = (1, 0) if xbar is None else (xbar, 1)
     fib = fiber_form(rmap.field, Fn, Gn, a, b)
     return form_is_squarefree(rmap.field, fib)

@@ -2,6 +2,7 @@
 
 import random
 import types
+from functools import partial
 
 import pytest
 import sympy
@@ -20,7 +21,6 @@ from padicdyn.finitefield import (
     _mul,
     _powmod,
     _sub,
-    compose_forms,
     fiber_form,
     form_dehomogenize,
     form_gcd_split,
@@ -36,7 +36,7 @@ from padicdyn.finitefield import (
     squarefree_decomposition,
 )
 from padicdyn.maps import eval_reduced, parse_map
-from padicdyn.qpolys import binary_form_resultant
+from padicdyn.qpolys import binary_form_resultant, compose_forms
 from padicdyn.reduction import MapAtPrime, pushforward
 
 from oracles import form_eval, form_resultant, poly_mul
@@ -264,18 +264,20 @@ def _form_of_roots(field, c, roots, inf_mult):
 
 
 def test_form_eval_vs_compose():
-    # F_5 computes mod 5, F_4 and F_9 on log tables and F_{3^8} (above
-    # TABLE_Q) on digits; each map has forms whose top coefficients
-    # vanish, so infinity is a root of F or a double root of G
+    # maps over F_p, composed there and evaluated on P^1(F_q): F_5 computes
+    # mod 5, F_4 and F_9 on log tables and F_{3^8} (above TABLE_Q) on digits;
+    # each map has forms whose top coefficients vanish, so infinity is a root
+    # of F or a double root of G
     for p, m in [(5, 1), (2, 2), (3, 2), (3, 8)]:
-        field = fq_extension(p, m)
+        base, field = prime_field_of(p), fq_extension(p, m)
         assert isinstance(field, _LogField) == (1 < m and field.q <= TABLE_Q)
         rng = random.Random(43 + field.q)
-        r, s, t = rng.sample(range(1, field.q), 3)
-        c = rng.randrange(1, field.q)
+        r, s = rng.sample(range(p), 2)
+        t = rng.choice([u for u in range(p) if u != r])  # t = s over F_2
+        c = rng.randrange(1, p)
         maps = [
-            (_form_of_roots(field, 1, [r], 1), _form_of_roots(field, c, [s, t], 0)),
-            (_form_of_roots(field, c, [s, t], 0), _form_of_roots(field, 1, [], 2)),
+            (_form_of_roots(base, 1, [r], 1), _form_of_roots(base, c, [s, t], 0)),
+            (_form_of_roots(base, c, [s, t], 0), _form_of_roots(base, 1, [], 2)),
         ]
         points = [*range(field.q), None]
         if field.q > TABLE_Q:
@@ -283,7 +285,7 @@ def test_form_eval_vs_compose():
             # points and a seeded sample stand in for all of P^1
             points = [None, 0, 1, r, s, t] + rng.sample(range(2, field.q), 120)
         for F, G in maps:
-            forms = [(F, G)] + [iterate_forms(field, F, G, n) for n in (2, 3)]
+            forms = [(F, G)] + [iterate_forms(base, F, G, n) for n in (2, 3)]
             assert [len(Fn) for Fn, _ in forms] == [3, 5, 9]
             for z in points:
                 a, b = (1, 0) if z is None else (z, 1)
@@ -298,11 +300,35 @@ def test_form_eval_vs_compose():
 
 
 def test_compose_forms_degree():
-    field = prime_field_of(3)
-    F, G = (1, 2, 1), (0, 1, 0)
-    FF, GG = compose_forms(field, (F, G), (F, G))
-    assert len(FF) == 5 and len(GG) == 5
-    assert (FF, GG) == iterate_forms(field, F, G, 2)
+    # reduction mod p is a ring map: composing reduced forms with the F_p
+    # product is the integer composition reduced mod p, of formal degree d*e
+    rng = random.Random(29)
+    for p in (2, 3, 5, 7):
+        field = prime_field_of(p)
+        for _ in range(25):
+            d, e = rng.randint(1, 4), rng.randint(1, 4)
+            forms = [tuple(rng.randint(-40, 40) for _ in range(d + 1)) for _ in range(2)]
+            pair = [tuple(rng.randint(-40, 40) for _ in range(e + 1)) for _ in range(2)]
+            want = [tuple(c % p for c in f) for f in compose_forms(forms, pair)]
+            got = compose_forms(
+                [tuple(c % p for c in f) for f in forms],
+                [tuple(c % p for c in f) for f in pair],
+                partial(_mul, field),
+            )
+            assert [tuple(c % p for c in f) for f in got] == want
+            assert [len(f) for f in want] == [d * e + 1] * 2
+        F, G = (1, 2 % p, 1), (0, 1, 0)
+        assert iterate_forms(field, F, G, 2) == tuple(
+            tuple(c % p for c in f) for f in compose_forms((F, G), (F, G))
+        )
+
+
+def test_iterate_forms_refuses_an_extension_field():
+    # encoded elements of F_{p^m} do not add as integers, so the reduced
+    # integer sums would be wrong there
+    for field in (fq_extension(2, 2), fq_extension(3, 8)):
+        with pytest.raises(InputError, match="prime field"):
+            iterate_forms(field, (0, 1), (1, 0), 2)
 
 
 def test_form_gcd_split_extracts_common_factor():

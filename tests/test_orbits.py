@@ -253,6 +253,31 @@ def test_moduli_search_cap_falls_with_the_degree(monkeypatch):
             moduli_search(parse_map(f"z^{d}+1/p", beyond), beyond)
 
 
+def test_moduli_search_cap_weighs_the_coefficient_height(monkeypatch):
+    # a conjugation of h-bit coefficients counts 1 + h // 8192 times, so below
+    # 8,192 bits the cap and its message are those of a small map
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(orbits, "conjugate_forms", reached)
+    monkeypatch.setattr(orbits, "MODULI_WIDTH_CAP", 7 * 5 * 2)
+    for c in (1, 2**8191 - 1, 2**8191, 2**16383 - 1):
+        with pytest.raises(Reached):
+            moduli_search(RationalMapModel((1, 0, c), (5, 0, 0)), 5)
+    message = (
+        "^moduli search at p=5: 35 affine conjugations of 16384-bit coefficients,"
+        " each counted 3 times, exceed cap 70$"
+    )
+    with pytest.raises(ResourceLimitError, match=message):
+        moduli_search(RationalMapModel((1, 0, 2**16383), (5, 0, 0)), 5)
+    monkeypatch.setattr(orbits, "MODULI_WIDTH_CAP", 7 * 5 - 1)
+    with pytest.raises(ResourceLimitError, match="^moduli search at p=5: 35 affine conjugations exceed cap 34$"):
+        moduli_search(RationalMapModel((1, 0, 2**8191 - 1), (5, 0, 0)), 5)
+
+
 def test_moduli_search_walks_its_grid_in_constant_memory():
     # the candidates are made as they are rated, not listed first:
     # z^2 + 1 at p = 1009 rates 3p + 1 of them before the identity

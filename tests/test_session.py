@@ -12,9 +12,9 @@ import sympy
 import padicdyn.cli as cli
 import padicdyn.reduction as reduction
 from corpus_util import random_models
-from oracles import poly_mul
+from oracles import map_table, poly_mul
 from padicdyn.errors import InputError, ResourceLimitError
-from padicdyn.finitefield import FqPoly, iterate_forms, prime_field_of
+from padicdyn.finitefield import FqPoly, fq_extension, prime_field_of
 from padicdyn.maps import Mobius, iterate_map, parse_map
 from padicdyn.qpolys import QPoly
 from padicdyn.reduction import MapAtPrime
@@ -54,7 +54,8 @@ def test_each_query_derives_its_artifacts_once(monkeypatch, argv, n_max):
     normalized = _count(monkeypatch, "maps", "normalize_integral")
     reduced = _count(monkeypatch, "maps", "reduce_map")
     composed_q = _count(monkeypatch, "maps", "compose_map")
-    composed_fp = _count(monkeypatch, "finitefield", "compose_forms")
+    # over Z through compose_map; over F_p with the field's product as mul
+    composed_forms = _count(monkeypatch, "qpolys", "compose_forms")
     # separability is read from the factor multiplicities, never by a gcd
     squarefree = _count(monkeypatch, "finitefield", "form_is_squarefree")
     # squarefree decompositions the session runs, not those inside fq_factor
@@ -72,8 +73,9 @@ def test_each_query_derives_its_artifacts_once(monkeypatch, argv, n_max):
     assert normalized == []
     assert reduced == [(parse_map(argv[1], 5), 5)]
     assert len(composed_q) <= n_max - 1
-    # one composition of the reduced map substitutes into both of its forms
-    assert len(composed_fp) <= n_max - 1
+    # one composition of each map substitutes into both of its forms
+    assert len([args for args in composed_forms if len(args) == 2]) <= n_max - 1
+    assert 0 < len([args for args in composed_forms if len(args) == 3]) <= n_max - 1
     assert squarefree == []
     keys = [(field, tuple(f)) for field, f in decomposed]
     assert len(keys) == len(set(keys)) > 0
@@ -243,11 +245,29 @@ def test_session_iterates_match_the_free_functions():
         mp = MapAtPrime(m, p)
         for n in (3, 1, 2):
             assert mp.iterate(n) == iterate_map(m, n)
-        rmap = mp.rmap
-        if rmap.reduced_degree < 1:
-            continue
-        for n in (2, 3, 1):
-            assert mp.reduced_iterate(n) == iterate_forms(rmap.field, rmap.F1, rmap.G1, n)
+
+
+def test_reduced_iterates_match_the_composite_of_the_map_table():
+    # the n-th reduced iterate, point by point on P^1(F_p) and P^1(F_{p^2}),
+    # is the n-fold composite of the reduced map's own table
+    seen = set()
+    for p in (2, 3, 5, 7):
+        for m in random_models(p, 10, degrees=(2, 3, 4), seed=61 + p):
+            mp = MapAtPrime(m, p)
+            rmap = mp.rmap
+            if rmap.reduced_degree < 1:
+                continue
+            seen.add(("p | d", m.d % p == 0))
+            seen.add(("degree drops", rmap.reduced_degree < m.d))
+            for field in (prime_field_of(p), fq_extension(p, 2)):
+                table = map_table(field, rmap.F1, rmap.G1)
+                want = {z: z for z in table}
+                for n in (1, 2, 3):
+                    want = {z: table[w] for z, w in want.items()}
+                    Fn, Gn = mp.reduced_iterate(n)
+                    assert len(Fn) == len(Gn) == rmap.reduced_degree**n + 1
+                    assert map_table(field, Fn, Gn) == want
+    assert seen == {(k, v) for k in ("p | d", "degree drops") for v in (False, True)}
 
 
 def test_session_factor_degrees_are_keyed_by_monic_coefficients(monkeypatch):
