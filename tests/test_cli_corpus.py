@@ -153,6 +153,9 @@ CORPUS = [
     # set is all of P^1, and for a constant reduction
     ["analyze", "z^3", "-p", "3"],
     ["analyze", "p^2*z^2", "-p", "5"],
+    # 131,033 conjugations of 99,015-bit coefficients, each counted 13 times,
+    # pass the moduli width cap and are refused before the first (exit 3)
+    ["moduli", "((2^1000)^99-1)*z^2+1/p", "-p", "18719"],
 ]
 
 
