@@ -233,17 +233,17 @@ def test_moduli_search_past_the_width_cap_exits_3_at_once(capsys):
             ["moduli", "z^32+1/p", "-p", "4099"],
             "moduli search at p=4099: 28693 affine conjugations exceed cap 512 at degree 32",
         ),
+        # a coefficient of about 11,230,000 bits, refused before its power is formed
+        (
+            ["analyze", "(7^4000)^1000*z^2+1", "-p", "5"],
+            "map parser: a coefficient of up to 11230000 bits exceeds cap 100000",
+        ),
         # 7p = 131,033 conjugations of 99,015-bit coefficients, each counted
         # 1 + 99015 // 8192 = 13 times against 2^17
         (
             ["moduli", "((2^1000)^99-1)*z^2+1/p", "-p", "18719"],
             "moduli search at p=18719: 131033 affine conjugations of 99015-bit coefficients,"
             " each counted 13 times, exceed cap 131072",
-        ),
-        # a coefficient of about 11,230,000 bits, refused before its power is formed
-        (
-            ["analyze", "(7^4000)^1000*z^2+1", "-p", "5"],
-            "map parser: a coefficient of up to 11230000 bits exceeds cap 100000",
         ),
     ],
 )
