@@ -6,16 +6,19 @@ generator, lowest degree first.  The prime subfield is therefore encoded
 by the ints 0..p-1 in every extension, which makes lifting coefficient
 lists between F_p and F_{p^m} a no-op.
 
-An FqField computes on the digits, and inverts by the extended Euclidean
-algorithm over F_p on the polynomial kernel below.  Prime fields come
-from ``prime_field_of`` and every extension from ``residue_field``, which
-builds F_p[T]/(c) once per (p, c) and keeps the last 32.  A postcritical
+An FqField computes on the digits: a product reduces its digit
+convolution by the monic modulus itself, top degree first, and an
+inverse runs the extended Euclidean algorithm over F_p on the polynomial
+kernel below.  Prime fields come from ``prime_field_of`` and every
+extension from ``residue_field``, which builds F_p[T]/(c) once per
+(p, c) and keeps the last 32; the constructor proves c irreducible by
+the same distinct-degree splitting that factors fibers.  A postcritical
 walk runs in its point's own residue field; a preimage tree runs in the
 one ``fq_extension`` names by the first irreducible modulus of degree m
 below a size cap.  Extensions of at most TABLE_Q = 2^12 elements
 carry exp/log/Zech tables that make every operation a list lookup on the
 same encoding.  The tables cost q - 1 digit multiplications to build
-(about 0.07 s at 2^12 and 1.4 s at 2^16 on a 2-core VM), which a tree
+(about 0.04 s at 2^12 and 1.0 s at 2^16 on a 2-core VM), which a tree
 in a larger field would seldom repay.
 
 Polynomials are ascending lists of encoded elements, and the kernel
@@ -30,12 +33,13 @@ ch. 14) are sequences of those two, so no polynomial object is built per
 step.  The functions at the edges take a field and a list too, except
 ``fq_factor``, which takes an FqPoly record (field, coeffs) and returns
 coefficient tuples.  Equal-degree splitting draws from a fixed-seed
-random stream; factors and roots are returned sorted, so the output does
-not depend on the stream.  Callers that need only the factor degrees
-stop after the distinct-degree step.  ``split_roots`` serves only the
-tree climb; at odd p it solves a quadratic by the quadratic formula with
-one ``sqrt``, which a log field reads off by halving the log and other
-fields split off z^2 - a by Cantor-Zassenhaus.
+random stream, at most 64 times per split; factors and roots are
+returned sorted, so the output does not depend on the stream.  Callers
+that need only the factor degrees stop after the distinct-degree step.
+``split_roots`` serves only the tree climb; at odd p it solves a
+quadratic by the quadratic formula with one ``sqrt``, which a log field
+reads off by halving the log and other fields split off z^2 - a by
+Cantor-Zassenhaus.
 
 Binary forms of a fixed formal degree D are ascending tuples of length
 D + 1 (entry i is the coefficient of X^i Y^(D-i)); they are never trimmed,
@@ -65,7 +69,7 @@ TABLE_Q = 1 << 12
 class FqField:
     """The field F_{p^m} presented as F_p[T]/(modulus)."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_red")
+    __slots__ = ("p", "m", "q", "modulus")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         require_prime(p)
@@ -80,19 +84,6 @@ class FqField:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "q", p**m)
         object.__setattr__(self, "modulus", modulus)
-        # digit vectors of T^m .. T^(2m-2) modulo the modulus
-        red = []
-        if m > 1:
-            top = [(-c) % p for c in modulus[:m]]
-            red.append(top)
-            for _ in range(m - 2):
-                prev = red[-1]
-                nxt = [0] + prev[: m - 1]
-                carry = prev[m - 1]
-                if carry:
-                    nxt = [(nxt[i] + carry * top[i]) % p for i in range(m)]
-                red.append(nxt)
-        object.__setattr__(self, "_red", tuple(tuple(r) for r in red))
 
     def __setattr__(self, *args):
         raise AttributeError("FqField is immutable")
@@ -132,6 +123,8 @@ class FqField:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
+        if not a or not b:  # 0 encodes zero
+            return a + b
         da, db = self.decode(a), self.decode(b)
         return self.encode([x + y for x, y in zip(da, db)])
 
@@ -144,22 +137,22 @@ class FqField:
         p, m = self.p, self.m
         if m == 1:
             return a * b % p
-        if a == 0 or b == 0:
-            return 0
+        if a < 2 or b < 2:  # 0 and 1 encode zero and one
+            return a * b
         da, db = self.decode(a), self.decode(b)
         conv = [0] * (2 * m - 1)
         for i, x in enumerate(da):
             if x:
-                for j, y in enumerate(db):
-                    conv[i + j] += x * y
-        out = [c % p for c in conv[:m]]
-        for k in range(m, 2 * m - 1):
+                for j, y in enumerate(db, i):
+                    conv[j] += x * y
+        # top degree first, T^k = T^(k-m) * (T^m - modulus): conv[k] is final when read
+        low = self.modulus[:m]
+        for k in range(2 * m - 2, m - 1, -1):
             c = conv[k] % p
             if c:
-                row = self._red[k - m]
-                for i in range(m):
-                    out[i] = (out[i] + c * row[i]) % p
-        return self.encode(out)
+                for i, y in enumerate(low, k - m):
+                    conv[i] -= c * y
+        return self.encode(conv[:m])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -231,7 +224,7 @@ class _LogField(FqField):
 
     def __init__(self, field: FqField):
         # field's modulus is already proved irreducible; share its presentation
-        for name in ("p", "m", "q", "modulus", "_red"):
+        for name in FqField.__slots__:
             object.__setattr__(self, name, getattr(field, name))
         p, q = field.p, field.q
         g = next(
@@ -479,17 +472,11 @@ def horner(field: FqField, coeffs, a: int) -> int:
 
 
 def is_irreducible(field: FqField, f) -> bool:
-    """Rabin's test: x^(q^n) = x mod f and gcd(x^(q^(n/r)) - x, f) = 1 for primes r | n."""
-    n = len(f) - 1
-    if n <= 1:
-        return n == 1
-    x = [0, 1]
-    if _powmod(field, x, field.q**n, f) != _divmod(field, x, f)[1]:
-        return False
-    return all(
-        len(_gcd(field, _sub(field, _powmod(field, x, field.q ** (n // r), f), x), f)) == 1
-        for r in _prime_divisors(n)
-    )
+    """True when f is nonconstant and distinct-degree splitting gives it back whole:
+    a reducible f of degree n has an irreducible factor g of degree at most n/2,
+    a repeated one among them, and gcd(x^(q^deg g) - x, f) splits g off."""
+    f = _monic(field, _trim(f))
+    return len(f) > 1 and distinct_degree(field, f) == [(f, len(f) - 1)]
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -567,12 +554,18 @@ def distinct_degree(field: FqField, f) -> list[tuple[list, int]]:
 
 
 def _equal_degree(field: FqField, f, e: int, rng: random.Random) -> list[tuple]:
-    """Cantor-Zassenhaus split of a monic squarefree product of degree-e irreducibles."""
+    """Cantor-Zassenhaus split of a monic squarefree product of degree-e irreducibles.
+
+    For such an f each draw fails with probability at most 1/2 (von zur
+    Gathen-Gerhard, 14.9 and exercise 14.16 for p = 2), so 64 failed draws
+    in a row happen with probability at most 2^-64 and are taken for an f
+    that is not such a product, an InternalError.
+    """
     n = len(f) - 1
     if n == e:
         return [tuple(f)]
     q, divrow = field.q, _divrow(field, f)
-    while True:
+    for _ in range(64):
         r = _trim([rng.randrange(q) for _ in range(n)])
         if len(r) < 2:
             continue
@@ -591,6 +584,11 @@ def _equal_degree(field: FqField, f, e: int, rng: random.Random) -> list[tuple]:
             g = _gcd(field, _sub(field, s, [1]), f)
         if 1 < len(g) <= n:
             break
+    else:
+        raise InternalError(
+            f"equal-degree splitting found no factor of a degree-{n} polynomial over "
+            f"F_{field.p}^{field.m} in 64 draws: it is no product of distinct degree-{e} irreducibles"
+        )
     return _equal_degree(field, g, e, rng) + _equal_degree(field, _divmod(field, f, g)[0], e, rng)
 
 
@@ -635,8 +633,9 @@ def split_roots(F: FqField, cs) -> list[int]:
     field's ``sqrt`` of D = B^2 - 4AC; a D that is zero or not a square
     breaks the caller's guarantee and raises InternalError.  Any other cs
     is split by equal-degree splitting with e = 1 on a fixed-seed stream,
-    which does not check the guarantee: on a cs without distinct roots in
-    the field, its random search never ends.
+    which does not check the guarantee up front: a cs with an irreducible
+    factor of higher degree fails all of its 64 draws and raises
+    InternalError.
     """
     if len(cs) < 2:
         return []

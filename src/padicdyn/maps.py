@@ -15,7 +15,8 @@ model, ``Mobius`` entries) and printed by ``qpolys.rational_str``.
 
 The parser works on unreduced int-tuple fractions with the ``qpolys``
 kernel, and checks each product and power against DEGREE_CAP and
-PARSE_HEIGHT_CAP_BITS first.
+PARSE_HEIGHT_CAP_BITS first; a basepoint is checked against the height
+cap by its count of digits and its decimal exponent, before it is read.
 """
 
 from __future__ import annotations
@@ -83,11 +84,15 @@ class ProjPointQ(_ProjPointQFields):
             plain = _RATIONAL_TEXT.fullmatch(s)
             if plain:
                 # digits are read directly: Fraction(s) refuses more than 4,300
+                _check_point_digits(max(len(plain["num"]), len(plain["den"] or "")))
                 a = _int_of_digits(plain["num"])
                 b = _int_of_digits(plain["den"] or "1")
                 if b:
                     return cls(-a if plain["sign"] == "-" else a, b)
             try:
+                # m digits times 10^e: either coordinate is below 10^(m + |e|)
+                mantissa, _, exp = s.partition("e")
+                _check_point_digits(sum(map(str.isdecimal, mantissa)) + abs(int(exp or 0)))
                 x = Fraction(s)
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"cannot read {x!r} as a point of P^1(Q)") from exc
@@ -226,6 +231,16 @@ def map_str(F, G) -> str:
 
 
 # -- parsing ------------------------------------------------------------------
+
+
+def _check_point_digits(digits: int) -> None:
+    """Refuse a basepoint whose coordinates, below 10^digits, may pass
+    PARSE_HEIGHT_CAP_BITS, before they are built."""
+    bits = -(-digits * 33219280948873623479 // 10**19)  # ceil(digits * log2(10))
+    if bits > PARSE_HEIGHT_CAP_BITS:
+        raise ResourceLimitError(
+            f"basepoint: a coordinate of up to {bits} bits exceeds cap {PARSE_HEIGHT_CAP_BITS}"
+        )
 
 
 def _int_of_digits(digits: str) -> int:
@@ -576,8 +591,6 @@ def eval_reduced(field: FqField, F1, G1, point: int | None) -> int | None:
         raise InternalError("coprime reduced forms cannot vanish together")
     if ga == 0:
         return None
-    if field.m == 1:
-        return fa * field.inv(ga) % field.p
     return field.mul(fa, field.inv(ga))
 
 

@@ -318,9 +318,8 @@ def pushforward(ext: FqField, rmap: ReducedMap, z: int | None) -> tuple:
     while (g := ext.frobenius(orbit[-1])) != w:
         orbit.append(g)
     minpoly = [1]
-    for root in orbit:  # times T - root
-        minpoly, low = [0] + minpoly, minpoly
-        ext.addmul(minpoly, 0, ext.neg(root), low)
+    for root in orbit:
+        minpoly = _mul(ext, [ext.neg(root), 1], minpoly)  # the short factor first: two rows
     if any(c >= p for c in minpoly):
         raise InternalError("orbit product must have F_p coefficients")
     return w, ClosedPoint(p, tuple(minpoly))

@@ -82,6 +82,50 @@ def test_each_cached_field_proves_its_modulus_once(monkeypatch):
     assert tested.count(modulus) == 1 and tested[-1] == modulus
 
 
+# digit fields above TABLE_Q, each with fq_extension's modulus and the last
+# one in its order, which has more nonzero coefficients to reduce by
+@pytest.mark.parametrize("p,m", [(3, 8), (2, 13), (101, 2), (101, 5)])
+def test_digit_field_product_matches_sympy(p, m):
+    T = sympy.Symbol("T")
+    rng = random.Random(p * m)
+    for modulus in (fq_extension(p, m, cap=p**m).modulus, _last_modulus(p, m)):
+        field = FqField(p, m, modulus)
+        c = sympy.Poly(modulus[::-1], T, modulus=p)
+        els = [0, 1, p - 1, p, field.q - 1] + [rng.randrange(field.q) for _ in range(60)]
+        for a, b in zip(els, els[::-1] + [rng.randrange(field.q) for _ in els]):
+            A, B = (sympy.Poly(field.decode(x)[::-1], T, modulus=p) for x in (a, b))
+            digits = [int(d) % p for d in (A * B).rem(c).all_coeffs()[::-1]]
+            assert field.mul(a, b) == field.encode(digits)
+
+
+def test_is_irreducible_matches_sympy_on_every_small_monic():
+    T = sympy.Symbol("T")
+    for p in (2, 3):
+        field = prime_field_of(p)
+        for n in range(7):
+            for k in range(p**n):
+                f = [k // p**i % p for i in range(n)] + [1]
+                want = n >= 1 and sympy.Poly(f[::-1], T, modulus=p).is_irreducible
+                assert is_irreducible(field, f) == want, f
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_is_irreducible_refuses_squares_and_equal_degree_products(p):
+    # distinct-degree splitting assumes a squarefree input; g^2 and g*h with
+    # deg g = deg h are the inputs whose one factor degree is n/2
+    T = sympy.Symbol("T")
+    field, rng = prime_field_of(p), random.Random(p)
+    for k in (1, 2, 3):
+        monics = ([c // p**i % p for i in range(k)] + [1] for c in range(p**k))
+        irreducibles = [g for g in monics if sympy.Poly(g[::-1], T, modulus=p).is_irreducible]
+        for _ in range(12):
+            g, h = rng.sample(irreducibles, 2)
+            assert is_irreducible(field, g) and is_irreducible(field, h)
+            gg = poly_mul(field, g, g)
+            for f in (gg, poly_mul(field, g, h), poly_mul(field, gg, g)):
+                assert not is_irreducible(field, f), f
+
+
 def test_field_axioms_sampled():
     for field in (fq_extension(3, 2), fq_extension(2, 3), fq_extension(5, 2)):
         rng = random.Random(field.q)
@@ -514,9 +558,10 @@ def test_polynomial_loops_make_no_call_per_coefficient(monkeypatch):
     assert len(calls) < 3000
 
 
-def test_walk_step_over_the_prime_field_makes_no_element_call(monkeypatch):
-    # Horner's rule and the quotient reduce mod p inline, so a postcritical
-    # walk step in F_p calls no add, mul or neg (two per coefficient once)
+def test_walk_step_over_the_prime_field_makes_one_element_call(monkeypatch):
+    # Horner's rule reduces mod p inline, so a postcritical walk step in F_p
+    # makes one element call, the quotient's mul (Horner's would make two per
+    # coefficient)
     rmap = MapAtPrime(parse_map("(z^2+1)/(z-1)", 1009), 1009).rmap
     calls = _count_element_calls(monkeypatch)
     z, points = 5, set()
@@ -524,7 +569,7 @@ def test_walk_step_over_the_prime_field_makes_no_element_call(monkeypatch):
         z, pt = pushforward(rmap.field, rmap, z)
         points.add(pt)
     assert len(points) > 10
-    assert calls == []
+    assert len(calls) == 40
 
 
 # F_{3^8}, F_{2^13} and F_{101^2} exceed TABLE_Q and invert on digits
@@ -553,6 +598,13 @@ def test_split_roots_on_digit_fields(p, m):
         roots = split_roots(field, f)
         assert len(roots) == len(set(roots)) == deg
         assert _form_of_roots(field, c, roots, 0) == f
+
+
+def test_split_roots_without_roots_in_the_field_raises():
+    # z^3 + z + 1 is irreducible over F_5: every Cantor-Zassenhaus draw fails
+    message = r"^equal-degree splitting found no factor of a degree-3 polynomial over F_5\^1 in 64 draws"
+    with pytest.raises(InternalError, match=message):
+        split_roots(prime_field_of(5), [1, 1, 0, 1])
 
 
 def _roots_three_ways(F, f):

@@ -289,6 +289,34 @@ def test_parser_refuses_a_product_past_the_cap_before_forming_it(monkeypatch):
     assert parse_map("z^4096 + 1", 5).d == DEGREE_CAP
 
 
+def test_basepoint_past_the_height_cap_is_refused_before_it_is_built(monkeypatch):
+    # m written digits times 10^e bound both coordinates below 10^(m + |e|)
+    import padicdyn.maps as maps
+
+    def unbuilt(*args):
+        raise AssertionError("a refused basepoint was built")
+
+    cases = {
+        "1e1000000": 1000001,
+        "-2.5e-30103": 30105,
+        "1" * 30103: 30103,
+        "1/" + "3" * 40000: 40000,
+    }
+    with monkeypatch.context() as patch:
+        patch.setattr(maps, "Fraction", unbuilt)
+        patch.setattr(maps, "_int_of_digits", unbuilt)
+        for text, digits in cases.items():
+            bits = math.ceil(digits * math.log2(10))
+            assert bits > maps.PARSE_HEIGHT_CAP_BITS
+            message = f"^basepoint: a coordinate of up to {bits} bits exceeds cap 100000$"
+            with pytest.raises(ResourceLimitError, match=message):
+                ProjPointQ.from_value(text)
+    # 10^30000 has 99,658 bits, and 30,102 digits at most 99,997
+    assert ProjPointQ.from_value("1e30000") == ProjPointQ(10**30000, 1)
+    assert ProjPointQ.from_value("1.5e-30000") == ProjPointQ(3, 2 * 10**30000)
+    assert ProjPointQ.from_value("7" * 30102).height_bits() <= maps.PARSE_HEIGHT_CAP_BITS
+
+
 def test_parser_refuses_a_coefficient_past_the_height_cap_before_forming_it(monkeypatch):
     # the bound on a product's coefficients adds its factors' bit sizes, and
     # a power's multiplies the base's by the exponent: neither is formed past it

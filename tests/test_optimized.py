@@ -99,6 +99,15 @@ ALARMS = [
         lambda f: lambda p, m, **kw: f(p, m // 2, **kw),
         "has no two distinct roots there",
     ),
+    # at p = 2 the tree splits quadratics by Cantor-Zassenhaus, which in a field
+    # of half the degree draws on an irreducible one until its draws run out
+    (
+        ["tower", "z^2+z+1", "-p", "2", "-x", "1", "-n", "5"],
+        towers,
+        "fq_extension",
+        lambda f: lambda p, m, **kw: f(p, m // 2, **kw),
+        "equal-degree splitting found no factor of a degree-2 polynomial over F_2^4 in 64 draws",
+    ),
     # a parser that lets the shared factor z - 1 through: both forms vanish at 1
     (
         ["orbit", "z^2-1", "-p", "5", "-x", "1", "-N", "2", "-n", "0"],
