@@ -156,6 +156,8 @@ CORPUS = [
     # 131,033 conjugations of 99,015-bit coefficients, each counted 13 times,
     # pass the moduli width cap and are refused before the first (exit 3)
     ["moduli", "((2^1000)^99-1)*z^2+1/p", "-p", "18719"],
+    # a basepoint of up to 3,321,932 bits is refused before it is built (exit 3)
+    ["tower", "z^2+1", "-p", "5", "-x", "1e1000000", "-n", "1"],
 ]
 
 
