@@ -158,6 +158,16 @@ CORPUS = [
     ["moduli", "((2^1000)^99-1)*z^2+1/p", "-p", "18719"],
     # a basepoint of up to 3,321,932 bits is refused before it is built (exit 3)
     ["tower", "z^2+1", "-p", "5", "-x", "1e1000000", "-n", "1"],
+    # fiber discriminants read from the critical orbit: a non-monic map with p
+    # in the basepoint's denominator, a basepoint that is a critical value of
+    # phi^2 and phi^3 (discriminant 0), degree 4, degree 1 (subresultant), an
+    # orbit, and degree-256 fibers
+    ["tower", "z^2+z-5/4", "-p", "7", "-x=3/7", "-n", "3", "--format", "json"],
+    ["tower", "z^2-2", "-p", "5", "-x", "2", "-n", "3", "--format", "json"],
+    ["tower", "3*z^4+z+1/2", "-p", "5", "-x", "1", "-n", "2", "--format", "json"],
+    ["tower", "2*z+1", "-p", "3", "-x", "1", "-n", "3", "--format", "json"],
+    ["orbit", "z^2+z-5/4", "-p", "7", "-x=3/7", "-N", "6", "-n", "2", "--format", "json"],
+    ["tower", "z^2+p", "-p", "5", "-x", "0", "-n", "8", "--format", "json"],
 ]
 
 
