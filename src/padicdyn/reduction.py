@@ -6,13 +6,14 @@ that bounds work on it; its canonical model is its own p-primitive
 model.  The session proves p prime once and derives each artifact on
 first use and only once: the reduced map, the strict good reduction
 report, the critical divisor and the postcritical set, the iterates
-over Q and over F_p (extended one composition at a time), and the
-factor degrees of polynomials over F_p keyed by their monic coefficients
-(read off squarefree and distinct-degree factorization; only the PC set,
-which needs the factors themselves, runs Cantor-Zassenhaus).  Fiber
-forms are combined from the kept iterates on each call.  The analysis
-functions take a session, so the reduction, the PC set and the towers of
-one query share all of it; the memo lives on the session and is dropped with it.
+over Q and over F_p (extended one composition at a time), a polynomial
+map's critical orbit over Q, and the factor degrees of polynomials over
+F_p keyed by their monic coefficients (read off squarefree and
+distinct-degree factorization; only the PC set, which needs the factors
+themselves, runs Cantor-Zassenhaus).  Fiber forms are combined from the
+kept iterates on each call.  The analysis functions take a session, so
+the reduction, the PC set and the towers of one query share all of it;
+the memo lives on the session and is dropped with it.
 
 On top of the session this module decides strict good reduction (unit
 resultant of the p-primitive model, equivalently full reduced degree),
@@ -99,6 +100,7 @@ class MapAtPrime:
         self.cap_field = cap_field
         self.cap_height = cap_height
         self._iterates = [model]
+        self._critical_orbit = []
         self._factor_degrees = {}
 
     @property
@@ -183,6 +185,30 @@ class MapAtPrime:
         if not any(raw):
             raise InputError("fiber form vanishes identically; the map is degenerate")
         return raw
+
+    def critical_orbit(self, n: int) -> tuple | None:
+        """(M, ((A_1, e_1), ..., (A_n, e_n))) for a polynomial map phi = F/g of
+        degree d >= 2, else None: M(y) = D^(d-2) F'(y/D), D = lc(F'), is monic
+        with roots D*gamma at the critical points gamma, and phi^m(gamma) =
+        A_m(D*gamma)/e_m, from A_0 = y and e_0 = D by one Horner pass of F mod
+        M per level, with e_m = g*e_(m-1)^d never reduced."""
+        F, G, d, orbit = self.model.F, self.model.G, self.d, self._critical_orbit
+        if d < 2 or any(G[1:]) or not G[0] * F[-1]:
+            return None
+        D = d * F[-1]
+        monic = [j * c * D ** (d - 1 - j) for j, c in enumerate(F[1:-1], 1)] + [1]
+        A, e = orbit[-1] if orbit else ((0, 1), D)
+        while len(orbit) < n:
+            acc = [F[-1]]
+            for i in range(d - 1, -1, -1):
+                acc = list(_form_mul(acc, A))
+                while len(acc) >= d:  # the top term t*y^j less t*y^(j-d+1)*M
+                    top, lo = acc.pop(), len(acc) - d + 1
+                    acc[lo:] = [c - top * m for c, m in zip(acc[lo:], monic)]
+                acc[0] += F[i] * e ** (d - i)
+            A, e = acc, G[0] * e**d
+            orbit.append((A, e))
+        return monic, orbit[:n]
 
     def reduced_fiber(self, n: int, xbar: int | None) -> tuple:
         """Form over F_p cutting out the fiber of the reduced phi^n over xbar."""

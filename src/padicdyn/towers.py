@@ -9,6 +9,14 @@ unit discriminant" is a well-posed certificate.
 A passing certificate (UNRAMIFIED) proves the splitting field of the
 fiber is unramified over Q_p; a failing one is inconclusive, never a
 ramification claim, and carries the Newton polygon as a diagnostic.
+For a polynomial map phi = F/g of degree d >= 2 at a finite x, the fiber
+polynomial P of degree N = d^n has (Aitken, Hajir and Maire, IMRN 2005)
+
+    Disc(P) = (-1)^(N(N-1)/2) lc(P)^(2N-2) d^(nN) (g/lc(F))^((N-1)^2/(d-1))
+              * prod_{m=1..n} prod_{F'(gamma)=0} (phi^m(gamma) - x)^(d^(n-m)),
+
+read in integers off the session's critical orbit; other maps and
+x = infinity run the subresultant chain of ``qpolys.discriminant``.
 
 Reduced preimage trees live in a single splitting field F_{p^m}, with
 parent edges given by the reduced map and the p-power Frobenius acting
@@ -27,7 +35,7 @@ quadratic form is solved by one square root of its discriminant, a
 halved log in a table field; p = 2 and degree 3 and up run Cantor-Zassenhaus.
 
 Every function here takes a ``MapAtPrime`` session and reads its
-iterates, fiber forms, factor degrees and caps from it, so the
+iterates, critical orbit, factor degrees and caps from it, so the
 certificate, the Frobenius cycle type and the preimage tree of one level
 share one iterate and, whenever they read the same polynomial over F_p,
 one distinct-degree factorization; a fiber form is combined afresh from
@@ -51,7 +59,7 @@ from .errors import InputError, InternalError
 from .finitefield import fiber_form, form_dehomogenize, fq_extension, split_roots
 from .maps import ProjPointQ, eval_map
 from .padics import INFINITY, vp
-from .qpolys import QPoly, discriminant
+from .qpolys import QPoly, _int_tuple, _integer_resultant, discriminant
 from .reduction import MapAtPrime
 
 UNRAMIFIED = "UNRAMIFIED"
@@ -112,6 +120,12 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
     UNRAMIFIED exactly when both valuations vanish; anything else is
     NO_CERTIFICATE (the unit-discriminant test is sufficient, not
     necessary, so no negative claim is ever reported).
+
+    A polynomial map of degree d >= 2 at x = a/b takes the module
+    docstring's product, each V_m = prod (phi^m(gamma) - x) = Res(M, b*A_m
+    - a*e_m) / (b*e_m)^(d-1) read off ``critical_orbit``, with one exact
+    division at the end; the chain rule's sign (-1)^(nN(d-1)) is 1, as
+    N(d-1) is even.  Other maps and x = infinity run ``qpolys.discriminant``.
     """
     poly = fiber_polynomial(mp, n, x)
     p = mp.p
@@ -121,7 +135,7 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
     disc, disc_val, unramified = None, INFINITY, False
     factor_degrees = newton = None
     if poly.degree >= 1:
-        disc = discriminant(poly)
+        disc = _fiber_discriminant(mp, n, x, poly)
         disc_val = vp(p, disc)
         unramified = lc_val == 0 and disc_val == 0
         if unramified:
@@ -144,6 +158,26 @@ def fiber_report(mp: MapAtPrime, n: int, x: ProjPointQ) -> FiberReport:
         newton=newton,
         integral=x.is_integral(p),
     )
+
+
+def _fiber_discriminant(mp: MapAtPrime, n: int, x: ProjPointQ, poly: QPoly) -> int:
+    """Disc(poly) of the level-n fiber over x, by one of the two paths of ``fiber_report``."""
+    if (orbit := mp.critical_orbit(n)) is None:  # x is finite: over inf P is a constant
+        return discriminant(poly)
+    (monic, values), d, N, lc = orbit, mp.d, mp.d**n, poly.coeffs[-1]
+    h = math.gcd(lc * lc, x.b)  # c^(2N-2) / b^(N-1) = (c^2/h)^(N-1) / (b/h)^(N-1)
+    num = (-1) ** (N * (N - 1) // 2) * (lc * lc // h) ** (N - 1)
+    for m, (A, e) in enumerate(values, 1):
+        H = _int_tuple([x.b * A[0] - x.a * e, *(x.b * c for c in A[1:])])
+        num *= (_integer_resultant(monic, H) if H else 0) ** d ** (n - m)  # H = 0: V_m = 0
+    g, lead, S = mp.model.G[0], mp.model.F[-1], (N - 1) // (d - 1)
+    t = math.gcd(g, lead)  # g^(N(S-n)) / l^((N-1)S + n(d-1)N), summed by exponent over t
+    num *= (g // t) ** (N * (S - n))
+    den = t ** (n * d * N - S) * (lead // t) ** ((N - 1) * S + n * (d - 1) * N)
+    disc, rem = divmod(num, den * d ** (n * N * (d - 2)) * (x.b // h) ** (N - 1))
+    if rem:
+        raise InternalError(f"level-{n} fiber discriminant over {x} leaves a remainder")
+    return disc
 
 
 def frobenius_cycle_type(mp: MapAtPrime, n: int, xbar: int | None) -> tuple | None:

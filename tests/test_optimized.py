@@ -174,6 +174,15 @@ ALARMS = [
         lambda f: lambda self, c: f(self, c)[:-1],
         "level-1 cycle type (1,) does not sum to 2^1",
     ),
+    # a critical-orbit resultant one too large: the discriminant of the fiber
+    # of z^3+5 over 1 read from it no longer divides by the 3^3 it must
+    (
+        ["tower", "z^3+p", "-p", "5", "-x", "1", "-n", "1"],
+        towers,
+        "_integer_resultant",
+        lambda f: lambda a, b: f(a, b) + 1,
+        "level-1 fiber discriminant over 1 leaves a remainder",
+    ),
 ]
 
 SCRIPT = """

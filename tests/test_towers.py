@@ -11,11 +11,12 @@ import sympy
 
 import padicdyn.cli as cli
 import padicdyn.reduction as reduction
+import padicdyn.towers as towers
 from padicdyn.errors import InputError, ResourceLimitError
 from padicdyn.finitefield import FqPoly, form_is_zero, fq_extension
-from padicdyn.maps import ProjPointQ, eval_map, eval_reduced, parse_map
+from padicdyn.maps import ProjPointQ, RationalMapModel, eval_map, eval_reduced, parse_map
 from padicdyn.padics import vp
-from padicdyn.qpolys import QPoly
+from padicdyn.qpolys import QPoly, discriminant
 from padicdyn.reduction import ClosedPoint, MapAtPrime, closed_points_of_form, postcritical_set
 from padicdyn.towers import (
     NO_CERTIFICATE,
@@ -231,6 +232,89 @@ def test_fiber_certificates_agree_with_the_theorem(p):
                 seen["branch"] += not off
                 seen["lc"] += off and rep.lc_valuation > 0
     assert all(seen.values()), seen
+
+
+def _polynomial_map(F, g):
+    """The model of F(z)/g from ascending coefficients."""
+    return RationalMapModel(F, [g] + [0] * (len(F) - 1))
+
+
+def _critical_orbit_cases():
+    """(model, p, x, n) for seeded polynomial maps of degree 1 to 4 at p in
+    {2, 3, 5, 7} (p | d included), with integer and with rational non-monic
+    coefficients and constant denominators g, over basepoints that are
+    integral, p-integral, negative, with p in the denominator, and critical
+    values of phi^m; level 6 at d = 2."""
+    rng = random.Random(32)
+    cases = []
+    for p in (2, 3, 5, 7):
+        kinds = (
+            lambda: Fraction(rng.randint(0, 20)),
+            lambda: Fraction(rng.randint(-20, 20), rng.choice([q for q in (2, 3, 9, 11) if q % p])),
+            lambda: Fraction(-rng.randint(1, 20), rng.choice([1, 3])),
+            lambda: Fraction(rng.choice([-3, -1, 1, 2]), p * rng.choice([1, 2, p])),
+        )
+        for d in (1, 2, 3, 4):
+            for k in range(8):
+                dens = (1,) if k % 2 == 0 else (1, 2, 3, p, p * p)
+                F = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(d)]
+                F.append(Fraction(rng.choice([-3, -1, 1, 2, p]), rng.choice(dens)))
+                model = _polynomial_map(F, Fraction(rng.choice([1, 2, p, 3 * p]), rng.choice([1, 1, p])))
+                n = rng.randint(1, {1: 3, 2: 4, 3: 2, 4: 2}[d])
+                cases.append((model, p, ProjPointQ.from_value(kinds[k % 4]()), n))
+        # level 6 at d = 2, and x = phi^m(gamma) for a critical point gamma, a
+        # root of F' = k(z - r_1)...(z - r_(d-1)), so the level-m discriminant is 0
+        cases.append((_polynomial_map([1, 1, Fraction(1, p)], 1), p, _pt("-2/3"), 6))
+        for d in (2, 3, 4):
+            roots = [Fraction(rng.randint(-4, 4), rng.choice([1, 2, p])) for _ in range(d - 1)]
+            deriv = [Fraction(rng.choice([1, -2, p]))]
+            for r in roots:
+                deriv = [a - r * b for a, b in zip([0, *deriv], [*deriv, 0])]
+            F = [Fraction(rng.randint(-3, 3), 2)] + [c / (i + 1) for i, c in enumerate(deriv)]
+            model = _polynomial_map(F, Fraction(rng.choice([1, 2, p])))
+            for m in (1, 2):
+                x = ProjPointQ.from_value(rng.choice(roots))
+                for _ in range(m):
+                    x = eval_map(model, x)
+                cases.append((model, p, x, m))
+    return cases
+
+
+def test_critical_orbit_discriminant_matches_the_subresultant_and_sympy():
+    z = sympy.Symbol("z")
+    zeros = scaled = 0
+    for model, p, x, n in _critical_orbit_cases():
+        mp = MapAtPrime(model, p)
+        poly = fiber_polynomial(mp, n, x)
+        disc = fiber_report(mp, n, x).disc
+        assert disc == discriminant(poly), (model, p, x, n)
+        if poly.degree <= 16:
+            assert disc == sympy.discriminant(sympy.Poly(poly.coeffs[::-1], z)), (model, p, x, n)
+        zeros += disc == 0
+        scaled += poly.coeffs != mp.fiber_form(n, x)
+    assert zeros >= 24 and scaled >= 10, (zeros, scaled)
+
+
+def test_polynomial_map_fibers_never_run_the_subresultant(monkeypatch):
+    def refuse(poly):
+        raise RuntimeError("subresultant discriminant")
+
+    monkeypatch.setattr(towers, "discriminant", refuse)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (
+            ["tower", "z^2+z-5/4", "-p", "7", "-x=3/7", "-n", "5"],
+            ["tower", "3*z^4+z+1/2", "-p", "5", "-x", "1", "-n", "3"],
+            ["orbit", "z^3-z/p", "-p", "3", "-x", "2", "-N", "4", "-n", "2"],
+        ):
+            assert cli.main(argv) == 0
+        # a rational map, over a point and over infinity, and a map of degree 1 still do
+        for argv in (
+            ["tower", "(z^2+1)/(z+2)", "-p", "5", "-x", "1", "-n", "1"],
+            ["tower", "2*z+1", "-p", "3", "-x", "1", "-n", "1"],
+            ["tower", "z^2/(z-1)", "-p", "5", "-x", "inf", "-n", "1"],
+        ):
+            with pytest.raises(RuntimeError, match="subresultant"):
+                cli.main(argv)
 
 
 def test_preimage_tree_example():
