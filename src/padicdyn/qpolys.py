@@ -57,7 +57,7 @@ def _int_tuple(coeffs) -> tuple[int, ...]:
 
 
 def _form_mul(A, B) -> tuple[int, ...]:
-    """Product of two nonempty integer coefficient lists, length len(A) + len(B) - 1."""
+    """Product of two integer coefficient lists, length len(A) + len(B) - 1 (0 for an empty one)."""
     out = [0] * (len(A) + len(B) - 1)
     for i, x in enumerate(A):
         if x:
@@ -245,7 +245,7 @@ def det_bareiss(rows: list[list[int]]) -> int:
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """R with lc(b)^(deg a - deg b + 1) * a = Q * b + R and deg R < deg b."""
+    """R with lc(b)^max(deg a - deg b + 1, 0) * a = Q * b + R and deg R < deg b."""
     r = list(a)
     db, lb = len(b) - 1, b[-1]
     e = len(a) - db
@@ -257,7 +257,7 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
         while r and r[-1] == 0:
             r.pop()
         e -= 1
-    if e:
+    if e > 0:
         scale = lb**e
         r = [c * scale for c in r]
     return r

@@ -65,7 +65,7 @@ from .maps import (
     reduce_map,
 )
 from .padics import require_prime, vp
-from .qpolys import _add, _form_mul, compose_forms, form_discriminant, poly_str
+from .qpolys import _add, _form_mul, _pseudo_remainder, compose_forms, form_discriminant, poly_str
 
 PC_CAP = 100_000
 # factoring a critical divisor of affine degree D over F_p takes about D^3 * bits(p)
@@ -199,13 +199,9 @@ class MapAtPrime:
         monic = [j * c * D ** (d - 1 - j) for j, c in enumerate(F[1:-1], 1)] + [1]
         A, e = orbit[-1] if orbit else ((0, 1), D)
         while len(orbit) < n:
-            acc = [F[-1]]
+            acc = (F[-1],)
             for i in range(d - 1, -1, -1):
-                acc = list(_form_mul(acc, A))
-                while len(acc) >= d:  # the top term t*y^j less t*y^(j-d+1)*M
-                    top, lo = acc.pop(), len(acc) - d + 1
-                    acc[lo:] = [c - top * m for c, m in zip(acc[lo:], monic)]
-                acc[0] += F[i] * e ** (d - i)
+                acc = _add(_pseudo_remainder(_form_mul(acc, A), monic), (F[i] * e ** (d - i),))
             A, e = acc, G[0] * e**d
             orbit.append((A, e))
         return monic, orbit[:n]

@@ -59,7 +59,7 @@ from .errors import InputError, InternalError
 from .finitefield import fiber_form, form_dehomogenize, fq_extension, split_roots
 from .maps import ProjPointQ, eval_map
 from .padics import INFINITY, vp
-from .qpolys import QPoly, _int_tuple, _integer_resultant, discriminant
+from .qpolys import QPoly, _add, _integer_resultant, discriminant
 from .reduction import MapAtPrime
 
 UNRAMIFIED = "UNRAMIFIED"
@@ -168,7 +168,7 @@ def _fiber_discriminant(mp: MapAtPrime, n: int, x: ProjPointQ, poly: QPoly) -> i
     h = math.gcd(lc * lc, x.b)  # c^(2N-2) / b^(N-1) = (c^2/h)^(N-1) / (b/h)^(N-1)
     num = (-1) ** (N * (N - 1) // 2) * (lc * lc // h) ** (N - 1)
     for m, (A, e) in enumerate(values, 1):
-        H = _int_tuple([x.b * A[0] - x.a * e, *(x.b * c for c in A[1:])])
+        H = _add([x.b * c for c in A], (-x.a * e,))
         num *= (_integer_resultant(monic, H) if H else 0) ** d ** (n - m)  # H = 0: V_m = 0
     g, lead, S = mp.model.G[0], mp.model.F[-1], (N - 1) // (d - 1)
     t = math.gcd(g, lead)  # g^(N(S-n)) / l^((N-1)S + n(d-1)N), summed by exponent over t
