@@ -17,7 +17,6 @@ a witness; it never certifies a positive minimum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -25,6 +24,7 @@ from typing import NamedTuple
 from .errors import InputError, InternalError, ResourceLimitError
 from .maps import Mobius, ProjPointQ, RationalMapModel, conjugate_forms, conjugate_map, eval_map
 from .padics import require_prime, vp
+from .qpolys import _taylor_shift
 from .reduction import MapAtPrime
 from .towers import tower_levels
 
@@ -129,9 +129,25 @@ class ModuliReport(NamedTuple):
 MODULI_EXPONENTS = range(-3, 4)
 # the most affine conjugations, 7p, a search makes at d <= 2 (p <= 18,719); at
 # degree d the cap is MODULI_WIDTH_CAP * 4 // d^2 (p <= 4,681 at d = 4, 73 at d = 32),
-# and each conjugation counts 1 + h // MODULI_HEIGHT_BITS for coefficients of h bits
+# and each conjugation counts 1 + h // MODULI_HEIGHT_BITS for coefficients of h bits;
+# all but 7 are Taylor shift steps, d^2 + d additions of coefficients each
 MODULI_WIDTH_CAP = 1 << 17
 MODULI_HEIGHT_BITS = 8192
+
+
+def _moduli_grid(model: RationalMapModel, p: int):
+    """(a, b, F, G) for the affine candidates in search order, F and G the
+    forms conjugate_forms(model, s, b u, 0, u): substituted at b = 0, then
+    shifted, as [[1, 1], [0, 1]] (s, b u, 0, u) = (s, (b + 1) u, 0, u) and
+    unscaled conjugate forms compose exactly: F' = (F + G)(X - Y, Y), G' = G(X - Y, Y).
+    """
+    for a in MODULI_EXPONENTS:
+        s, u = (p**a, 1) if a >= 0 else (1, p**-a)
+        F, G = conjugate_forms(model, s, 0, 0, u)
+        for b in range(p):
+            if b:
+                F, G = _taylor_shift([f + g for f, g in zip(F, G)]), _taylor_shift(G)
+            yield a, b, F, G
 
 
 def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
@@ -150,15 +166,15 @@ def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
     (1, b p^-a, 0, p^-a) when a < 0, so |det M| = p^|a|.  The unscaled
     conjugate's resultant is det(M)^(d^2+d) Res(phi), and its canonical
     model divides out the content g, so v_p(Res phi) + (d^2+d)|a| -
-    2d v_p(g) rates it exactly: a query costs one resultant and at most
-    7p degree-d substitutions.  Ties keep the earlier candidate.  The
-    first conjugate reaching valuation 0 stops the search, and a zero
-    witness is re-verified through the full reduction report.  Only the
-    reported candidate is built, as a Mobius map and by ``conjugate_map``
-    as a model.  A grid past the width cap at degree d, each conjugation
-    weighted by the coefficient height, is refused before its first.
-    achieved_zero=False is inconclusive: the family is a bounded
-    heuristic, not a minimizer.
+    2d v_p(g) rates it exactly: a query costs one resultant, 7 degree-d
+    substitutions and at most 7p - 7 Taylor shifts (``_moduli_grid``).
+    Ties keep the earlier candidate.  The first conjugate reaching
+    valuation 0 stops the search, and a zero witness is re-verified
+    through the full reduction report.  Only the reported candidate is
+    built, as a Mobius map and by ``conjugate_map`` as a model.  A grid
+    past the width cap at degree d, each conjugation weighted by the
+    coefficient height, is refused before its first.  achieved_zero=False
+    is inconclusive: the family is a bounded heuristic, not a minimizer.
     """
     require_prime(p)
     d, h = model.d, max(abs(c).bit_length() for c in model.F + model.G)
@@ -172,9 +188,7 @@ def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
         )
     initial = vp(p, model.resultant())
     best_val = best = None
-    for tried, (a, b) in enumerate(itertools.product(MODULI_EXPONENTS, range(p)), 1):
-        s, u = (p**a, 1) if a >= 0 else (1, p**-a)
-        F, G = conjugate_forms(model, s, b * u, 0, u)
+    for tried, (a, b, F, G) in enumerate(_moduli_grid(model, p), 1):
         val = initial + (d * d + d) * abs(a) - 2 * d * vp(p, math.gcd(*F, *G))
         if best_val is None or val < best_val:
             best_val, best = val, (a, b)

@@ -55,13 +55,13 @@ def require_prime(p: int) -> int:
     return p
 
 
-def _int_valuation(p: int, n: int) -> int:
-    # n != 0
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+def _int_valuation(p: int, n: int) -> tuple[int, int]:
+    # (v, n / p^v) for n != 0 and p^v the largest power of p dividing it; as
+    # v_(p^2)(n / p) = (v - 1) // 2, it takes O(log v) divisions, one when v = 0
+    if n % p:
+        return 0, n
+    w, m = _int_valuation(p * p, n // p)
+    return (2 * w + 2, m // p) if m % p == 0 else (2 * w + 1, m)
 
 
 def vp(p: int, a) -> int | float:
@@ -72,5 +72,5 @@ def vp(p: int, a) -> int | float:
     """
     if a == 0:
         return INFINITY
-    return _int_valuation(p, a.numerator) - _int_valuation(p, a.denominator)
+    return _int_valuation(p, a.numerator)[0] - _int_valuation(p, a.denominator)[0]
 

@@ -233,7 +233,7 @@ def test_moduli_search_refuses_a_grid_past_the_width_cap(monkeypatch):
 
 
 def test_moduli_search_cap_falls_with_the_degree(monkeypatch):
-    # a conjugation at degree d costs about d^2 products, so 7p is capped at
+    # a conjugation at degree d costs about d^2 additions, so 7p is capped at
     # MODULI_WIDTH_CAP * 4 // d^2; d <= 2 keeps the width cap itself.  A search
     # the cap lets through reaches its first conjugation; a refused one does not
     class Reached(Exception):
@@ -326,6 +326,21 @@ def test_moduli_search_matches_a_sympy_walk_of_the_grid(p):
         assert (M.alpha, M.beta, M.gamma, M.delta) == entries
         assert M.formula() == Mobius(*entries).formula()
         assert (mr.best_model.F, mr.best_model.G) == forms
+
+
+def test_grid_forms_equal_a_substitution_per_candidate():
+    # the search substitutes once per exponent and Taylor shifts b -> b + 1;
+    # every candidate's forms are still those of its own conjugation
+    seen = set()
+    for p in (2, 3, 5, 7):
+        for m in random_models(p, 20, degrees=(1, 2, 3, 4), seed=13 * p):
+            seen.add(m.d)
+            grid = list(orbits._moduli_grid(m, p))
+            assert [(a, b) for a, b, _, _ in grid] == [(a, b) for a in MODULI_EXPONENTS for b in range(p)]
+            for a, b, F, G in grid:
+                s, u = (p**a, 1) if a >= 0 else (1, p**-a)
+                assert (F, G) == conjugate_forms(m, s, b * u, 0, u)
+    assert seen == {1, 2, 3, 4}
 
 
 def test_grid_candidates_rate_as_their_vertex():

@@ -1,13 +1,15 @@
-"""Primality of p against sympy: exact below psi13, refused at and above it."""
+"""Primality of p against sympy: exact below psi13, refused at and above it;
+valuations against a loop that divides by p once per factor."""
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
 from sympy.ntheory.primetest import mr
 
 from padicdyn.errors import ResourceLimitError
-from padicdyn.padics import PSI13, is_prime
+from padicdyn.padics import INFINITY, PSI13, is_prime, vp
 
 # psi_t: the least odd composite that is a strong probable prime to each of
 # the first t prime bases (OEIS A014233)
@@ -83,3 +85,42 @@ def test_at_and_above_psi13_only_a_small_factor_decides():
     assert is_prime(2 * PSI13 + 2) is False
     assert is_prime(41 * big) is False
     assert is_prime(sympy.prevprime(PSI13)) is True
+
+
+def _dividing_loop(p, n):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def test_vp_matches_a_dividing_loop():
+    # vp halves k by recursing on p^2, one parity bit a level, so every k below
+    # 130 is covered, and each side of 256 and 1,024
+    rng = random.Random(23)
+    for p in (2, 3, 5, 7, 101, 2**61 - 1):
+        for k in [*range(130), 255, 256, 257, 1023, 1024, 1025]:
+            u = rng.randrange(1, 10**40)
+            n = p**k * u
+            assert vp(p, n) == vp(p, -n) == _dividing_loop(p, n)
+            assert vp(p, Fraction(u, n)) == _dividing_loop(p, u) - _dividing_loop(p, n)
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.choice((rng.randrange(1, 10**60), rng.randrange(1, 100) * p ** rng.randrange(200)))
+        m = rng.randrange(1, 10**20) * p ** rng.randrange(50)
+        assert vp(p, n) == _dividing_loop(p, n)
+        assert vp(p, Fraction(-n, m)) == _dividing_loop(p, n) - _dividing_loop(p, m)
+    assert vp(5, 0) == vp(5, Fraction(0)) == INFINITY
+
+
+def test_vp_is_exact_at_valuations_the_loop_cannot_reach():
+    # up to k = 10^5 the loop takes seconds, so the oracle is the definition:
+    # p^k divides n and p^(k+1) does not
+    rng = random.Random(29)
+    for p in (2, 3, 7):
+        for k in (2**16 - 1, 2**16, 2**16 + 1, 10**5):
+            u = rng.randrange(1, 10**40) * p + rng.randrange(1, p)
+            n = p**k * u
+            assert n % p**k == 0 and n % p ** (k + 1) != 0
+            assert vp(p, n) == k and vp(p, Fraction(u, n)) == -k

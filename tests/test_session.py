@@ -229,14 +229,19 @@ def test_moduli_conjugates_only_the_affine_candidates(monkeypatch):
     # 7p affine ones are conjugated and rated: the inversion composites rate
     # as affine maps walked before them (test_orbits.py pins that)
     conjugated = _count(monkeypatch, "maps", "conjugate_forms")
+    shifted = _count(monkeypatch, "qpolys", "_taylor_shift")
     valuations = _count(monkeypatch, "padics", "vp")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["moduli", "z^3+2/p", "-p", "5", "--format", "json"]) == 0
     report = json.loads(out.getvalue())["moduli"]
     assert (report["tried"], report["achieved_zero"], report["mobius"]) == (105, False, "z")
-    # 35 candidates and the reported model; Res(phi) and the 35 contents
-    assert (len(conjugated), len(valuations)) == (35 + 1, 1 + 35)
+    # each of the 35 candidates gets one set of forms: the 7 with b = 0 are
+    # substituted, the 28 others shifted from the one before (two forms a
+    # step), and the reported model is substituted once more; one valuation
+    # rates Res(phi) and one each of the 35 contents
+    assert (len(conjugated), len(shifted), len(valuations)) == (7 + 1, 2 * 28, 1 + 35)
+    assert all(len(forms) == 3 + 1 for (forms,) in shifted)
 
 
 def test_session_iterates_match_the_free_functions():
