@@ -9,10 +9,11 @@ basepoint; its headline flag says whether every integral point reducing
 outside the postcritical set carried only UNRAMIFIED certificates.
 
 The moduli search is a bounded heuristic over conjugations
-z -> p^a z + b and their composites with inversion on either side; the
-composites rate as affine maps, so only the affine ones are conjugated.  It
-can certify that the minimal resultant valuation is zero by exhibiting
-a witness; it never certifies a positive minimum.
+z -> p^a z + b and their composites with inversion on either side.  Each
+candidate rates as one of seven vertices of the Bruhat-Tits tree, so only
+the seven maps z -> p^a z are conjugated.  It can certify that the minimal
+resultant valuation is zero by exhibiting a witness; it never certifies a
+positive minimum.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import NamedTuple
 from .errors import InputError, InternalError, ResourceLimitError
 from .maps import Mobius, ProjPointQ, RationalMapModel, conjugate_forms, conjugate_map, eval_map
 from .padics import require_prime, vp
-from .qpolys import _taylor_shift
 from .reduction import MapAtPrime
 from .towers import tower_levels
 
@@ -127,27 +127,13 @@ class ModuliReport(NamedTuple):
 
 # the exponents a of the search's conjugations z -> p^a z + b, b in range(p)
 MODULI_EXPONENTS = range(-3, 4)
-# the most affine conjugations, 7p, a search makes at d <= 2 (p <= 18,719); at
+# the most affine candidates, 7p, a search counts at d <= 2 (p <= 18,719); at
 # degree d the cap is MODULI_WIDTH_CAP * 4 // d^2 (p <= 4,681 at d = 4, 73 at d = 32),
-# and each conjugation counts 1 + h // MODULI_HEIGHT_BITS for coefficients of h bits;
-# all but 7 are Taylor shift steps, d^2 + d additions of coefficients each
+# and each candidate counts 1 + h // MODULI_HEIGHT_BITS for coefficients of h bits.
+# Only 7 of them are conjugated, so the cap no longer bounds work: it keeps the
+# refusal boundary, and its message, where a conjugation per candidate put them
 MODULI_WIDTH_CAP = 1 << 17
 MODULI_HEIGHT_BITS = 8192
-
-
-def _moduli_grid(model: RationalMapModel, p: int):
-    """(a, b, F, G) for the affine candidates in search order, F and G the
-    forms conjugate_forms(model, s, b u, 0, u): substituted at b = 0, then
-    shifted, as [[1, 1], [0, 1]] (s, b u, 0, u) = (s, (b + 1) u, 0, u) and
-    unscaled conjugate forms compose exactly: F' = (F + G)(X - Y, Y), G' = G(X - Y, Y).
-    """
-    for a in MODULI_EXPONENTS:
-        s, u = (p**a, 1) if a >= 0 else (1, p**-a)
-        F, G = conjugate_forms(model, s, 0, 0, u)
-        for b in range(p):
-            if b:
-                F, G = _taylor_shift([f + g for f, g in zip(F, G)]), _taylor_shift(G)
-            yield a, b, F, G
 
 
 def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
@@ -156,25 +142,26 @@ def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
     The grid is fixed: a in MODULI_EXPONENTS and b in range(p), a
     ascending, then b.  Its 7p affine maps come first, then their
     composites with inversion on the right, then on the left: 21p
-    candidates.  Only the affine ones are conjugated.  A conjugate's resultant
-    valuation depends only on the vertex of the Bruhat-Tits tree that
-    M^-1 sends the Gauss point to, and inversion fixes the Gauss point,
-    so a composite rates as an affine map walked before it (at -a for
-    inversion on the right, at a on the left): it can neither beat the
-    best nor reach a zero the affine maps missed, and it only counts in
-    tried.  Candidates are integer matrices M, p^a z + b scaled to
-    (1, b p^-a, 0, p^-a) when a < 0, so |det M| = p^|a|.  The unscaled
-    conjugate's resultant is det(M)^(d^2+d) Res(phi), and its canonical
-    model divides out the content g, so v_p(Res phi) + (d^2+d)|a| -
-    2d v_p(g) rates it exactly: a query costs one resultant, 7 degree-d
-    substitutions and at most 7p - 7 Taylor shifts (``_moduli_grid``).
-    Ties keep the earlier candidate.  The first conjugate reaching
-    valuation 0 stops the search, and a zero witness is re-verified
-    through the full reduction report.  Only the reported candidate is
-    built, as a Mobius map and by ``conjugate_map`` as a model.  A grid
-    past the width cap at degree d, each conjugation weighted by the
-    coefficient height, is refused before its first.  achieved_zero=False
-    is inconclusive: the family is a bounded heuristic, not a minimizer.
+    candidates.  A conjugate's resultant valuation depends only on the
+    vertex of the Bruhat-Tits tree that M^-1 sends the Gauss point to.
+    For z -> p^a z + b it is the disk about 0 of radius |p^-a|, whatever
+    b is, and inversion fixes the Gauss point, so a composite rates as an
+    affine map walked before it (at -a for inversion on the right, at a
+    on the left).  So only z -> p^a z is conjugated, once per exponent,
+    and the walk is read off those seven ratings.  Ties keep the earlier
+    candidate, so the best is some (a, 0).  A first zero at the i-th
+    exponent (from 0) stops the search after i p + 1 candidates; with
+    none, all 21p are counted.  Candidates are integer matrices M, p^a z
+    scaled to (1, 0, 0, p^-a) when a < 0, so |det M| = p^|a|.  The
+    unscaled conjugate's resultant is det(M)^(d^2+d) Res(phi), and its
+    canonical model divides out the content g, so v_p(Res phi) +
+    (d^2+d)|a| - 2d v_p(g) rates it exactly: a query costs one resultant
+    and 7 degree-d substitutions, whatever p is.  A zero witness is re-verified through the full reduction report.
+    Only the reported candidate is built, as a Mobius map and by
+    ``conjugate_map`` as a model.  A grid past the width cap at degree d,
+    each candidate weighted by the coefficient height, is refused before
+    its first conjugation.  achieved_zero=False is inconclusive: the
+    family is a bounded heuristic, not a minimizer.
     """
     require_prime(p)
     d, h = model.d, max(abs(c).bit_length() for c in model.F + model.G)
@@ -187,17 +174,19 @@ def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
             + (f" at degree {d}" if d > 2 else "")
         )
     initial = vp(p, model.resultant())
-    best_val = best = None
-    for tried, (a, b, F, G) in enumerate(_moduli_grid(model, p), 1):
+    best_val = best_a = None
+    for i, a in enumerate(MODULI_EXPONENTS):
+        s, u = (p**a, 1) if a >= 0 else (1, p**-a)
+        F, G = conjugate_forms(model, s, 0, 0, u)
         val = initial + (d * d + d) * abs(a) - 2 * d * vp(p, math.gcd(*F, *G))
         if best_val is None or val < best_val:
-            best_val, best = val, (a, b)
-        if best_val == 0:
+            best_val, best_a = val, a
+        if val == 0:
+            tried = i * p + 1  # every b at the earlier exponents, then (a, 0)
             break
     else:
-        tried *= 3  # the 14p inversion composites: counted, not built
-    a, b = best
-    best_mobius = Mobius(Fraction(p) ** a, b, 0, 1)
+        tried = 3 * len(MODULI_EXPONENTS) * p  # the 7p affine maps and their 14p inversion composites
+    best_mobius = Mobius(Fraction(p) ** best_a, 0, 0, 1)
     best_model = conjugate_map(model, best_mobius)
     achieved = best_val == 0
     if achieved and not MapAtPrime(best_model, p).sgr.is_strict_good_reduction:

@@ -67,15 +67,6 @@ def _form_mul(A, B) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _taylor_shift(A) -> tuple[int, ...]:
-    """A(x - 1), so the form A(X - Y, Y): Horner's Taylor shift, additions only."""
-    out = list(A)
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] -= out[j + 1]
-    return tuple(out)
-
-
 def _add(a, b) -> tuple[int, ...]:
     """Sum of two integer coefficient lists, without trailing zeros."""
     if len(a) < len(b):

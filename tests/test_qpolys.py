@@ -15,7 +15,6 @@ from padicdyn.qpolys import (
     _add,
     _form_mul,
     _integer_resultant,
-    _taylor_shift,
     binary_form_resultant,
     det_bareiss,
     discriminant,
@@ -210,19 +209,6 @@ def test_product_and_sum_match_schoolbook():
         h = [rng.randint(-3, 3) for _ in range(rng.randint(0, 8))]
         want = [a + b for a, b in zip_longest(f, h, fillvalue=0)]
         assert _add(f, h) == QPoly(want).coeffs == _add(h, f)
-
-
-def test_taylor_shift_matches_sympy_shift():
-    # A(x - 1) by additions only, as a form of unchanged length: zero
-    # coefficients (top ones included) and 200-bit ones
-    rng = random.Random(71)
-    for _ in range(300):
-        n = rng.randint(0, 8)
-        big = 2**200
-        f = [rng.choice((0, 0, rng.randint(-5, 5), rng.randint(-big, big))) for _ in range(n + 1)]
-        want = _sympy_poly(f).shift(-1).all_coeffs()[::-1] if any(f) else []
-        assert list(_taylor_shift(f)) == [int(c) for c in want] + [0] * (n + 1 - len(want))
-    assert _taylor_shift(()) == ()
 
 
 def test_qpoly_gcd_of_engineered_pair():

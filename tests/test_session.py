@@ -180,7 +180,8 @@ def test_valuations_do_not_reprove_the_prime(monkeypatch):
     proofs = _count(monkeypatch, "padics", "is_prime")
     valuations = _count(monkeypatch, "padics", "vp")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["moduli", "p*z^2+z", "-p", "5"]) == 0
+        # depth-3 towers over the orbit's points: 63 valuations at one prime
+        assert cli.main(["orbit", "z^2-1", "-p", "5", "-x", "2", "-N", "6", "-n", "3"]) == 0
     assert len(valuations) > 20
     assert len(proofs) <= 4
 
@@ -189,7 +190,8 @@ def test_moduli_query_works_on_integers(monkeypatch):
     # one Mobius map for the answer; one resultant, that of the input, and
     # its valuation, plus one valuation per conjugated candidate (of its content),
     # besides the zero witness's re-verification; the reported model is built
-    # once, by conjugate_map, with none
+    # once, by conjugate_map, with none.  The zero is at a = 1, the fifth
+    # exponent, so five candidates are conjugated and 4p + 1 counted
     built = []
     original_new = Mobius.__new__
 
@@ -200,6 +202,7 @@ def test_moduli_query_works_on_integers(monkeypatch):
     monkeypatch.setattr(Mobius, "__new__", new)
     valuations = _count(monkeypatch, "padics", "vp")
     resultants = _count(monkeypatch, "qpolys", "binary_form_resultant")
+    conjugated = _count(monkeypatch, "maps", "conjugate_forms")
     inside = []
 
     def measure(original, *args):
@@ -219,29 +222,30 @@ def test_moduli_query_works_on_integers(monkeypatch):
     assert MapAtPrime(parse_map(report["conjugate"], 5), 5).sgr.is_strict_good_reduction
     assert (report["tried"], report["mobius"]) == (21, "5*z")
     assert len(built) == 1
-    assert searched == report["tried"] + 1 + len(valuations)
+    assert len(conjugated) == 5 + 1
+    assert searched == 1 + 5 + len(valuations)
     assert res_searched == 1 + len(resultants)
     assert inside == [0]
 
 
 def test_moduli_conjugates_only_the_affine_candidates(monkeypatch):
-    # a query with no zero witness counts all 21p candidates, but only the
-    # 7p affine ones are conjugated and rated: the inversion composites rate
-    # as affine maps walked before them (test_orbits.py pins that)
+    # a query with no zero witness counts all 21p candidates, but every one
+    # rates as its tree vertex (test_orbits.py pins that), so only z -> p^a z
+    # is conjugated and rated, once for each of the 7 exponents, whatever p is
     conjugated = _count(monkeypatch, "maps", "conjugate_forms")
-    shifted = _count(monkeypatch, "qpolys", "_taylor_shift")
     valuations = _count(monkeypatch, "padics", "vp")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["moduli", "z^3+2/p", "-p", "5", "--format", "json"]) == 0
-    report = json.loads(out.getvalue())["moduli"]
-    assert (report["tried"], report["achieved_zero"], report["mobius"]) == (105, False, "z")
-    # each of the 35 candidates gets one set of forms: the 7 with b = 0 are
-    # substituted, the 28 others shifted from the one before (two forms a
-    # step), and the reported model is substituted once more; one valuation
-    # rates Res(phi) and one each of the 35 contents
-    assert (len(conjugated), len(shifted), len(valuations)) == (7 + 1, 2 * 28, 1 + 35)
-    assert all(len(forms) == 3 + 1 for (forms,) in shifted)
+    for text, p, mobius in (("z^3+2/p", 5, "z"), ("z^2+1/p", 18719, "18719*z")):
+        del conjugated[:], valuations[:]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["moduli", text, "-p", str(p), "--format", "json"]) == 0
+        report = json.loads(out.getvalue())["moduli"]
+        assert (report["tried"], report["achieved_zero"], report["mobius"]) == (21 * p, False, mobius)
+        # the 7 candidates with b = 0 are substituted, and the reported model
+        # once more; one valuation rates Res(phi) and one each of the 7 contents
+        assert (len(conjugated), len(valuations)) == (7 + 1, 1 + 7)
+        scales = [(1, p**3), (1, p**2), (1, p), (1, 1), (p, 1), (p**2, 1), (p**3, 1)]
+        assert [args[1:] for args in conjugated[:7]] == [(s, 0, 0, u) for s, u in scales]
 
 
 def test_session_iterates_match_the_free_functions():
