@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every subcommand is a thin shell over the library: it parses the map,
-opens one MapAtPrime session for it, runs one analysis on that session,
-and prints either JSON or a text summary, rendering only what it prints.
+runs one analysis on it (analyze, tower and orbit in one MapAtPrime
+session; moduli needs none), and prints either JSON or a text summary,
+rendering only what it prints.
 JSON is deterministic (sorted keys, fixed indentation, canonically
 ordered factorizations) so runs with the same arguments are
 byte-identical.  Integers that can exceed native JSON precision

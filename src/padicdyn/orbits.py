@@ -11,9 +11,9 @@ outside the postcritical set carried only UNRAMIFIED certificates.
 The moduli search is a bounded heuristic over conjugations
 z -> p^a z + b and their composites with inversion on either side.  Each
 candidate rates as one of seven vertices of the Bruhat-Tits tree, so only
-the seven maps z -> p^a z are conjugated.  It can certify that the minimal
-resultant valuation is zero by exhibiting a witness; it never certifies a
-positive minimum.
+the seven maps z -> p^a z are conjugated, each once.  It can certify that
+the minimal resultant valuation is zero by exhibiting a witness, re-verified
+by its reduction mod p; it never certifies a positive minimum.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceLimitError
-from .maps import Mobius, ProjPointQ, RationalMapModel, conjugate_forms, conjugate_map, eval_map
+from .maps import Mobius, ProjPointQ, RationalMapModel, conjugate_forms, eval_map, reduce_map
 from .padics import require_prime, vp
 from .reduction import MapAtPrime
 from .towers import tower_levels
@@ -156,12 +156,13 @@ def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
     unscaled conjugate's resultant is det(M)^(d^2+d) Res(phi), and its
     canonical model divides out the content g, so v_p(Res phi) +
     (d^2+d)|a| - 2d v_p(g) rates it exactly: a query costs one resultant
-    and 7 degree-d substitutions, whatever p is.  A zero witness is re-verified through the full reduction report.
-    Only the reported candidate is built, as a Mobius map and by
-    ``conjugate_map`` as a model.  A grid past the width cap at degree d,
-    each candidate weighted by the coefficient height, is refused before
-    its first conjugation.  achieved_zero=False is inconclusive: the
-    family is a bounded heuristic, not a minimizer.
+    and 7 degree-d substitutions, whatever p is.  The best conjugate's
+    forms are kept as the reported model, and a zero witness is re-verified
+    by the criterion's other face: a reduction of full degree d.  A grid
+    past the width cap at degree d, each candidate weighted by the
+    coefficient height, is refused before its first conjugation.
+    achieved_zero=False is inconclusive: the family is a bounded
+    heuristic, not a minimizer.
     """
     require_prime(p)
     d, h = model.d, max(abs(c).bit_length() for c in model.F + model.G)
@@ -174,27 +175,27 @@ def moduli_search(model: RationalMapModel, p: int) -> ModuliReport:
             + (f" at degree {d}" if d > 2 else "")
         )
     initial = vp(p, model.resultant())
-    best_val = best_a = None
+    best = None
     for i, a in enumerate(MODULI_EXPONENTS):
         s, u = (p**a, 1) if a >= 0 else (1, p**-a)
         F, G = conjugate_forms(model, s, 0, 0, u)
         val = initial + (d * d + d) * abs(a) - 2 * d * vp(p, math.gcd(*F, *G))
-        if best_val is None or val < best_val:
-            best_val, best_a = val, a
+        if best is None or val < best[0]:
+            best = val, a, F, G
         if val == 0:
             tried = i * p + 1  # every b at the earlier exponents, then (a, 0)
             break
     else:
         tried = 3 * len(MODULI_EXPONENTS) * p  # the 7p affine maps and their 14p inversion composites
-    best_mobius = Mobius(Fraction(p) ** best_a, 0, 0, 1)
-    best_model = conjugate_map(model, best_mobius)
+    best_val, best_a, F, G = best
+    best_model = RationalMapModel(F, G)
     achieved = best_val == 0
-    if achieved and not MapAtPrime(best_model, p).sgr.is_strict_good_reduction:
+    if achieved and reduce_map(best_model, p).reduced_degree != d:
         raise InternalError("zero witness failed re-verification")
     return ModuliReport(
         initial_valuation=initial,
         best_valuation=best_val,
-        best_mobius=best_mobius,
+        best_mobius=Mobius(Fraction(p) ** best_a, 0, 0, 1),
         best_model=best_model,
         achieved_zero=achieved,
         tried=tried,

@@ -15,17 +15,17 @@ trimmed tuple.  ``compose_forms`` is the package's one substitution of
 a pair of forms into forms; it takes the ring's product, so the reduced
 iterates over F_p are composed by it too, with ``finitefield._mul``.
 
-``QPoly.gcd`` is the primitive polynomial remainder sequence (Cohen, GTM
-138, Ch. 3): pseudo-remainders, each divided by its content, so the gcd
-over Q comes out as a primitive integer polynomial.  Resultants
-are the Sylvester determinant with the rows of the first argument on top:
+Resultants are the Sylvester determinant with the rows of the first
+argument on top:
 
     Res(f, g) = lc(f)^deg(g) * prod g(alpha_i)   over the roots of f.
 
 They are computed by the subresultant polynomial remainder sequence
 over Z (Brown and Traub, J. ACM 18, 1971; Cohen, GTM 138, Alg. 3.3.7),
 whose exact divisions keep every coefficient the size of a minor of the
-Sylvester matrix.  Discriminants are Res(f, f') up to sign, divided
+Sylvester matrix.  Its last nonzero remainder is the gcd over Q up to a
+scalar (Cohen, Alg. 3.3.1), and ``QPoly.gcd`` returns that remainder's
+primitive part.  Discriminants are Res(f, f') up to sign, divided
 exactly by lc(f); ``form_discriminant`` extends them to binary forms of
 a stated formal degree, where a vanishing top coefficient puts a root at
 infinity.  ``binary_form_resultant`` gives the same determinant
@@ -130,22 +130,10 @@ class QPoly(_QPolyFields):
 
     def gcd(self, other: "QPoly") -> "QPoly":
         """gcd over Q as a primitive integer polynomial with lc > 0 (0 for two zeros)."""
-        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
-        if len(a) < len(b):
-            a, b = b, a
-        while len(b) > 1:  # a constant b is [1] here, and then so is the gcd
-            a, b = b, _primitive(_pseudo_remainder(a, b))
-        return QPoly(b or a)
-
-
-def _primitive(cs) -> list[int]:
-    """cs divided by its content, signed so the leading coefficient is positive."""
-    if not cs:
-        return []
-    g = gcd(*cs)
-    if cs[-1] < 0:
-        g = -g
-    return [c // g for c in cs]
+        a, b = self.coeffs, other.coeffs
+        r = _subresultant_prs(a, b)[1] if a and b else a or b
+        g = -gcd(*r) if r and r[-1] < 0 else gcd(*r)  # the content, signed as lc(r)
+        return QPoly([c // g for c in r])
 
 
 # str() is exact below 640 digits, the lowest digit limit an interpreter
@@ -263,17 +251,19 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _integer_resultant(a: list[int], b: list[int]) -> int:
-    """Res(a, b) of nonzero integer polynomials, ascending, true degrees.
+def _subresultant_prs(a, b) -> tuple[int, list[int]]:
+    """Res(a, b) and the last nonzero remainder, of nonzero integer
+    polynomials, ascending, true degrees.
 
     Subresultant PRS (Cohen, Alg. 3.3.7, without its content step): the
     divisions by g*h^delta and h^(delta-1) are exact over Z and keep the
-    coefficients the size of subresultants.
+    coefficients the size of subresultants.  The remainder is a constant
+    when a and b are coprime, the constant input itself if there is one.
     """
     if len(a) == 1:
-        return a[0] ** (len(b) - 1)
+        return a[0] ** (len(b) - 1), a
     if len(b) == 1:
-        return b[0] ** (len(a) - 1)
+        return b[0] ** (len(a) - 1), b
     s = 1
     if len(a) < len(b):
         a, b = b, a
@@ -287,13 +277,18 @@ def _integer_resultant(a: list[int], b: list[int]) -> int:
             s = -s
         r = _pseudo_remainder(a, b)
         if not r:
-            return 0
+            return 0, b
         div = g * h**delta
         a, b = b, [c // div for c in r]
         g = a[-1]
         h = g**delta // h ** (delta - 1) if delta else h
     da = len(a) - 1
-    return s * (b[0] ** da // h ** (da - 1))
+    return s * (b[0] ** da // h ** (da - 1)), b
+
+
+def _integer_resultant(a, b) -> int:
+    """Res(a, b) of nonzero integer polynomials, ascending, true degrees."""
+    return _subresultant_prs(a, b)[0]
 
 
 def discriminant(f: QPoly) -> int:

@@ -9,6 +9,7 @@ leave a loop that never ends.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,6 +62,14 @@ CASES = [
 def _scaled(model, p):
     # a model left with content p: not p-primitive, it reduces to the zero pair
     return model._replace(F=tuple(p * c for c in model.F), G=tuple(p * c for c in model.G))
+
+
+def _unconjugated(conjugate_forms):
+    # the model's own forms, scaled by the content of its true conjugate's forms
+    def forms(model, *matrix):
+        g = math.gcd(*(c for form in conjugate_forms(model, *matrix) for c in form))
+        return tuple(tuple(g * c for c in form) for form in (model.F, model.G))
+    return forms
 
 
 # (argv, module, attribute, fault, message): each fault trips the internal
@@ -132,12 +141,13 @@ ALARMS = [
         lambda f: lambda model, p: f(_scaled(model, p), p),
         "a p-primitive model cannot reduce to the zero pair",
     ),
-    # a conjugation that ignores its Mobius map hands back the bad model as the witness
+    # a conjugation that ignores its Mobius map but keeps the content it would
+    # have: the rating still reaches zero, and the bad model comes back as the witness
     (
         ["moduli", "p*z^2+z", "-p", "5"],
         orbits,
-        "conjugate_map",
-        lambda f: lambda model, M: model,
+        "conjugate_forms",
+        _unconjugated,
         "zero witness failed re-verification",
     ),
     # a Frobenius that fixes everything closes the orbit of the image 2T of

@@ -235,6 +235,10 @@ def test_qpoly_gcd_matches_sympy():
     # primitive integer polynomial with positive leading coefficient
     rng = random.Random(61)
     cases = [([], []), ([], [0, 2, -4]), ([-6], []), ([6], [4]), ([-5], [1, 1]), ([3, 3], [-3])]
+    # equal inputs, and b dividing a, so that the subresultant loop stops at
+    # its first pseudo-remainder, with content and negative leading coefficients
+    sextic = int_poly_mul([3, 0, 1], [1, 1, 0, 0, -1])
+    cases += [([2, -4, 6, -2], [2, -4, 6, -2]), (sextic, [-6, 0, -2]), ([0, 0, -4], [0, 6])]
     for _ in range(200):
         common = _random_poly(rng, rng.randint(0, 3))
         f = int_poly_mul(common, _random_poly(rng, rng.randint(0, 4)))

@@ -188,10 +188,10 @@ def test_valuations_do_not_reprove_the_prime(monkeypatch):
 
 def test_moduli_query_works_on_integers(monkeypatch):
     # one Mobius map for the answer; one resultant, that of the input, and
-    # its valuation, plus one valuation per conjugated candidate (of its content),
-    # besides the zero witness's re-verification; the reported model is built
-    # once, by conjugate_map, with none.  The zero is at a = 1, the fifth
-    # exponent, so five candidates are conjugated and 4p + 1 counted
+    # its valuation, plus one valuation per conjugated candidate (of its
+    # content).  The zero is at a = 1, the fifth exponent, so five candidates
+    # are conjugated and 4p + 1 counted; the fifth one's forms are the
+    # reported model, and one reduction, with no valuation, re-verifies it
     built = []
     original_new = Mobius.__new__
 
@@ -211,21 +211,32 @@ def test_moduli_query_works_on_integers(monkeypatch):
         inside.append(len(valuations) - before)
         return out
 
-    _count(monkeypatch, "maps", "conjugate_map", hook=measure)
+    reduced = _count(monkeypatch, "maps", "reduce_map", hook=measure)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["moduli", "p*z^2+z", "-p", "5", "--format", "json"]) == 0
     report = json.loads(out.getvalue())["moduli"]
-    searched, res_searched = len(valuations), len(resultants)
+    witness = parse_map(report["conjugate"], 5)
 
-    del valuations[:], resultants[:]
-    assert MapAtPrime(parse_map(report["conjugate"], 5), 5).sgr.is_strict_good_reduction
     assert (report["tried"], report["mobius"]) == (21, "5*z")
     assert len(built) == 1
-    assert len(conjugated) == 5 + 1
-    assert searched == 1 + 5 + len(valuations)
-    assert res_searched == 1 + len(resultants)
-    assert inside == [0]
+    assert len(conjugated) == 5
+    assert (len(valuations), len(resultants)) == (1 + 5, 1)
+    assert (reduced, inside) == ([(witness, 5)], [0])
+    assert MapAtPrime(witness, 5).sgr.is_strict_good_reduction
+
+
+@pytest.mark.parametrize("text", ["p*z^2+z", "z^3+2/p"])
+def test_moduli_query_takes_one_resultant(monkeypatch, text):
+    # a zero witness and a walk that finds none: the input's resultant is the
+    # only one taken, the rated conjugate's forms are the reported model, and
+    # a witness is re-verified by its reduction, in no second session
+    resultants = _count(monkeypatch, "qpolys", "binary_form_resultant")
+    conjugated = _count(monkeypatch, "maps", "conjugate_map")
+    decided = _count(monkeypatch, "reduction", "strict_good_reduction")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["moduli", text, "-p", "5", "--format", "json"]) == 0
+    assert (len(resultants), conjugated, decided) == (1, [], [])
 
 
 def test_moduli_conjugates_only_the_affine_candidates(monkeypatch):
@@ -241,11 +252,11 @@ def test_moduli_conjugates_only_the_affine_candidates(monkeypatch):
             assert cli.main(["moduli", text, "-p", str(p), "--format", "json"]) == 0
         report = json.loads(out.getvalue())["moduli"]
         assert (report["tried"], report["achieved_zero"], report["mobius"]) == (21 * p, False, mobius)
-        # the 7 candidates with b = 0 are substituted, and the reported model
-        # once more; one valuation rates Res(phi) and one each of the 7 contents
-        assert (len(conjugated), len(valuations)) == (7 + 1, 1 + 7)
+        # the 7 candidates with b = 0 are substituted, and the best one's forms
+        # are the reported model; one valuation rates Res(phi) and one each of the 7 contents
+        assert (len(conjugated), len(valuations)) == (7, 1 + 7)
         scales = [(1, p**3), (1, p**2), (1, p), (1, 1), (p, 1), (p**2, 1), (p**3, 1)]
-        assert [args[1:] for args in conjugated[:7]] == [(s, 0, 0, u) for s, u in scales]
+        assert [args[1:] for args in conjugated] == [(s, 0, 0, u) for s, u in scales]
 
 
 def test_session_iterates_match_the_free_functions():
